@@ -251,25 +251,49 @@ def expand_E_i(L: LieType, m: YMonomial, i: int) -> dict:
 # -- products -----------------------------------------------------------------
 
 
+def _pair_loop(left: list, right: list, first: dict | None = None) -> dict:
+    """Sum of raw1 * raw2 * t^tw over all term pairs, keyed by the product
+    monomial's data.  Left rows are (data, raw coefficient, sparse vector as
+    ((node, level), value) pairs); right rows are (data, raw coefficient,
+    functional, constant), and the pair's exponent is tw = constant + the
+    functional applied to the vector.  When first is given, it records the
+    (left data, right data) of the first pair reaching each key."""
+    mono_mul = kernels.mono_mul
+    acc_mul = kernels.poly_acc_mul
+    acc: dict = {}
+    for d1, raw1, vec in left:
+        for d2, raw2, phi, const in right:
+            tw = const
+            get = phi.get
+            for k, x in vec:
+                tw += x * get(k, 0)
+            key = mono_mul(d1, d2)
+            slot = acc.get(key)
+            if slot is None:
+                slot = acc[key] = {}
+                if first is not None:
+                    first[key] = (d1, d2)
+            acc_mul(slot, raw1, raw2, tw)
+    return acc
+
+
 def star_product(L: LieType, a, b, table: EpsilonTable | None = None) -> dict:
     """Term-by-term twisted product; returns a raw term dict.  The result of
     multiplying two normalized characters this way is NOT normalized: its
-    top coefficient is a power of t, not 1."""
+    top coefficient is a power of t, not 1.  Each pair is twisted by the
+    commutation exponent epsilon(m1, m2), applied as the right-hand term's
+    functional to the left-hand term's exponent vector."""
     d1 = a.terms if isinstance(a, QtCharacter) else a
     d2 = b.terms if isinstance(b, QtCharacter) else b
     tab = table if table is not None else EpsilonTable(L)
-    acc: dict = {}
-    for m1, p1 in d1.items():
-        r1 = p1.terms
-        for m2, p2 in d2.items():
-            e = tab.of(m1, m2)
-            key = m1 * m2
-            slot = acc.get(key)
-            if slot is None:
-                slot = {}
-                acc[key] = slot
-            kernels.poly_acc_mul(slot, r1, p2.terms, e)
-    return {m: TPoly._wrap(p) for m, p in acc.items() if p}
+    left = [
+        (m.data, p.terms, tuple(((i, s), e) for i, s, e in m.data))
+        for m, p in d1.items()
+    ]
+    keys = {k for _, _, vec in left for k, _ in vec}
+    right = [(m.data, p.terms, tab.functional(m, keys), 0) for m, p in d2.items()]
+    acc = _pair_loop(left, right)
+    return {YMonomial._wrap(k): TPoly._wrap(p) for k, p in acc.items() if p}
 
 
 def _self_twist(v: dict, um: dict, up: dict) -> int:
@@ -284,7 +308,8 @@ def multiply_standard(
     """Character of the composite module built from two normalized
     characters of the given root data.  Requires the separation condition
     between the root data; the factors' normalization is undone, the cross
-    twist applied per term pair, and the result re-normalized against the
+    twist 2 * (<v1, u(m2) shifted by one> + <u(mp1), v2 shifted by one>)
+    applied per term pair, and the result re-normalized against the
     combined root datum."""
     if ch1.L != ch2.L:
         raise InternalError("type mismatch in product")
@@ -294,30 +319,25 @@ def multiply_standard(
     mp1, mp2 = p1.monomial(), p2.monomial()
     up1, up2 = mp1.u_map(), mp2.u_map()
 
-    lst1 = []
+    left = []
+    v1_of: dict = {}
     for m, a in ch1.terms.items():
         v = v_factorization(L, m, mp1)
         raw = kernels.poly_scale(a.terms, _self_twist(v, m.u_map(), up1), 1)
-        lst1.append((m, v, raw))
-    lst2 = []
+        left.append((m.data, raw, tuple(v.items())))
+        v1_of[m.data] = v
+    keys = {k for v in v1_of.values() for k in v}
+    right = []
+    v2_of: dict = {}
     for m, a in ch2.terms.items():
         v = v_factorization(L, m, mp2)
         raw = kernels.poly_scale(a.terms, _self_twist(v, m.u_map(), up2), 1)
-        half = kernels.dot_shifted(up1, v, 1)
-        lst2.append((m, v, raw, half))
+        phi = {(i, s + 1): 2 * e for i, s, e in m.data if (i, s + 1) in keys}
+        right.append((m.data, raw, phi, 2 * kernels.dot_shifted(up1, v, 1)))
+        v2_of[m.data] = v
 
-    acc: dict = {}
-    vees: dict = {}
-    for m1, v1, raw1 in lst1:
-        for m2, v2, raw2, half in lst2:
-            tw = 2 * (kernels.dot_shifted(v1, m2.u_map(), 1) + half)
-            key = m1 * m2
-            slot = acc.get(key)
-            if slot is None:
-                slot = {}
-                acc[key] = slot
-                vees[key] = (v1, v2)
-            kernels.poly_acc_mul(slot, raw1, raw2, tw)
+    first: dict = {}
+    acc = _pair_loop(left, right, first)
 
     poly = p1 * p2
     up = poly.monomial().u_map()
@@ -325,12 +345,13 @@ def multiply_standard(
     for key, raw in acc.items():
         if not raw:
             continue
-        v1, v2 = vees[key]
-        v = dict(v1)
-        for k, e in v2.items():
+        d1, d2 = first[key]
+        v = dict(v1_of[d1])
+        for k, e in v2_of[d2].items():
             v[k] = v.get(k, 0) + e
-        terms[key] = TPoly._wrap(
-            kernels.poly_scale(raw, -_self_twist(v, key.u_map(), up), 1)
+        mono = YMonomial._wrap(key)
+        terms[mono] = TPoly._wrap(
+            kernels.poly_scale(raw, -_self_twist(v, mono.u_map(), up), 1)
         )
     return QtCharacter(L, poly, terms)
 

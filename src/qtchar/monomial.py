@@ -275,8 +275,13 @@ class EpsilonTable:
     epsilon is biadditive in the exponent vectors and invariant under a
     common spectral translation, so it is determined by its values on pairs
     of single variables, and those depend only on (node, node, spectral
-    difference).  Worthwhile when pairing all terms of one character against
-    all terms of another.
+    difference).  of() is the single-pair definition.  For pairing all
+    terms of one character against all terms of another, functional() turns
+    each right-hand term m2 into the linear form phi(m2) on exponent
+    vectors, so that epsilon(m1, m2) = sum of e * phi(m2)[(i, a)] over the
+    factors Y[i,a]^e of m1: one lookup per factor of m1 instead of one table
+    value per factor pair.  This is the twist of the quantum torus in which
+    the products are taken.
     """
 
     __slots__ = ("L", "_gen", "_ut")
@@ -312,3 +317,16 @@ class EpsilonTable:
             for j, b, f in m2.data:
                 total += e * f * gen(i, j, b - a)
         return total
+
+    def functional(self, m2: YMonomial, keys) -> dict:
+        """phi(m2)[(i, a)] = sum of f * gen(i, j, b - a) over the factors
+        Y[j,b]^f of m2, for the (node, level) pairs in keys, zeros dropped."""
+        gen = self.gen
+        phi = {}
+        for i, a in keys:
+            x = 0
+            for j, b, f in m2.data:
+                x += f * gen(i, j, b - a)
+            if x:
+                phi[(i, a)] = x
+        return phi

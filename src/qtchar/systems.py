@@ -4,13 +4,14 @@ decomposition, truncated stabilization of normalized KR characters, the
 finite-type restriction recursion, and the binomial configuration sum
 for restricted KR products.
 
-Every check is an exact symbolic comparison; a VerifyReport records both
-sides in serialized form so a failure can print the mismatching terms.
+Every check is an exact symbolic comparison of the two sides' raw term
+dicts.  A VerifyReport keeps both sides together with their canonical
+serializer and turns them into text only when they are read, so a failure
+can print the mismatching terms while a pass never pays for the strings.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .character import (
@@ -53,17 +54,51 @@ def check_nu(L: LieType, nu: NuConfig) -> dict:
     return out
 
 
-@dataclass
 class VerifyReport:
-    claim: str
-    params: dict
-    status: str
-    lhs: dict
-    rhs: dict
+    """Outcome of one check.  lhs and rhs are the two sides as dicts from
+    canonical text keys to canonical text values; a verifier may hand over
+    its raw term dicts plus the function that serializes them, and the text
+    forms are then built only when lhs, rhs or a failing text() is read."""
+
+    __slots__ = ("claim", "params", "status", "_sides", "_ser")
+
+    def __init__(self, claim: str, params: dict, status: str, lhs: dict, rhs: dict, ser=None):
+        self.claim = claim
+        self.params = params
+        self.status = status
+        self._sides = (lhs, rhs)
+        self._ser = ser
+
+    def _serialized(self) -> tuple:
+        if self._ser is not None:
+            self._sides = tuple(self._ser(d) for d in self._sides)
+            self._ser = None
+        return self._sides
+
+    @property
+    def lhs(self) -> dict:
+        return self._serialized()[0]
+
+    @property
+    def rhs(self) -> dict:
+        return self._serialized()[1]
 
     @property
     def ok(self) -> bool:
         return self.status == "pass"
+
+    def __eq__(self, other):
+        if not isinstance(other, VerifyReport):
+            return NotImplemented
+        return (self.claim, self.params, self.status, self.lhs, self.rhs) == (
+            other.claim, other.params, other.status, other.lhs, other.rhs
+        )
+
+    def __repr__(self):
+        return (
+            f"VerifyReport(claim={self.claim!r}, params={self.params!r}, "
+            f"status={self.status!r}, lhs={self.lhs!r}, rhs={self.rhs!r})"
+        )
 
     def text(self) -> str:
         ptxt = " ".join(f"{k}={v}" for k, v in self.params.items())
@@ -79,8 +114,10 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def _report(claim: str, params: dict, lhs: dict, rhs: dict) -> VerifyReport:
-    return VerifyReport(claim, params, "pass" if lhs == rhs else "fail", lhs, rhs)
+def _report(claim: str, params: dict, lhs: dict, rhs: dict, ser) -> VerifyReport:
+    """Report comparing two raw dicts; ser maps each to its text form and
+    is injective, so raw equality is equality of the serialized sides."""
+    return VerifyReport(claim, params, "pass" if lhs == rhs else "fail", lhs, rhs, ser)
 
 
 # -- serialization: canonical text keys so dict equality is symbolic equality
@@ -138,7 +175,7 @@ def verify_t_system_t1(L: LieType, i: int, k: int, engine: Engine | None = None)
         prod = qchar_mul(prod, q(j, k, 1))
     rhs = terms_add(rhs, prod)
     params = {"type": str(L), "i": i, "k": k}
-    return _report("t_system_t1", params, _ser_int_terms(lhs), _ser_int_terms(rhs))
+    return _report("t_system_t1", params, lhs, rhs, _ser_int_terms)
 
 
 def verify_t_system_t(L: LieType, i: int, k: int, engine: Engine | None = None) -> VerifyReport:
@@ -177,7 +214,7 @@ def verify_t_system_t(L: LieType, i: int, k: int, engine: Engine | None = None) 
 
     rhs = terms_add(first, second)
     params = {"type": str(L), "i": i, "k": k}
-    return _report("t_system_t", params, _ser_int_terms(lhs), _ser_int_terms(rhs))
+    return _report("t_system_t", params, lhs, rhs, _ser_int_terms)
 
 
 def verify_kr_tensor_split(L: LieType, i: int, k: int, engine: Engine | None = None) -> VerifyReport:
@@ -202,7 +239,7 @@ def verify_kr_tensor_split(L: LieType, i: int, k: int, engine: Engine | None = N
     rhs = terms_add(eng.kr_char_direct(i, k + 1, 0).terms, _tshift(second.terms, -1))
 
     params = {"type": str(L), "i": i, "k": k}
-    return _report("kr_tensor_split", params, _ser_int_terms(lhs), _ser_int_terms(rhs))
+    return _report("kr_tensor_split", params, lhs, rhs, _ser_int_terms)
 
 
 # -- convergence ---------------------------------------------------------------
@@ -224,13 +261,13 @@ def verify_convergence(L: LieType, i: int, k_max: int, D: int, engine: Engine | 
             out[tuple(sorted((((n, s - 2 * k), v) for (n, s), v in key)))] = p
         return out
 
-    sers = {k: _ser_vkeys(keyed(k)) for k in range(D, k_max + 1)}
+    sides = {k: keyed(k) for k in range(D, k_max + 1)}
     params = {"type": str(L), "i": i, "k_max": k_max, "D": D}
     for k in range(D, k_max):
-        if sers[k] != sers[k + 1]:
+        if sides[k] != sides[k + 1]:
             params["first_mismatch"] = f"{k}~{k + 1}"
-            return VerifyReport("convergence", params, "fail", sers[k], sers[k + 1])
-    return VerifyReport("convergence", params, "pass", sers[D], sers[k_max])
+            return VerifyReport("convergence", params, "fail", sides[k], sides[k + 1], _ser_vkeys)
+    return VerifyReport("convergence", params, "pass", sides[D], sides[k_max], _ser_vkeys)
 
 
 # -- restriction and the finite-type recursion ---------------------------------
@@ -257,7 +294,7 @@ def verify_q_system(L: LieType, i: int, k: int, engine: Engine | None = None) ->
         prod = prod * q_character_Q(L, j, k, eng)
     rhs = rhs + prod
     params = {"type": str(L), "i": i, "k": k}
-    return _report("q_system", params, _ser_weights(lhs.terms), _ser_weights(rhs.terms))
+    return _report("q_system", params, lhs.terms, rhs.terms, _ser_weights)
 
 
 # -- fermionic configuration sum ------------------------------------------------
@@ -380,7 +417,7 @@ def verify_kr_formula(L: LieType, nu: NuConfig, D: int, engine: Engine | None = 
 
     rhs = fermionic_rhs(L, nu, D, "gamma")
     params = {"type": str(L), "nu": _nu_text(nu), "D": D}
-    return _report("kr_formula", params, _ser_root_terms(lhs), _ser_root_terms(rhs))
+    return _report("kr_formula", params, lhs, rhs, _ser_root_terms)
 
 
 def _nu_text(nu: NuConfig) -> str:

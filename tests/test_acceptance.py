@@ -133,8 +133,14 @@ def test_criterion_04_t_system_specialized(engines):
 
 
 def test_criterion_05_t_system_refined(engines):
+    t0 = time.perf_counter()
     failures = []
-    ranges = [("A", 1, (1,), 4), ("A", 2, (1, 2), 3), ("A", 3, (1, 2, 3), 2)]
+    ranges = [
+        ("A", 1, (1,), 4),
+        ("A", 2, (1, 2), 3),
+        ("A", 3, (1, 2, 3), 2),
+        ("D", 4, (1, 2, 3, 4), 2),
+    ]
     for family, rank, nodes, kmax in ranges:
         eng = engines[(family, rank)]
         for i in nodes:
@@ -142,18 +148,26 @@ def test_criterion_05_t_system_refined(engines):
                 rep = verify_t_system_t(eng.L, i, k, eng)
                 if not rep.ok:
                     failures.append(f"{family}{rank} i={i} k={k}")
+    elapsed = time.perf_counter() - t0
+    if elapsed >= 30.0:
+        failures.append(f"too slow: {elapsed:.1f}s")
     _conclude(5, failures)
 
 
 def test_criterion_06_tensor_split(engines):
+    t0 = time.perf_counter()
     failures = []
-    for family, rank, nodes, kmax in [("A", 1, (1,), 4), ("A", 2, (1, 2), 3)]:
+    ranges = [("A", 1, (1,), 4), ("A", 2, (1, 2), 3), ("D", 4, (1, 2, 3, 4), 2)]
+    for family, rank, nodes, kmax in ranges:
         eng = engines[(family, rank)]
         for i in nodes:
             for k in range(1, kmax + 1):
                 rep = verify_kr_tensor_split(eng.L, i, k, eng)
                 if not rep.ok:
                     failures.append(f"{family}{rank} i={i} k={k}")
+    elapsed = time.perf_counter() - t0
+    if elapsed >= 15.0:
+        failures.append(f"too slow: {elapsed:.1f}s")
     _conclude(6, failures)
 
 

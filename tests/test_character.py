@@ -180,6 +180,37 @@ def test_star_product_matches_normalized_product(A2, A3, engine_for):
         assert star == prod.terms
 
 
+def _naive_star(L, a: dict, b: dict) -> dict:
+    """Twisted product built pair by pair from the definition of epsilon."""
+    out: dict = {}
+    for m1, p1 in a.items():
+        for m2, p2 in b.items():
+            key = m1 * m2
+            out[key] = out.get(key, TPoly.ZERO) + (p1 * p2).shifted(epsilon(L, m1, m2))
+    return {m: p for m, p in out.items() if p}
+
+
+def test_star_product_matches_pairwise_definition(A2, A3, D4, engine_for):
+    cases = [
+        (A2, [(1, 1, 0), (2, 1, 1)]),
+        (A2, [(1, 2, 0), (2, 2, 1), (1, 1, 4)]),
+        (A3, [(2, 2, 0), (1, 1, 3)]),
+        (A3, [(1, 1, 0), (3, 2, -5)]),
+        (D4, [(1, 1, 0), (2, 1, 1)]),
+        (D4, [(3, 2, 0), (4, 1, 9)]),
+    ]
+    for L, factors in cases:
+        eng = engine_for(L)
+        chs = [eng.kr_char_direct(i, k, s) for i, k, s in factors]
+        table = EpsilonTable(L)
+        fast = chs[0].terms
+        slow = chs[0].terms
+        for ch in chs[1:]:
+            fast = star_product(L, fast, ch, table)
+            slow = _naive_star(L, slow, ch.terms)
+            assert fast == slow, (L, factors)
+
+
 def test_specialize_t1_is_multiplicative(A2, engine_for):
     eng = engine_for(A2)
     p1 = DrinfeldPoly.fundamental(1, 0)

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 
 import pytest
 
+import qtchar
 from qtchar import loads_qtc, parse_monomial
 from qtchar.cli import _resolve_cache_dir, export_dot, main
 from qtchar.systems import VerifyReport
@@ -208,6 +210,10 @@ def test_cache_dir_flag_populates_directory(capsys, tmp_path):
 
 
 def test_console_script_entry_point(tmp_path):
+    # the child must import the same package the suite imported, whether
+    # it came from an install or from src/ via pytest's pythonpath
+    src = os.path.dirname(os.path.dirname(qtchar.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [
             sys.executable,
@@ -223,6 +229,7 @@ def test_console_script_entry_point(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "term 1 : Y[1,0]" in proc.stdout

@@ -5,11 +5,13 @@ import random
 import pytest
 
 from qtchar import (
+    Engine,
     EpsilonTable,
     NotComparable,
     ParseError,
     YMonomial,
     a_monomial,
+    build_lie_type,
     epsilon,
     monomial_profile,
     pairing_d,
@@ -188,6 +190,38 @@ def test_epsilon_table_matches_direct(A2, A3):
         for m1 in pool:
             for m2 in pool:
                 assert table.of(m1, m2) == epsilon(L, m1, m2)
+
+
+def _functional_pools():
+    """D4 and E6 term pools: fundamental characters (negative exponents
+    below the top), copies translated by more than twice the Coxeter
+    number, and hand-made monomials with higher powers."""
+    out = []
+    for family, rank, nodes, extra in (
+        ("D", 4, (1, 2), ("Y[3,-20]^-2 Y[4,1]", "Y[2,40]^3 Y[1,-3]^-1")),
+        ("E", 6, (1, 6), ("Y[6,-31]^-2 Y[3,2]", "Y[4,50]^2 Y[2,-7]^-3")),
+    ):
+        L = build_lie_type(family, rank)
+        gap = 2 * L.coxeter_number + 3
+        eng = Engine(L)
+        pool = list(eng.fundamental_char(nodes[0], 0).terms)
+        pool += [m.shift(gap) for m in eng.fundamental_char(nodes[1], 1).terms]
+        pool += [parse_monomial(t) for t in extra]
+        out.append((L, pool))
+    return out
+
+
+def test_epsilon_functional_matches_definition():
+    for L, pool in _functional_pools():
+        table = EpsilonTable(L)
+        keys = {(i, s) for m in pool for i, s, _ in m.data}
+        assert max(s for _, s in keys) - min(s for _, s in keys) > 2 * L.coxeter_number
+        for m2 in pool:
+            phi = table.functional(m2, keys)
+            assert all(k in keys and x for k, x in phi.items())
+            for m1 in pool:
+                dot = sum(e * phi.get((i, s), 0) for i, s, e in m1.data)
+                assert dot == table.of(m1, m2) == epsilon(L, m1, m2), (L, m1, m2)
 
 
 def test_tilde_d_empty_monomial(A2):

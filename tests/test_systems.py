@@ -62,6 +62,47 @@ def test_report_text_formats():
     assert not any("x:" in ln for ln in lines)
 
 
+def test_failing_report_text_matches_eager_serialization(engines, monkeypatch):
+    import qtchar.systems as sy
+
+    seen = []
+    real_report, real_add = sy._report, sy.terms_add
+
+    def recording_report(claim, params, lhs, rhs, ser):
+        seen.append((claim, params, lhs, rhs))
+        return real_report(claim, params, lhs, rhs, ser)
+
+    def perturbed_add(a, b):
+        out = real_add(a, b)
+        m = min(out, key=lambda m: m.data)
+        out[m] = out[m] + TPoly.t_power(7)
+        return out
+
+    monkeypatch.setattr(sy, "_report", recording_report)
+    monkeypatch.setattr(sy, "terms_add", perturbed_add)
+    eng = engines[("A", 2)]
+    rep = verify_t_system_t(eng.L, 1, 2, eng)
+    assert not rep.ok
+    claim, params, lhs, rhs = seen[-1]
+    eager = VerifyReport(claim, params, "fail", sy._ser_int_terms(lhs), sy._ser_int_terms(rhs))
+    assert rep.text() == eager.text()
+    assert len(rep.text().split("\n")) == 2
+    assert rep.lhs == eager.lhs and rep.rhs == eager.rhs
+
+
+def test_lazy_report_sides_are_text_dicts(engines):
+    eng = engines[("A", 2)]
+    for rep in (
+        verify_t_system_t(eng.L, 1, 1, eng),
+        verify_q_system(eng.L, 1, 2, eng),
+        verify_convergence(eng.L, 1, 3, 1, eng),
+    ):
+        assert rep.ok, rep.text()
+        for side in (rep.lhs, rep.rhs):
+            assert side and all(isinstance(k, str) and isinstance(v, str) for k, v in side.items())
+        assert rep.lhs == rep.rhs
+
+
 # -- specialized and refined string recursions ------------------------------------
 
 

@@ -183,26 +183,10 @@ def terms_add(a: dict, b: dict) -> dict:
     return out
 
 
-def terms_sub(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for m, p in b.items():
-        q = out.get(m)
-        r = -p if q is None else q - p
-        if r:
-            out[m] = r
-        else:
-            out.pop(m, None)
-    return out
-
-
 def terms_scale(a: dict, c: TPoly) -> dict:
     if not c:
         return {}
     return {m: p * c for m, p in a.items()}
-
-
-def dominant_part(terms: dict) -> dict:
-    return {m: p for m, p in terms.items() if m.is_l_dominant()}
 
 
 # -- expansion at a node ------------------------------------------------------
@@ -323,7 +307,7 @@ def multiply_standard(
     v1_of: dict = {}
     for m, a in ch1.terms.items():
         v = v_factorization(L, m, mp1)
-        raw = kernels.poly_scale(a.terms, _self_twist(v, m.u_map(), up1), 1)
+        raw = kernels.poly_scale(a.terms, _self_twist(v, m.u_map(), up1))
         left.append((m.data, raw, tuple(v.items())))
         v1_of[m.data] = v
     keys = {k for v in v1_of.values() for k in v}
@@ -331,7 +315,7 @@ def multiply_standard(
     v2_of: dict = {}
     for m, a in ch2.terms.items():
         v = v_factorization(L, m, mp2)
-        raw = kernels.poly_scale(a.terms, _self_twist(v, m.u_map(), up2), 1)
+        raw = kernels.poly_scale(a.terms, _self_twist(v, m.u_map(), up2))
         phi = {(i, s + 1): 2 * e for i, s, e in m.data if (i, s + 1) in keys}
         right.append((m.data, raw, phi, 2 * kernels.dot_shifted(up1, v, 1)))
         v2_of[m.data] = v
@@ -351,7 +335,7 @@ def multiply_standard(
             v[k] = v.get(k, 0) + e
         mono = YMonomial._wrap(key)
         terms[mono] = TPoly._wrap(
-            kernels.poly_scale(raw, -_self_twist(v, mono.u_map(), up), 1)
+            kernels.poly_scale(raw, -_self_twist(v, mono.u_map(), up))
         )
     return QtCharacter(L, poly, terms)
 

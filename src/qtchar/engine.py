@@ -104,7 +104,7 @@ def _fixpoint(L: LieType, poly: DrinfeldPoly, string_mode: bool) -> QtCharacter:
     for m, raw in coeffs.items():
         v = v_factorization(L, m, top)
         tw = _self_twist(v, m.u_map(), up)
-        terms[m] = TPoly._wrap(kernels.poly_scale(raw, -tw, 1) if tw else raw)
+        terms[m] = TPoly._wrap(kernels.poly_scale(raw, -tw) if tw else raw)
     return QtCharacter(L, poly, terms)
 
 
@@ -160,7 +160,10 @@ class Engine:
         name = f"{self.L.family}{self.L.rank}_{stem}.qtc"
         return os.path.join(self.cache_dir, name)
 
-    def _cached(self, stem: str, compute):
+    def _cached(self, stem: str, poly: DrinfeldPoly, string_mode: bool):
+        """Base character of poly, from memory, the disk cache or a fixpoint
+        run.  A disk entry counts only if it holds this type and root datum;
+        anything else is recomputed and rewritten."""
         ch = self._base.get(stem)
         if ch is not None:
             return ch
@@ -169,12 +172,12 @@ class Engine:
             if os.path.exists(path):
                 try:
                     ch = read_qtc(path)
-                    if ch.L == self.L:
+                    if ch.L == self.L and ch.poly == poly:
                         self._base[stem] = ch
                         return ch
                 except Exception:
                     pass  # unreadable cache entry: recompute and rewrite
-        ch = compute()
+        ch = _fixpoint(self.L, poly, string_mode)
         self._base[stem] = ch
         if self.cache_dir:
             path = self._cache_path(stem)
@@ -191,10 +194,7 @@ class Engine:
 
     def fundamental_char(self, i: int, s: int = 0) -> QtCharacter:
         self._check_node(i)
-        base = self._cached(
-            f"fund_{i}",
-            lambda: _fixpoint(self.L, DrinfeldPoly.fundamental(i, 0), False),
-        )
+        base = self._cached(f"fund_{i}", DrinfeldPoly.fundamental(i, 0), False)
         return base.shift(s)
 
     def kr_char_direct(self, i: int, k: int, s: int = 0) -> QtCharacter:
@@ -208,10 +208,7 @@ class Engine:
             return QtCharacter(self.L, DrinfeldPoly(), {ONE_MONO: TPoly.ONE})
         if k == 1:
             return self.fundamental_char(i, s)
-        base = self._cached(
-            f"kr_{i}_{k}",
-            lambda: _fixpoint(self.L, DrinfeldPoly.kr(i, k, 0), True),
-        )
+        base = self._cached(f"kr_{i}_{k}", DrinfeldPoly.kr(i, k, 0), True)
         return base.shift(s)
 
     def standard_char(self, poly: DrinfeldPoly) -> QtCharacter:

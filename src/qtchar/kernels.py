@@ -1,26 +1,120 @@
-"""Kernel backend selection.
+"""Dict and tuple kernels behind monomials, Laurent polynomials and the
+twist exponents.
 
-Prefers the compiled extension, falls back to the pure-Python twin.
-Set QTCHAR_PURE_PYTHON=1 to force the fallback (used by the benchmark
-and by the backend-equivalence tests).
+Data conventions:
+
+* a monomial is a tuple of (node, shift, exponent) triples sorted by
+  (node, shift), with no zero exponents;
+* a coefficient polynomial is a dict {exponent: int} with no zero values;
+* sparse integer maps keyed by (node, shift) pairs are plain dicts.
+
+Callers look these functions up as ``kernels.<name>`` at call time, so a
+profiler can count them by replacing the module attributes.
 """
 
-import os
+BACKEND = "python"
 
-if os.environ.get("QTCHAR_PURE_PYTHON") == "1":
-    from . import _kernels_py as _impl
-else:
-    try:
-        from . import _kernels as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernels_py as _impl
 
-BACKEND = _impl.BACKEND
-mono_mul = _impl.mono_mul
-mono_pow = _impl.mono_pow
-poly_add = _impl.poly_add
-poly_sub = _impl.poly_sub
-poly_mul = _impl.poly_mul
-poly_scale = _impl.poly_scale
-poly_acc_mul = _impl.poly_acc_mul
-dot_shifted = _impl.dot_shifted
+def mono_mul(a, b):
+    """Merge two sorted monomials, summing exponents and dropping zeros."""
+    if not a:
+        return b
+    if not b:
+        return a
+    out = []
+    i, j, na, nb = 0, 0, len(a), len(b)
+    while i < na and j < nb:
+        ta, tb = a[i], b[j]
+        ka = (ta[0], ta[1])
+        kb = (tb[0], tb[1])
+        if ka < kb:
+            out.append(ta)
+            i += 1
+        elif kb < ka:
+            out.append(tb)
+            j += 1
+        else:
+            e = ta[2] + tb[2]
+            if e:
+                out.append((ta[0], ta[1], e))
+            i += 1
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out)
+
+
+def mono_pow(a, n):
+    if n == 0:
+        return ()
+    if n == 1:
+        return a
+    return tuple((i, s, e * n) for (i, s, e) in a)
+
+
+def poly_add(p, q):
+    out = dict(p)
+    for n, c in q.items():
+        r = out.get(n, 0) + c
+        if r:
+            out[n] = r
+        else:
+            out.pop(n, None)
+    return out
+
+
+def poly_sub(p, q):
+    out = dict(p)
+    for n, c in q.items():
+        r = out.get(n, 0) - c
+        if r:
+            out[n] = r
+        else:
+            out.pop(n, None)
+    return out
+
+
+def poly_mul(p, q):
+    out = {}
+    for n, c in p.items():
+        for m, d in q.items():
+            k = n + m
+            r = out.get(k, 0) + c * d
+            if r:
+                out[k] = r
+            else:
+                del out[k]
+    return out
+
+
+def poly_scale(p, n):
+    """t^n * p."""
+    return {m + n: d for m, d in p.items()}
+
+
+def poly_acc_mul(acc, p, q, shift):
+    """acc += p * q * t^shift, updating acc in place."""
+    for n, c in p.items():
+        for m, d in q.items():
+            k = n + m + shift
+            r = acc.get(k, 0) + c * d
+            if r:
+                acc[k] = r
+            else:
+                del acc[k]
+
+
+def dot_shifted(a, b, shift):
+    """Sum of a[(i, s + shift)] * b[(i, s)] over the support of b."""
+    total = 0
+    if shift:
+        for (i, s), v in b.items():
+            w = a.get((i, s + shift))
+            if w is not None:
+                total += w * v
+    else:
+        for k, v in b.items():
+            w = a.get(k)
+            if w is not None:
+                total += w * v
+    return total

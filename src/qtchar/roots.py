@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-import re
 
 from .errors import NotInRootLattice, UnsupportedType
 
@@ -108,16 +107,6 @@ def build_lie_type(family: str, rank: int) -> LieType:
         cartan[i - 1][j - 1] = -1
         cartan[j - 1][i - 1] = -1
     return LieType(family, rank, tuple(tuple(row) for row in cartan))
-
-
-_TYPE_RE = re.compile(r"^([ADEade])\s*(\d+)$")
-
-
-def parse_lie_type(text: str) -> LieType:
-    m = _TYPE_RE.match(text.strip())
-    if not m:
-        raise UnsupportedType(f"cannot parse Lie type {text!r}")
-    return build_lie_type(m.group(1), int(m.group(2)))
 
 
 def alpha(L: LieType, i: int) -> Weight:

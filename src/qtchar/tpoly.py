@@ -83,7 +83,7 @@ class TPoly:
         """Multiply by t^n."""
         if n == 0:
             return self
-        return TPoly._wrap({m + n: c for m, c in self.terms.items()})
+        return TPoly._wrap(kernels.poly_scale(self.terms, n))
 
     def bar(self) -> "TPoly":
         """The involution t -> t^-1."""

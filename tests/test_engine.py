@@ -190,6 +190,19 @@ def test_disk_cache_survives_corruption(A2, tmp_path):
     assert read_qtc(path) == fresh
 
 
+def test_disk_cache_rejects_wrong_root_datum(A2, tmp_path):
+    cache = tmp_path / "qc"
+    eng1 = Engine(A2, str(cache))
+    fresh = eng1.kr_char_direct(1, 2)
+    assert len(eng1.kr_char_direct(1, 3)) != len(fresh)
+    # a well-formed entry of the same type, stored under the wrong name
+    path = cache / "A2_kr_1_2.qtc"
+    path.write_bytes((cache / "A2_kr_1_3.qtc").read_bytes())
+    assert Engine(A2, str(cache)).kr_char_direct(1, 2) == fresh
+    # the mismatched entry was rewritten
+    assert read_qtc(path) == fresh
+
+
 def test_memory_cache_reuses_objects(A2):
     eng = Engine(A2)
     assert eng.fundamental_char(1, 0) is eng.fundamental_char(1, 0)

@@ -25,7 +25,6 @@ from .monomial import (
     YMonomial,
     a_monomial,
     epsilon,
-    monomial_profile,
     pairing_d,
     pairing_d_alt,
     parse_monomial,

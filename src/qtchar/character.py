@@ -1,17 +1,23 @@
 """Characters with t-polynomial coefficients over monomials, and the
 twisted products between them.
 
-Two product routes are kept deliberately separate:
+Every character here is normalized: writing a term as
+m = top * prod A(i,s)^-v(i,s), its coefficient is t^-tw(m) times the
+unnormalized one, where tw(m) = d(v, u(m)) + d(u(top), v) and
+d(a, b) = sum of a(i,s+1) b(i,s).  The highest term has coefficient 1.
+Both constructions stay in this convention at every step:
 
-* multiply_standard composes two characters through the cross-pairing
-  twist after undoing each factor's self-pairing normalization, and
-  re-normalizes against the combined root datum (valid only when the
-  factors' spectral roots satisfy the separation condition);
-* star_product twists each term pair by the commutation exponent and
-  never touches normalization.
+* the node-i expansion lowers each factor Y[i,s]^u_s of m r_s times with
+  coefficient prod_s [u_s r_s] t^-(r_s (u_{s+2} - r_{s+2})), balanced
+  Gaussian binomials, the t-analog of the sl2 standard character;
+* multiply_standard multiplies the coefficients of each term pair and
+  twists by t^X, X = sum v1(i,s) (u(m2)(i,s-1) - u(m2)(i,s+1)) +
+  sum v2(i,s) (u(top1)(i,s+1) - u(top1)(i,s-1)), which is valid only
+  when the factors' spectral roots satisfy the separation condition;
+* star_product twists each term pair by the commutation exponent.
 
-They differ by a single global power of t, which the verification layer
-checks rather than assumes.
+The two products differ by a single global power of t, which the
+verification layer checks rather than assumes.
 """
 
 from __future__ import annotations
@@ -195,58 +201,58 @@ def terms_scale(a: dict, c: TPoly) -> dict:
 def _expansion_tail(L: LieType, i: int, m: YMonomial) -> list:
     """Terms of the expansion at an i-dominant m as (monomial, coefficient,
     step count), where step count is the total affinization degree of the
-    term below m.  The leading entry (m, 1, 0) is included."""
+    term below m.  The leading entry (m, 1, 0) is included.
+
+    Lowering the factor Y[i,s]^u_s of m r_s times (by A(i,s+1)^-r_s)
+    carries [u_s r_s] t^-(r_s (u_{s+2} - r_{s+2})) with a balanced Gaussian
+    binomial, so the coefficients are already normalized; the exponent
+    couples only neighbouring levels s and s+2 of node i."""
     from .errors import NotDominant
 
     if not m.is_i_dominant(i):
         raise NotDominant(f"{m} is not {i}-dominant")
-    out = [(ONE_MONO, TPoly.ONE, 0)]
-    for j, s, u in m.data:
-        if j != i:
-            continue
+    ui = {s: u for j, s, u in m.data if j == i}  # ascending levels
+    # rows: (term / m, coefficient, step count, r at the last level)
+    out = [(ONE_MONO, TPoly.ONE, 0, 0)]
+    for s, u in ui.items():
+        above = ui.get(s + 2, 0)
+        linked = 1 if s - 2 in ui else 0
         a_inv = a_monomial(L, i, s + 1) ** -1
         options = []
         step = ONE_MONO
         for r in range(u + 1):
-            options.append((step, t_binomial(u, r).shifted(r * (u - r)), r))
+            options.append((step, t_binomial(u, r).shifted(-r * above), r))
             step = step * a_inv
-        merged: dict = {}
-        for mono, poly, deg in out:
-            for am, c, r in options:
-                key = mono * am
-                got = merged.get(key)
-                if got is None:
-                    merged[key] = (poly * c, deg + r)
-                else:
-                    if got[1] != deg + r:
-                        raise InternalError("expansion degree clash")
-                    merged[key] = (got[0] + poly * c, got[1])
-        out = [(mo, p, deg) for mo, (p, deg) in merged.items()]
-    return [(m * mo, p, deg) for mo, p, deg in out]
+        out = [
+            (mono * am, (poly * c).shifted(linked * r * prev), deg + r, r)
+            for mono, poly, deg, prev in out
+            for am, c, r in options
+        ]
+    return [(m * mo, p, deg) for mo, p, deg, _ in out]
 
 
 def expand_E_i(L: LieType, m: YMonomial, i: int) -> dict:
     """Expansion at an i-dominant monomial: product over spectral levels of
-    the twisted-binomial sums in inverse affinization steps.  Returns a term
-    dict whose coefficient at m itself is 1."""
+    the twisted-binomial sums in inverse affinization steps, normalized
+    against m like every character.  Returns a term dict whose coefficient
+    at m itself is 1."""
     return {mo: p for mo, p, _ in _expansion_tail(L, i, m)}
 
 
 # -- products -----------------------------------------------------------------
 
 
-def _pair_loop(left: list, right: list, first: dict | None = None) -> dict:
-    """Sum of raw1 * raw2 * t^tw over all term pairs, keyed by the product
-    monomial's data.  Left rows are (data, raw coefficient, sparse vector as
-    ((node, level), value) pairs); right rows are (data, raw coefficient,
+def _pair_loop(left: list, right: list) -> dict:
+    """Sum of c1 * c2 * t^tw over all term pairs, keyed by the product
+    monomial's data.  Left rows are (data, coefficient, sparse vector as
+    ((node, level), value) pairs); right rows are (data, coefficient,
     functional, constant), and the pair's exponent is tw = constant + the
-    functional applied to the vector.  When first is given, it records the
-    (left data, right data) of the first pair reaching each key."""
+    functional applied to the vector."""
     mono_mul = kernels.mono_mul
     acc_mul = kernels.poly_acc_mul
     acc: dict = {}
-    for d1, raw1, vec in left:
-        for d2, raw2, phi, const in right:
+    for d1, c1, vec in left:
+        for d2, c2, phi, const in right:
             tw = const
             get = phi.get
             for k, x in vec:
@@ -255,9 +261,7 @@ def _pair_loop(left: list, right: list, first: dict | None = None) -> dict:
             slot = acc.get(key)
             if slot is None:
                 slot = acc[key] = {}
-                if first is not None:
-                    first[key] = (d1, d2)
-            acc_mul(slot, raw1, raw2, tw)
+            acc_mul(slot, c1, c2, tw)
     return acc
 
 
@@ -280,64 +284,45 @@ def star_product(L: LieType, a, b, table: EpsilonTable | None = None) -> dict:
     return {YMonomial._wrap(k): TPoly._wrap(p) for k, p in acc.items() if p}
 
 
-def _self_twist(v: dict, um: dict, up: dict) -> int:
-    """Exponent of the normalizing twist for a term with v-exponents v,
-    exponent map um, below a highest monomial with exponent map up."""
-    return kernels.dot_shifted(v, um, 1) + kernels.dot_shifted(up, v, 1)
-
-
 def multiply_standard(
     ch1: QtCharacter, p1: DrinfeldPoly, ch2: QtCharacter, p2: DrinfeldPoly
 ) -> QtCharacter:
     """Character of the composite module built from two normalized
-    characters of the given root data.  Requires the separation condition
-    between the root data; the factors' normalization is undone, the cross
-    twist 2 * (<v1, u(m2) shifted by one> + <u(mp1), v2 shifted by one>)
-    applied per term pair, and the result re-normalized against the
-    combined root datum."""
+    characters of the given root data, normalized against p1 * p2.
+    Requires the separation condition between the root data.  With
+    m1 = top1 * A^-v1 and m2 = top2 * A^-v2, each term pair contributes
+    c1 * c2 * t^X at m1 * m2, where
+    X = sum v1(i,s) (u(m2)(i,s-1) - u(m2)(i,s+1))
+      + sum v2(i,s) (u(top1)(i,s+1) - u(top1)(i,s-1))."""
     if ch1.L != ch2.L:
         raise InternalError("type mismatch in product")
     L = ch1.L
     if not separation_ok(p1, p2):
         raise SeparationViolation(f"roots of {p1} reach 2 or more above {p2}")
     mp1, mp2 = p1.monomial(), p2.monomial()
-    up1, up2 = mp1.u_map(), mp2.u_map()
+    up1 = mp1.u_map()
 
-    left = []
-    v1_of: dict = {}
-    for m, a in ch1.terms.items():
-        v = v_factorization(L, m, mp1)
-        raw = kernels.poly_scale(a.terms, _self_twist(v, m.u_map(), up1))
-        left.append((m.data, raw, tuple(v.items())))
-        v1_of[m.data] = v
-    keys = {k for v in v1_of.values() for k in v}
+    left = [
+        (m.data, a.terms, tuple(v_factorization(L, m, mp1).items()))
+        for m, a in ch1.terms.items()
+    ]
+    keys = {k for _, _, vec in left for k, _ in vec}
     right = []
-    v2_of: dict = {}
     for m, a in ch2.terms.items():
-        v = v_factorization(L, m, mp2)
-        raw = kernels.poly_scale(a.terms, _self_twist(v, m.u_map(), up2))
-        phi = {(i, s + 1): 2 * e for i, s, e in m.data if (i, s + 1) in keys}
-        right.append((m.data, raw, phi, 2 * kernels.dot_shifted(up1, v, 1)))
-        v2_of[m.data] = v
-
-    first: dict = {}
-    acc = _pair_loop(left, right, first)
-
-    poly = p1 * p2
-    up = poly.monomial().u_map()
-    terms: dict = {}
-    for key, raw in acc.items():
-        if not raw:
-            continue
-        d1, d2 = first[key]
-        v = dict(v1_of[d1])
-        for k, e in v2_of[d2].items():
-            v[k] = v.get(k, 0) + e
-        mono = YMonomial._wrap(key)
-        terms[mono] = TPoly._wrap(
-            kernels.poly_scale(raw, -_self_twist(v, mono.u_map(), up))
+        phi: dict = {}
+        for i, s, e in m.data:
+            for k, x in (((i, s + 1), e), ((i, s - 1), -e)):
+                if k in keys:
+                    phi[k] = phi.get(k, 0) + x
+        const = sum(
+            e * (up1.get((i, s + 1), 0) - up1.get((i, s - 1), 0))
+            for (i, s), e in v_factorization(L, m, mp2).items()
         )
-    return QtCharacter(L, poly, terms)
+        right.append((m.data, a.terms, phi, const))
+
+    acc = _pair_loop(left, right)
+    terms = {YMonomial._wrap(k): TPoly._wrap(p) for k, p in acc.items() if p}
+    return QtCharacter(L, p1 * p2, terms)
 
 
 # -- specializations ----------------------------------------------------------

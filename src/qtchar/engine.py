@@ -8,7 +8,8 @@ is not dominant (they admit no expansion rooted there, so the already
 accumulated contributions must be the whole coefficient); every color
 for which it is dominant then gets a correcting expansion whose tail is
 pushed further down.  Contributions only ever flow to strictly deeper
-monomials, so a single sweep is a fixpoint.
+monomials, so a single sweep is a fixpoint.  Expansions carry normalized
+coefficients, so the pinned values are the character's final ones.
 
 Two modes differ only at interior dominant-for-all-colors monomials:
 the head-module mode treats any such monomial as an error (none can
@@ -28,17 +29,16 @@ from .character import (
     DrinfeldPoly,
     QtCharacter,
     _expansion_tail,
-    _self_twist,
     multiply_standard,
     read_qtc,
     write_qtc,
 )
-from .errors import DomainError, InconsistentExpansion, InternalError
+from .errors import DomainError, InconsistentExpansion, InternalError, QtcharError
 from .monomial import ONE_MONO, YMonomial, v_factorization
 from .roots import LieType
 from .tpoly import TPoly
 
-_ONE_RAW = {0: 1}
+_ONE = {0: 1}
 
 
 def _fixpoint(L: LieType, poly: DrinfeldPoly, string_mode: bool) -> QtCharacter:
@@ -51,7 +51,7 @@ def _fixpoint(L: LieType, poly: DrinfeldPoly, string_mode: bool) -> QtCharacter:
     while heap:
         d, _, m = heapq.heappop(heap)
         if m == top:
-            a = dict(_ONE_RAW)
+            a = dict(_ONE)
         else:
             pinned = None
             have_pin = False
@@ -99,13 +99,7 @@ def _fixpoint(L: LieType, poly: DrinfeldPoly, string_mode: bool) -> QtCharacter:
                 if slot is None:
                     expected[i][mm] = slot = {}
                 kernels.poly_acc_mul(slot, combo, p.terms, 0)
-    up = top.u_map()
-    terms = {}
-    for m, raw in coeffs.items():
-        v = v_factorization(L, m, top)
-        tw = _self_twist(v, m.u_map(), up)
-        terms[m] = TPoly._wrap(kernels.poly_scale(raw, -tw) if tw else raw)
-    return QtCharacter(L, poly, terms)
+    return QtCharacter(L, poly, {m: TPoly._wrap(a) for m, a in coeffs.items()})
 
 
 @dataclass
@@ -150,7 +144,6 @@ class Engine:
         self._base: dict = {}
         self._standard: dict = {}
         self._kl: dict = {}
-        self._simple: dict = {}
         if cache_dir:
             os.makedirs(cache_dir, exist_ok=True)
 
@@ -175,7 +168,7 @@ class Engine:
                     if ch.L == self.L and ch.poly == poly:
                         self._base[stem] = ch
                         return ch
-                except Exception:
+                except (OSError, UnicodeDecodeError, QtcharError):
                     pass  # unreadable cache entry: recompute and rewrite
         ch = _fixpoint(self.L, poly, string_mode)
         self._base[stem] = ch
@@ -338,11 +331,7 @@ class Engine:
         return res
 
     def simple_char(self, poly: DrinfeldPoly) -> QtCharacter:
-        got = self._simple.get(poly.roots)
-        if got is None:
-            got = self.kl_decompose(poly).simples[poly]
-            self._simple[poly.roots] = got
-        return got
+        return self.kl_decompose(poly).simples[poly]
 
 
 _DEFAULT_ENGINES: dict = {}

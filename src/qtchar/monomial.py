@@ -15,7 +15,6 @@ pairs are the whole story.  The three pairings:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import re
 
 from . import kernels
@@ -144,23 +143,6 @@ def a_monomial(L: LieType, i: int, s: int) -> YMonomial:
     factors = [(i, s + 1, 1), (i, s - 1, 1)]
     factors.extend((j, s, -1) for j in L.neighbors(i))
     return YMonomial(factors)
-
-
-@dataclass(frozen=True)
-class MonomialProfile:
-    r: int | None
-    right_negative: bool
-    i_dominant: dict
-    l_dominant: bool
-
-
-def monomial_profile(L: LieType, m: YMonomial) -> MonomialProfile:
-    r = m.max_s()
-    right_negative = r is not None and all(
-        e < 0 for _, s, e in m.data if s == r
-    )
-    i_dom = {i: m.is_i_dominant(i) for i in L.nodes}
-    return MonomialProfile(r, right_negative, i_dom, all(i_dom.values()))
 
 
 def v_factorization(L: LieType, m: YMonomial, m_ref: YMonomial) -> dict:

@@ -22,8 +22,6 @@ from functools import lru_cache
 
 from .errors import NotInRootLattice, UnsupportedType
 
-FAMILIES = ("A", "D", "E")
-
 # positive-root counts, cross-checked against (dim g - rank)/2
 _POSITIVE_ROOT_COUNT = {
     ("E", 6): 36,
@@ -107,11 +105,6 @@ def build_lie_type(family: str, rank: int) -> LieType:
         cartan[i - 1][j - 1] = -1
         cartan[j - 1][i - 1] = -1
     return LieType(family, rank, tuple(tuple(row) for row in cartan))
-
-
-def alpha(L: LieType, i: int) -> Weight:
-    """Simple root alpha_i in fundamental-weight coordinates (Cartan column i)."""
-    return tuple(L.cartan[k][i - 1] for k in range(L.rank))
 
 
 def root_to_weight(L: LieType, c: RootVector) -> Weight:

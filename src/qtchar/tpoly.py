@@ -118,12 +118,6 @@ class TPoly:
     def coeff(self, n: int) -> int:
         return self.terms.get(n, 0)
 
-    def min_exp(self):
-        return min(self.terms) if self.terms else None
-
-    def max_exp(self):
-        return max(self.terms) if self.terms else None
-
     # -- text form ---------------------------------------------------------
 
     def __str__(self):

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+from collections import Counter
+from functools import lru_cache
+
 import pytest
 
 from qtchar import (
     DrinfeldPoly,
+    Engine,
     EpsilonTable,
     GCharacter,
     ParseError,
@@ -11,6 +15,7 @@ from qtchar import (
     SeparationViolation,
     TPoly,
     YMonomial,
+    build_lie_type,
     dumps_qtc,
     epsilon,
     expand_E_i,
@@ -19,14 +24,18 @@ from qtchar import (
     loads_qtc,
     multiply_standard,
     normalized_in_A,
+    pairing_d,
     parse_monomial,
     parse_tpoly,
     read_qtc,
     restrict_to_g,
     specialize_t1,
     star_product,
+    t_binomial,
+    v_factorization,
     write_qtc,
 )
+from qtchar import kernels, monomial
 from qtchar.character import qchar_mul, separation_ok, terms_scale
 from qtchar.engine import fundamental_char, kr_char_direct, standard_char
 from qtchar.errors import NotDominant
@@ -70,23 +79,28 @@ def test_expand_one_variable(A2):
     assert got == _terms([("Y[1,0]", "1"), ("Y[1,2]^-1 Y[2,1]", "1")])
 
 
-def test_expand_square_has_balanced_binomial(A1):
+def _root_datum(m: YMonomial) -> DrinfeldPoly:
+    return DrinfeldPoly((i, s) for i, s, e in m.data for _ in range(e))
+
+
+def _assert_expansion_is_standard(L, eng, m: YMonomial):
+    # in rank one the node-1 expansion of a dominant monomial is the
+    # standard character of its root datum, coefficients included
+    assert expand_E_i(L, m, 1) == eng.standard_char(_root_datum(m)).terms, m
+
+
+def test_expand_square_has_balanced_binomial(A1, engine_for):
+    eng = engine_for(A1)
+    for text in ("Y[1,0]^2", "Y[1,0]^2 Y[1,2]"):
+        _assert_expansion_is_standard(A1, eng, parse_monomial(text))
     got = expand_E_i(A1, parse_monomial("Y[1,0]^2"), 1)
-    assert got == _terms(
-        [("Y[1,0]^2", "1"), ("Y[1,0] Y[1,2]^-1", "1+t^2"), ("Y[1,2]^-2", "1")]
-    )
+    assert got[parse_monomial("Y[1,0] Y[1,2]^-1")] == t_binomial(2, 1)
 
 
-def test_expand_two_levels(A1):
-    got = expand_E_i(A1, parse_monomial("Y[1,0] Y[1,2]"), 1)
-    assert got == _terms(
-        [
-            ("Y[1,0] Y[1,2]", "1"),
-            ("1", "1"),
-            ("Y[1,0] Y[1,4]^-1", "1"),
-            ("Y[1,2]^-1 Y[1,4]^-1", "1"),
-        ]
-    )
+def test_expand_two_levels(A1, engine_for):
+    eng = engine_for(A1)
+    for text in ("Y[1,0] Y[1,2]", "Y[1,0] Y[1,2] Y[1,4]", "Y[1,0] Y[1,4]"):
+        _assert_expansion_is_standard(A1, eng, parse_monomial(text))
 
 
 def test_expand_requires_dominance(A2):
@@ -211,6 +225,55 @@ def test_star_product_matches_pairwise_definition(A2, A3, D4, engine_for):
             assert fast == slow, (L, factors)
 
 
+def _unnormalized_route(L, ch1, p1, ch2, p2) -> dict:
+    """The standard product taken through unnormalized coefficients:
+    multiply each factor's terms by t^tw, twist each pair by 2 * pairing_d,
+    then divide by t^tw against p1 * p2.  For m = top * A^-v,
+    tw(m) = d(v, u(m)) + d(u(top), v) with d(a, b) = dot_shifted(a, b, 1),
+    and a product term's v is the sum of its factors' v."""
+
+    def tw(v, m, top):
+        return kernels.dot_shifted(v, m.u_map(), 1) + kernels.dot_shifted(top.u_map(), v, 1)
+
+    mp1, mp2 = p1.monomial(), p2.monomial()
+    top = (p1 * p2).monomial()
+    rows = []
+    for ch, mp in ((ch1, mp1), (ch2, mp2)):
+        rows.append([])
+        for m, c in ch.terms.items():
+            v = v_factorization(L, m, mp)
+            rows[-1].append((m, Counter(v), c.shifted(tw(v, m, mp))))
+    out: dict = {}
+    v_of: dict = {}
+    for m1, v1, raw1 in rows[0]:
+        for m2, v2, raw2 in rows[1]:
+            key = m1 * m2
+            if key not in v_of:
+                v_of[key] = v1 + v2
+            twist = 2 * pairing_d(L, m1, mp1, m2, mp2)
+            out[key] = out.get(key, TPoly.ZERO) + (raw1 * raw2).shifted(twist)
+    return {m: p.shifted(-tw(v_of[m], m, top)) for m, p in out.items() if p}
+
+
+def test_standard_product_matches_unnormalized_route(A3, D4, engine_for, monkeypatch):
+    # pairing_d factors both of its monomials on every call; memoize that
+    monkeypatch.setattr(
+        monomial, "v_factorization", lru_cache(maxsize=None)(monomial.v_factorization)
+    )
+    E6 = build_lie_type("E", 6)
+    cases = [
+        (engine_for(A3), [((1, 1, 0), (3, 1, 1)), ((2, 2, 0), (2, 1, 3)), ((2, 2, 0), (1, 2, 1))]),
+        (engine_for(D4), [((1, 1, 0), (2, 1, 1)), ((2, 2, 0), (3, 1, 2)), ((1, 2, 0), (4, 2, 1))]),
+        (Engine(E6), [((1, 1, 0), (6, 1, 1)), ((6, 1, 0), (1, 2, -1))]),
+    ]
+    for eng, pairs in cases:
+        for a, b in pairs:
+            p1, p2 = DrinfeldPoly.kr(*a), DrinfeldPoly.kr(*b)
+            ch1, ch2 = eng.kr_char_direct(*a), eng.kr_char_direct(*b)
+            got = multiply_standard(ch1, p1, ch2, p2).terms
+            assert got == _unnormalized_route(eng.L, ch1, p1, ch2, p2), (eng.L, p1, p2)
+
+
 def test_specialize_t1_is_multiplicative(A2, engine_for):
     eng = engine_for(A2)
     p1 = DrinfeldPoly.fundamental(1, 0)
@@ -242,6 +305,13 @@ def test_slice_span_accepts_engine_output(A2, engine_for):
     assert in_slice_span(ch, 1)
     assert in_slice_span(ch, 2)
     assert in_span_all_nodes(ch)
+
+
+def test_slice_span_accepts_kr_and_standard(A3, D4, engine_for):
+    # expansions and characters share one normalization, so the strip also
+    # holds where coefficients carry powers of t
+    assert in_span_all_nodes(engine_for(D4).kr_char_direct(2, 2))
+    assert in_span_all_nodes(engine_for(A3).standard_char(DrinfeldPoly.kr(2, 2, 0)))
 
 
 def test_slice_span_rejects_truncations(A2, engine_for):

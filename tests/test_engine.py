@@ -13,6 +13,7 @@ from qtchar import (
     parse_tpoly,
     read_qtc,
 )
+import qtchar.engine
 from qtchar.engine import _fixpoint
 
 
@@ -188,6 +189,20 @@ def test_disk_cache_survives_corruption(A2, tmp_path):
     assert eng2.fundamental_char(1, 0) == fresh
     # the bad entry was rewritten
     assert read_qtc(path) == fresh
+
+
+def test_disk_cache_read_bug_propagates(A2, tmp_path, monkeypatch):
+    cache = tmp_path / "qc"
+    Engine(A2, str(cache)).fundamental_char(1, 0)
+
+    def broken(path):
+        raise TypeError("reader bug")
+
+    # only the errors a corrupt entry raises mean "recompute"; a defect in
+    # the reader must surface
+    monkeypatch.setattr(qtchar.engine, "read_qtc", broken)
+    with pytest.raises(TypeError, match="reader bug"):
+        Engine(A2, str(cache)).fundamental_char(1, 0)
 
 
 def test_disk_cache_rejects_wrong_root_datum(A2, tmp_path):

@@ -13,7 +13,6 @@ from qtchar import (
     a_monomial,
     build_lie_type,
     epsilon,
-    monomial_profile,
     pairing_d,
     pairing_d_alt,
     parse_monomial,
@@ -21,6 +20,7 @@ from qtchar import (
     tilde_u,
     v_factorization,
 )
+from qtchar.systems import right_negative
 
 Y = YMonomial.var
 
@@ -46,17 +46,14 @@ def test_parse_and_str_round_trip():
         parse_monomial("Z[1,0]")
 
 
-def test_dominance_flags(A2):
+def test_dominance_flags():
     m = parse_monomial("Y[1,0] Y[2,2]^-1")
     assert m.is_i_dominant(1)
     assert not m.is_i_dominant(2)
     assert not m.is_l_dominant()
     assert parse_monomial("Y[1,0]^3").is_l_dominant()
-    prof = monomial_profile(A2, parse_monomial("Y[1,0] Y[2,2]^-1"))
-    assert prof.r == 2
-    assert prof.right_negative
-    assert prof.i_dominant == {1: True, 2: False}
-    assert not prof.l_dominant
+    assert m.max_s() == 2
+    assert right_negative(m)
 
 
 def test_weight(A2):

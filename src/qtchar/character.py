@@ -211,10 +211,13 @@ def _expansion_tail(L: LieType, i: int, m: YMonomial) -> list:
 
     if not m.is_i_dominant(i):
         raise NotDominant(f"{m} is not {i}-dominant")
-    ui = {s: u for j, s, u in m.data if j == i}  # ascending levels
-    # rows: (term / m, coefficient, step count, r at the last level)
+    ui = {s: u for j, s, u in m.data if j == i}
+    # rows: (term / m, coefficient, step count, r at the last level).
+    # Levels are visited by parity, then ascending, so when s-2 is a level
+    # it is the one visited just before s; other parities never couple.
     out = [(ONE_MONO, TPoly.ONE, 0, 0)]
-    for s, u in ui.items():
+    for s in sorted(ui, key=lambda s: (s % 2, s)):
+        u = ui[s]
         above = ui.get(s + 2, 0)
         linked = 1 if s - 2 in ui else 0
         a_inv = a_monomial(L, i, s + 1) ** -1

@@ -99,7 +99,15 @@ def test_expand_square_has_balanced_binomial(A1, engine_for):
 
 def test_expand_two_levels(A1, engine_for):
     eng = engine_for(A1)
-    for text in ("Y[1,0] Y[1,2]", "Y[1,0] Y[1,2] Y[1,4]", "Y[1,0] Y[1,4]"):
+    for text in (
+        "Y[1,0] Y[1,2]",
+        "Y[1,0] Y[1,2] Y[1,4]",
+        "Y[1,0] Y[1,4]",
+        # levels of both parities: s-2, s-1 and s all present
+        "Y[1,0] Y[1,1] Y[1,2]",
+        "Y[1,1] Y[1,2] Y[1,3]",
+        "Y[1,0] Y[1,1] Y[1,2] Y[1,3] Y[1,4]",
+    ):
         _assert_expansion_is_standard(A1, eng, parse_monomial(text))
 
 
@@ -312,6 +320,9 @@ def test_slice_span_accepts_kr_and_standard(A3, D4, engine_for):
     # holds where coefficients carry powers of t
     assert in_span_all_nodes(engine_for(D4).kr_char_direct(2, 2))
     assert in_span_all_nodes(engine_for(A3).standard_char(DrinfeldPoly.kr(2, 2, 0)))
+    # node-2 roots at s-2, s-1 and s
+    mixed = DrinfeldPoly(((2, 0), (2, 1), (2, 2)))
+    assert in_span_all_nodes(engine_for(A3).standard_char(mixed))
 
 
 def test_slice_span_rejects_truncations(A2, engine_for):

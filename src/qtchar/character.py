@@ -27,7 +27,7 @@ import heapq
 import re
 
 from . import kernels
-from .errors import ParseError, SeparationViolation, InternalError
+from .errors import InternalError, NotDominant, ParseError, SeparationViolation
 from .monomial import (
     EpsilonTable,
     ONE_MONO,
@@ -198,28 +198,26 @@ def terms_scale(a: dict, c: TPoly) -> dict:
 # -- expansion at a node ------------------------------------------------------
 
 
-def _expansion_tail(L: LieType, i: int, m: YMonomial) -> list:
-    """Terms of the expansion at an i-dominant m as (monomial, coefficient,
-    step count), where step count is the total affinization degree of the
-    term below m.  The leading entry (m, 1, 0) is included.
+def _node_tail(L: LieType, i: int, ui: tuple) -> list:
+    """Rows of the node-i expansion of any i-dominant monomial whose node-i
+    factors are Y[i,s]^u_s for the (s, u_s) pairs in ui (sorted by level):
+    (data of term / m, coefficient, step count), the leading row
+    ((), 1, 0) first.  Other nodes' exponents never enter, so the rows can
+    be shared by every monomial with the same node-i exponents.
 
-    Lowering the factor Y[i,s]^u_s of m r_s times (by A(i,s+1)^-r_s)
-    carries [u_s r_s] t^-(r_s (u_{s+2} - r_{s+2})) with a balanced Gaussian
+    Lowering the factor Y[i,s]^u_s r_s times (by A(i,s+1)^-r_s) carries
+    [u_s r_s] t^-(r_s (u_{s+2} - r_{s+2})) with a balanced Gaussian
     binomial, so the coefficients are already normalized; the exponent
     couples only neighbouring levels s and s+2 of node i."""
-    from .errors import NotDominant
-
-    if not m.is_i_dominant(i):
-        raise NotDominant(f"{m} is not {i}-dominant")
-    ui = {s: u for j, s, u in m.data if j == i}
+    u_at = dict(ui)
     # rows: (term / m, coefficient, step count, r at the last level).
     # Levels are visited by parity, then ascending, so when s-2 is a level
     # it is the one visited just before s; other parities never couple.
     out = [(ONE_MONO, TPoly.ONE, 0, 0)]
-    for s in sorted(ui, key=lambda s: (s % 2, s)):
-        u = ui[s]
-        above = ui.get(s + 2, 0)
-        linked = 1 if s - 2 in ui else 0
+    for s in sorted(u_at, key=lambda s: (s % 2, s)):
+        u = u_at[s]
+        above = u_at.get(s + 2, 0)
+        linked = 1 if s - 2 in u_at else 0
         a_inv = a_monomial(L, i, s + 1) ** -1
         options = []
         step = ONE_MONO
@@ -231,7 +229,30 @@ def _expansion_tail(L: LieType, i: int, m: YMonomial) -> list:
             for mono, poly, deg, prev in out
             for am, c, r in options
         ]
-    return [(m * mo, p, deg) for mo, p, deg, _ in out]
+    return [(mo.data, p, deg) for mo, p, deg, _ in out]
+
+
+def _expansion_tail(L: LieType, i: int, m: YMonomial, memo: dict | None = None) -> list:
+    """Terms of the expansion at an i-dominant m as (monomial, coefficient,
+    step count), where step count is the total affinization degree of the
+    term below m.  The leading entry (m, 1, 0) is included.
+
+    The rows come from _node_tail on m's node-i exponents.  With a memo
+    dict they are built once per (i, node-i exponents) key and reused; the
+    caller owns the dict and decides how long it lives."""
+    ui = tuple((s, u) for j, s, u in m.data if j == i)
+    rows = None if memo is None else memo.get((i, ui))
+    if rows is None:
+        # only i-dominant patterns are ever stored, so a memo hit is one
+        if any(u < 0 for _, u in ui):
+            raise NotDominant(f"{m} is not {i}-dominant")
+        rows = _node_tail(L, i, ui)
+        if memo is not None:
+            memo[(i, ui)] = rows
+    data = m.data
+    mono_mul = kernels.mono_mul
+    wrap = YMonomial._wrap
+    return [(wrap(mono_mul(data, q)), p, deg) for q, p, deg in rows]
 
 
 def expand_E_i(L: LieType, m: YMonomial, i: int) -> dict:
@@ -475,6 +496,7 @@ def in_slice_span(ch: QtCharacter, i: int) -> bool:
         return d
 
     guard = 2 * max((depth(m) for m in rem), default=0) + 4 * L.coxeter_number + 16
+    memo: dict = {}
     heap = [(depth(m), m.data, m) for m in rem]
     heapq.heapify(heap)
     while heap:
@@ -487,8 +509,8 @@ def in_slice_span(ch: QtCharacter, i: int) -> bool:
         if not m.is_i_dominant(i):
             return False
         neg = {e: -c for e, c in raw.items()}
-        for mm, p in expand_E_i(L, m, i).items():
-            if mm == m:
+        for mm, p, deg in _expansion_tail(L, i, m, memo):
+            if deg == 0:
                 continue
             slot = rem.get(mm)
             if slot is None:
@@ -509,6 +531,7 @@ def in_span_all_nodes(ch: QtCharacter) -> bool:
 _QTC_HEADER = "# qtc v1"
 _TYPE_RE = re.compile(r"^type ([ADE]) (\d+)$")
 _P_RE = re.compile(r"^P (\d+):((?: -?\d+)*)$")
+_END_RE = re.compile(r"^end (\d+)$")
 
 
 def dumps_qtc(ch: QtCharacter) -> str:
@@ -524,11 +547,16 @@ def dumps_qtc(ch: QtCharacter) -> str:
 
 
 def loads_qtc(text: str) -> QtCharacter:
+    """Parse qtc text.  A last line `end <N>` (the trailer write_qtc adds)
+    must match the number of term lines."""
     lines = [ln.rstrip("\n") for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != _QTC_HEADER:
         raise ParseError("missing qtc v1 header")
     if len(lines) < 2:
         raise ParseError("missing type line")
+    end = _END_RE.match(lines[-1]) if len(lines) > 2 else None
+    if end:
+        lines.pop()
     mt = _TYPE_RE.match(lines[1])
     if not mt:
         raise ParseError(f"bad type line {lines[1]!r}")
@@ -557,14 +585,22 @@ def loads_qtc(text: str) -> QtCharacter:
             terms[mono] = parse_tpoly(ptxt)
         else:
             raise ParseError(f"unrecognized line {ln!r}")
+    if end and int(end.group(1)) != len(terms):
+        raise ParseError(f"{len(terms)} term lines, but the trailer says {end.group(1)}")
     return QtCharacter(L, DrinfeldPoly(roots), terms)
 
 
 def write_qtc(path, ch: QtCharacter) -> None:
+    """dumps_qtc text plus an `end <term count>` trailer, so that read_qtc
+    can tell a complete file from a cut one."""
     with open(path, "w", encoding="ascii") as fp:
-        fp.write(dumps_qtc(ch))
+        fp.write(dumps_qtc(ch) + f"end {len(ch.terms)}\n")
 
 
 def read_qtc(path) -> QtCharacter:
+    """Inverse of write_qtc: the trailer is required."""
     with open(path, "r", encoding="ascii") as fp:
-        return loads_qtc(fp.read())
+        text = fp.read()
+    if not _END_RE.match(text.rstrip().rpartition("\n")[2]):
+        raise ParseError(f"{path}: missing end trailer, the file may be cut short")
+    return loads_qtc(text)

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .monomial import a_monomial
 from .roots import build_lie_type
-from . import systems
+from . import kernels, systems
 
 _TYPE_RE = re.compile(r"^([ADE])(\d+)$")
 _P_FRAG_RE = re.compile(r"^(\d+):(-?\d+(?:,-?\d+)*)$")
@@ -62,25 +62,26 @@ def _parse_nu(frags) -> dict:
 def export_dot(ch: QtCharacter) -> str:
     """DOT digraph with one node per monomial (label: monomial and its
     coefficient) and an edge m1 -> m2 labelled (i,s) whenever m2 is m1
-    times the inverse affinization monomial at (i,s)."""
+    times the inverse affinization monomial at (i,s).  Each monomial is
+    probed only at its A(i,s)^-1 neighbours, looked up by data."""
     monos = [m for m, _ in ch.items()]
-    index = {m: n for n, m in enumerate(monos)}
+    index = {m.data: n for n, m in enumerate(monos)}
     lines = ["digraph qtchar {"]
-    for m in monos:
-        lines.append(f'  n{index[m]} [label="{m} : {ch.terms[m]}"];')
+    for n, m in enumerate(monos):
+        lines.append(f'  n{n} [label="{m} : {ch.terms[m]}"];')
     lo = min((m.min_s() for m in monos if m.data), default=0)
     hi = max((m.max_s() for m in monos if m.data), default=0)
-    quotients = {}
-    for i in ch.L.nodes:
-        for s in range(lo - 1, hi + 2):
-            quotients[(a_monomial(ch.L, i, s) ** -1).data] = (i, s)
+    steps = [
+        ((a_monomial(ch.L, i, s) ** -1).data, (i, s))
+        for i in ch.L.nodes
+        for s in range(lo - 1, hi + 2)
+    ]
     edges = []
-    for m1 in monos:
-        inv = m1 ** -1
-        for m2 in monos:
-            hit = quotients.get((m2 * inv).data)
-            if hit is not None:
-                edges.append((index[m1], index[m2], hit))
+    for n, m in enumerate(monos):
+        for q, hit in steps:
+            b = index.get(kernels.mono_mul(m.data, q))
+            if b is not None:
+                edges.append((n, b, hit))
     for a, b, (i, s) in sorted(edges):
         lines.append(f'  n{a} -> n{b} [label="({i},{s})"];')
     lines.append("}")

@@ -11,6 +11,12 @@ pushed further down.  Contributions only ever flow to strictly deeper
 monomials, so a single sweep is a fixpoint.  Expansions carry normalized
 coefficients, so the pinned values are the character's final ones.
 
+An expansion at node i depends on m only through m's node-i exponents,
+and a run meets few distinct ones (326 for the 9,885 terms of D4 KR(2,4),
+against 19,523 expansions).  Each run therefore keeps one memo of
+expansion rows keyed by (i, node-i exponents); it lives as long as the
+run and each expansion then costs one monomial product per row.
+
 Two modes differ only at interior dominant-for-all-colors monomials:
 the head-module mode treats any such monomial as an error (none can
 occur below the top of a single-root character), while the string mode
@@ -48,15 +54,18 @@ def _fixpoint(L: LieType, poly: DrinfeldPoly, string_mode: bool) -> QtCharacter:
     depth = {top: 0}
     heap = [(0, top.data, top)]
     coeffs: dict = {}
+    memo: dict = {}  # node-i expansion rows per (i, node-i exponents), this run only
     while heap:
         d, _, m = heapq.heappop(heap)
+        # colors for which m is not dominant
+        neg = {j for j, _, e in m.data if e < 0}
         if m == top:
             a = dict(_ONE)
         else:
             pinned = None
             have_pin = False
             for i in nodes:
-                if m.is_i_dominant(i):
+                if i not in neg:
                     continue
                 val = expected[i].get(m, {})
                 if have_pin:
@@ -80,12 +89,12 @@ def _fixpoint(L: LieType, poly: DrinfeldPoly, string_mode: bool) -> QtCharacter:
         if a:
             coeffs[m] = a
         for i in nodes:
-            if not m.is_i_dominant(i):
+            if i in neg:
                 continue
             combo = kernels.poly_sub(a, expected[i].pop(m, {}))
             if not combo:
                 continue
-            for mm, p, deg in _expansion_tail(L, i, m):
+            for mm, p, deg in _expansion_tail(L, i, m, memo):
                 if deg == 0:
                     continue
                 dd = d + deg

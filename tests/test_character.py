@@ -35,9 +35,9 @@ from qtchar import (
     v_factorization,
     write_qtc,
 )
-from qtchar import kernels, monomial
-from qtchar.character import qchar_mul, separation_ok, terms_scale
-from qtchar.engine import fundamental_char, kr_char_direct, standard_char
+from qtchar import character, engine, kernels, monomial
+from qtchar.character import _expansion_tail, qchar_mul, separation_ok, terms_scale
+from qtchar.engine import _fixpoint, fundamental_char, kr_char_direct, standard_char
 from qtchar.errors import NotDominant
 
 
@@ -117,6 +117,76 @@ def test_expand_requires_dominance(A2):
     # other-node exponents are unconstrained
     got = expand_E_i(A2, parse_monomial("Y[2,0]^-1"), 1)
     assert got == _terms([("Y[2,0]^-1", "1")])
+
+
+# -- memoized node expansion ----------------------------------------------------
+
+
+def _popped_monomials(L, poly, string_mode, monkeypatch) -> list:
+    """Every monomial the fixpoint pops for poly: the top and every term of
+    a tail it walks (each one is pushed, so each one is popped)."""
+    seen = {poly.monomial()}
+    inner = engine._expansion_tail
+
+    def record(L, i, m, memo=None):
+        out = inner(L, i, m, memo)
+        seen.update(mm for mm, _, _ in out)
+        return out
+
+    with monkeypatch.context() as mp:
+        mp.setattr(engine, "_expansion_tail", record)
+        _fixpoint(L, poly, string_mode)
+    return sorted(seen)
+
+
+def test_memoized_tail_matches_fresh_tail(D4, A1, A2, monkeypatch):
+    # one memo across A1 levels of both parities, and across A2 monomials
+    # that differ only at node 1 or agree only at node 1; the last shares
+    # its node-2 exponents with node 1 of the first
+    a1 = ("Y[1,0] Y[1,1] Y[1,2]", "Y[1,1] Y[1,2] Y[1,3]", "Y[1,0] Y[1,2]", "Y[1,0]^2 Y[1,1]")
+    a2 = ("Y[1,0] Y[2,3]", "Y[1,2] Y[2,3]", "Y[1,0]^2 Y[2,3]", "Y[1,0] Y[2,1]", "Y[1,0] Y[2,0]")
+    for L, texts, keys in ((A1, a1, 4), (A2, a2, 6)):
+        memo: dict = {}
+        for _ in range(2):  # the second round reads every row from the memo
+            for m in map(parse_monomial, texts):
+                for i in L.nodes:
+                    if m.is_i_dominant(i):
+                        assert _expansion_tail(L, i, m, memo) == _expansion_tail(L, i, m), (i, m)
+        assert len(memo) == keys
+    # every i-dominant monomial the fixpoint pops
+    E6 = build_lie_type("E", 6)
+    cases = [(D4, DrinfeldPoly.kr(2, 3, 0), True), (E6, DrinfeldPoly.fundamental(1, 0), False)]
+    for L, poly, string_mode in cases:
+        memo = {}
+        checked = 0
+        for m in _popped_monomials(L, poly, string_mode, monkeypatch):
+            for i in L.nodes:
+                if m.is_i_dominant(i):
+                    assert _expansion_tail(L, i, m, memo) == _expansion_tail(L, i, m), (i, m)
+                    checked += 1
+        assert len(memo) < checked
+
+
+def test_fixpoint_builds_each_node_pattern_once(D4, monkeypatch):
+    built: Counter = Counter()
+    tails = []
+    inner_rows = character._node_tail
+    inner_tail = engine._expansion_tail
+
+    def count_rows(L, i, ui):
+        built[(i, ui)] += 1
+        return inner_rows(L, i, ui)
+
+    def count_tails(*args):
+        tails.append(args[1])
+        return inner_tail(*args)
+
+    monkeypatch.setattr(character, "_node_tail", count_rows)
+    monkeypatch.setattr(engine, "_expansion_tail", count_tails)
+    ch = _fixpoint(D4, DrinfeldPoly.kr(2, 3, 0), True)
+    assert len(ch) == 2043
+    assert max(built.values()) == 1
+    assert len(tails) > 10 * len(built)
 
 
 # -- products ------------------------------------------------------------------
@@ -410,6 +480,25 @@ def test_qtc_rejects_malformed_input():
     ):
         with pytest.raises(ParseError):
             loads_qtc(bad)
+
+
+def test_qtc_trailer_counts_terms(A2, engine_for, tmp_path):
+    ch = engine_for(A2).kr_char_direct(1, 2)
+    path = tmp_path / "ch.qtc"
+    write_qtc(path, ch)
+    text = path.read_text()
+    assert text == dumps_qtc(ch) + f"end {len(ch)}\n"
+    assert loads_qtc(text) == ch
+    # plain qtc text has no trailer: loads_qtc takes it, read_qtc does not
+    path.write_text(dumps_qtc(ch))
+    with pytest.raises(ParseError, match="trailer"):
+        read_qtc(path)
+    body = text.splitlines(keepends=True)[:-1]
+    n = len(ch)
+    # a wrong count, and a dropped term under the right count
+    for bad in (body + [f"end {n - 1}\n"], body[:-1] + [f"end {n}\n"]):
+        with pytest.raises(ParseError, match="trailer"):
+            loads_qtc("".join(bad))
 
 
 # -- module-level convenience wrappers -------------------------------------------

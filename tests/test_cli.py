@@ -3,11 +3,13 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import qtchar
-from qtchar import loads_qtc, parse_monomial
+from qtchar import DrinfeldPoly, Engine, build_lie_type, loads_qtc, parse_monomial
+from qtchar.monomial import a_monomial
 from qtchar.cli import _resolve_cache_dir, export_dot, main
 from qtchar.systems import VerifyReport
 
@@ -101,6 +103,64 @@ def test_dot_flag_matches_export(capsys, tmp_path, A2, engine_for):
     )
     assert rc == 0
     assert out == export_dot(engine_for(A2).fundamental_char(1, 0))
+
+
+def _export_dot_pairwise(ch) -> str:
+    """The first export_dot: every monomial against the inverse of every
+    other one, kept here as the reference for the indexed version."""
+    monos = [m for m, _ in ch.items()]
+    index = {m: n for n, m in enumerate(monos)}
+    lines = ["digraph qtchar {"]
+    for m in monos:
+        lines.append(f'  n{index[m]} [label="{m} : {ch.terms[m]}"];')
+    lo = min((m.min_s() for m in monos if m.data), default=0)
+    hi = max((m.max_s() for m in monos if m.data), default=0)
+    quotients = {}
+    for i in ch.L.nodes:
+        for s in range(lo - 1, hi + 2):
+            quotients[(a_monomial(ch.L, i, s) ** -1).data] = (i, s)
+    edges = []
+    for m1 in monos:
+        inv = m1 ** -1
+        for m2 in monos:
+            hit = quotients.get((m2 * inv).data)
+            if hit is not None:
+                edges.append((index[m1], index[m2], hit))
+    for a, b, (i, s) in sorted(edges):
+        lines.append(f'  n{a} -> n{b} [label="({i},{s})"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "type_name, roots",
+    [
+        ("A2", ((1, 0),)),
+        ("A2", ((1, 0), (1, 2))),
+        ("A2", ((1, 0), (2, 1))),
+        ("A3", ((2, 0), (2, 2))),
+        ("A3", ((2, 0), (2, 1), (2, 2))),
+        ("D4", ((2, 0),)),
+        ("D4", ((1, 0), (3, 0))),
+        ("D4", ((2, 0), (1, 1))),
+    ],
+)
+def test_export_dot_matches_pairwise_reference(engine_for, type_name, roots):
+    L = build_lie_type(type_name[0], int(type_name[1:]))
+    eng = engine_for(L)
+    poly = DrinfeldPoly(roots)
+    for ch in (eng.standard_char(poly), eng.simple_char(poly)):
+        assert export_dot(ch) == _export_dot_pairwise(ch)
+
+
+def test_graph_d4_string_within_budget(D4):
+    ch = Engine(D4).standard_char(DrinfeldPoly.kr(2, 2, 0))
+    t0 = time.perf_counter()
+    text = export_dot(ch)
+    elapsed = time.perf_counter() - t0
+    assert text.count(" -> ") > len(ch)
+    # 650 terms: about 0.2 s indexed, 2.7 s pairwise on a 2-core machine
+    assert elapsed < 1.5, elapsed
 
 
 def test_verifier_verbs_pass(capsys, tmp_path):

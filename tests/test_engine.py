@@ -218,6 +218,21 @@ def test_disk_cache_rejects_wrong_root_datum(A2, tmp_path):
     assert read_qtc(path) == fresh
 
 
+def test_disk_cache_rejects_truncated_entry(A2, tmp_path):
+    cache = tmp_path / "qc"
+    fresh = Engine(A2, str(cache)).kr_char_direct(1, 2)
+    path = cache / "A2_kr_1_2.qtc"
+    lines = path.read_text().splitlines(keepends=True)
+    assert lines[-1] == f"end {len(fresh)}\n"
+    # cut after the first term: header, type and root lines all intact;
+    # then the same cut with the trailer put back
+    for cut in (lines[:4], lines[:4] + lines[-1:]):
+        path.write_text("".join(cut))
+        assert Engine(A2, str(cache)).kr_char_direct(1, 2) == fresh
+        # the cut entry was rewritten
+        assert read_qtc(path) == fresh
+
+
 def test_memory_cache_reuses_objects(A2):
     eng = Engine(A2)
     assert eng.fundamental_char(1, 0) is eng.fundamental_char(1, 0)

@@ -37,6 +37,13 @@ CHARACTERS = [
     ("D4", "kr", 4, "68c609dd5691b72fe69877d6efdbfa9e80d9905e0f47aedaaee1d7c858a05fa8"),
 ]
 
+# (type, node, string length, digest): patterns deeper than length 2, computed
+# before the node expansion was memoized
+DEEPER = [
+    ("D4", 2, 3, "0cc2321543e11431d8356979fcdc42c6d989b79cf31871945a4c420563f72e80"),
+    ("E6", 1, 1, "6258f1c2de75d94b9c4f14dba3eb6b3c00b6e451e01653eb4ca14046598d9b90"),
+]
+
 D4_P_2_02_STANDARD = "9427def67985c424160f985853c7f2ff0eed65cac0216e69d6c83100576c651e"
 D4_P_2_02_SIMPLE = "d6143d8f07bbf7bb0ea7407d86c1ecda2ccddc29f57088c834ba871b0b5cb7e0"
 
@@ -54,6 +61,11 @@ def test_character_text_digest(type_name, kind, node, digest):
     eng = _engine(type_name)
     ch = eng.fundamental_char(node) if kind == "fund" else eng.kr_char_direct(node, 2)
     assert _digest(ch) == digest
+
+
+@pytest.mark.parametrize("type_name, node, k, digest", DEEPER)
+def test_deeper_string_text_digest(type_name, node, k, digest):
+    assert _digest(_engine(type_name).kr_char_direct(node, k)) == digest
 
 
 def test_d4_string_standard_and_simple_digests():

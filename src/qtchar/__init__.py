@@ -18,7 +18,14 @@ from .errors import (
     SeparationViolation,
     UnsupportedType,
 )
-from .roots import LieType, build_lie_type, positive_roots, root_to_weight, weight_to_root_coords
+from .roots import (
+    LieType,
+    build_lie_type,
+    positive_roots,
+    root_to_weight,
+    two_rho,
+    weight_to_root_coords,
+)
 from .tpoly import TPoly, gen_binomial, parse_tpoly, t_binomial
 from .monomial import (
     EpsilonTable,
@@ -36,6 +43,7 @@ from .character import (
     DrinfeldPoly,
     GCharacter,
     QtCharacter,
+    dominant_product,
     dumps_qtc,
     expand_E_i,
     in_slice_span,

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections import Counter
 import heapq
+import itertools
 import re
 
 from . import kernels
@@ -36,7 +37,7 @@ from .monomial import (
     parse_monomial,
     v_factorization,
 )
-from .roots import LieType, build_lie_type
+from .roots import LieType, build_lie_type, two_rho
 from .tpoly import TPoly, parse_tpoly, t_binomial
 
 
@@ -266,16 +267,17 @@ def expand_E_i(L: LieType, m: YMonomial, i: int) -> dict:
 # -- products -----------------------------------------------------------------
 
 
-def _pair_loop(left: list, right: list) -> dict:
-    """Sum of c1 * c2 * t^tw over all term pairs, keyed by the product
-    monomial's data.  Left rows are (data, coefficient, sparse vector as
-    ((node, level), value) pairs); right rows are (data, coefficient,
-    functional, constant), and the pair's exponent is tw = constant + the
-    functional applied to the vector."""
+def _pair_loop(groups) -> dict:
+    """Sum of c1 * c2 * t^tw over the term pairs of each (left row, right
+    rows) group, keyed by the product monomial's data.  Left rows are
+    (data, coefficient, sparse vector as ((node, level), value) pairs);
+    right rows are (data, coefficient, functional, constant), and the
+    pair's exponent is tw = constant + the functional applied to the
+    vector."""
     mono_mul = kernels.mono_mul
     acc_mul = kernels.poly_acc_mul
     acc: dict = {}
-    for d1, c1, vec in left:
+    for (d1, c1, vec), right in groups:
         for d2, c2, phi, const in right:
             tw = const
             get = phi.get
@@ -304,8 +306,98 @@ def star_product(L: LieType, a, b, table: EpsilonTable | None = None) -> dict:
     ]
     keys = {k for _, _, vec in left for k, _ in vec}
     right = [(m.data, p.terms, tab.functional(m, keys), 0) for m, p in d2.items()]
-    acc = _pair_loop(left, right)
+    acc = _pair_loop((row, right) for row in left)
     return {YMonomial._wrap(k): TPoly._wrap(p) for k, p in acc.items() if p}
+
+
+def dominant_product(L: LieType, factors, table: EpsilonTable | None = None) -> dict:
+    """The l-dominant terms of the twisted product of factors (characters
+    or raw term dicts), folded left to right from the unit as repeated
+    star_product calls fold them, with the same coefficients; a raw term
+    dict.  No factors give the unit.
+
+    A term of the product is dominant only if every partial product along
+    the way has each negative exponent within reach of the largest
+    positive exponents the remaining factors hold at that (node, level).
+    Partial terms out of reach are dropped at each step, and the
+    right-hand partners of a left term are looked up through an index of
+    the right factor's terms by their positive factors, so no step visits
+    every pair."""
+    tab = table if table is not None else EpsilonTable(L)
+    dicts = [f.terms if isinstance(f, QtCharacter) else f for f in factors]
+    # reach[r]: largest total exponent the factors after r can add per (node, level)
+    reach = []
+    total: dict = {}
+    for d in reversed(dicts):
+        reach.append(dict(total))
+        best: dict = {}
+        for m in d:
+            for i, s, e in m.data:
+                if e > best.get((i, s), 0):
+                    best[(i, s)] = e
+        for k, e in best.items():
+            total[k] = total.get(k, 0) + e
+    partial = {(): {0: 1}}
+    for d, after in zip(dicts, reversed(reach)):
+        partial = _dominant_step(partial, d, after, tab)
+    return {YMonomial._wrap(k): TPoly._wrap(p) for k, p in partial.items()}
+
+
+def _dominant_step(left: dict, right: dict, after: dict, tab: EpsilonTable) -> dict:
+    """One fold step of dominant_product: left maps partial products' data
+    to raw coefficients.  Keeps the pairs whose product has each negative
+    exponent e at (i, s) with after[(i, s)] >= -e, twisted as star_product
+    twists them; returns the nonzero sums by data.
+
+    Sets of right terms are bitmasks over their positions.  A partner of a
+    left term m1 must be positive wherever m1 falls short, and m1 must be
+    positive at the first place where the partner falls short, if any; the
+    two masks narrow the candidates, and each candidate is then checked
+    exactly."""
+    rows = list(right.items())
+    positive: dict = {}  # (node, level) -> right terms with a positive exponent there
+    free = 0  # right terms that fall short nowhere
+    lacking: dict = {}  # (node, level) -> right terms that first fall short there
+    for n, (m, _) in enumerate(rows):
+        bit = 1 << n
+        short = None
+        for i, s, e in m.data:
+            if e > 0:
+                positive[(i, s)] = positive.get((i, s), 0) | bit
+            elif short is None and e + after.get((i, s), 0) < 0:
+                short = (i, s)
+        if short is None:
+            free |= bit
+        else:
+            lacking[short] = lacking.get(short, 0) | bit
+
+    keys = {(i, s) for d1 in left for i, s, _ in d1}
+    built: dict = {}
+    mono_mul = kernels.mono_mul
+    everyone = (1 << len(rows)) - 1
+    groups = []
+    for d1, c1 in left.items():
+        need, cover = everyone, free
+        for i, s, e in d1:
+            if e > 0:
+                cover |= lacking.get((i, s), 0)
+            elif e + after.get((i, s), 0) < 0:
+                need &= positive.get((i, s), 0)
+        cands = need & cover
+        fits = []
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            n = low.bit_length() - 1
+            m, p = rows[n]
+            if all(e >= 0 or e + after.get((i, s), 0) >= 0 for i, s, e in mono_mul(d1, m.data)):
+                row = built.get(n)
+                if row is None:
+                    row = built[n] = (m.data, p.terms, tab.functional(m, keys), 0)
+                fits.append(row)
+        if fits:
+            groups.append(((d1, c1, tuple(((i, s), e) for i, s, e in d1)), fits))
+    return {k: p for k, p in _pair_loop(groups).items() if p}
 
 
 def multiply_standard(
@@ -344,7 +436,7 @@ def multiply_standard(
         )
         right.append((m.data, a.terms, phi, const))
 
-    acc = _pair_loop(left, right)
+    acc = _pair_loop((row, right) for row in left)
     terms = {YMonomial._wrap(k): TPoly._wrap(p) for k, p in acc.items() if p}
     return QtCharacter(L, p1 * p2, terms)
 
@@ -352,10 +444,12 @@ def multiply_standard(
 # -- specializations ----------------------------------------------------------
 
 
-def specialize_t1(ch: QtCharacter) -> dict:
-    """Coefficients evaluated at t=1; returns dict monomial -> int."""
+def specialize_t1(ch) -> dict:
+    """Coefficients of a character or raw term dict evaluated at t=1;
+    returns dict monomial -> int."""
+    terms = ch.terms if isinstance(ch, QtCharacter) else ch
     out = {}
-    for m, p in ch.terms.items():
+    for m, p in terms.items():
         c = p.at_one()
         if c:
             out[m] = c
@@ -482,22 +576,22 @@ def in_slice_span(ch: QtCharacter, i: int) -> bool:
     monomial must be i-dominant and is removed by subtracting its full
     expansion.  Exact for genuine members (each step strips one summand of
     the decomposition); returns False at the first shallowest non-i-dominant
-    monomial."""
+    monomial.
+
+    Depths come from weights, not from factorizing each monomial against
+    the top: twice a term's depth is form(top) - form(term) for the integer
+    form two_rho, and a term an expansion pushes sits at the popped depth
+    plus the expansion's step count.  Contributions only flow to deeper
+    monomials, so an insertion counter breaks depth ties."""
     L = ch.L
-    top = ch.highest
+    rho2 = two_rho(L)
+    top_level = _form(rho2, ch.highest)
     rem = {m: dict(p.terms) for m, p in ch.terms.items()}
-    depths: dict = {}
-
-    def depth(m: YMonomial) -> int:
-        d = depths.get(m)
-        if d is None:
-            d = sum(v_factorization(L, m, top).values())
-            depths[m] = d
-        return d
-
-    guard = 2 * max((depth(m) for m in rem), default=0) + 4 * L.coxeter_number + 16
+    tick = itertools.count()
+    # twice the depth below the top, so that the heap keys stay integers
+    heap = [(top_level - _form(rho2, m), next(tick), m) for m in rem]
+    guard = 2 * max((d for d, _, _ in heap), default=0) + 8 * L.coxeter_number + 32
     memo: dict = {}
-    heap = [(depth(m), m.data, m) for m in rem]
     heapq.heapify(heap)
     while heap:
         d, _, m = heapq.heappop(heap)
@@ -515,11 +609,16 @@ def in_slice_span(ch: QtCharacter, i: int) -> bool:
             slot = rem.get(mm)
             if slot is None:
                 rem[mm] = slot = {}
-                heapq.heappush(heap, (depth(mm), mm.data, mm))
+                heapq.heappush(heap, (d + 2 * deg, next(tick), mm))
             kernels.poly_acc_mul(slot, neg, p.terms, 0)
             if not slot:
                 del rem[mm]
     return True
+
+
+def _form(rho2: tuple, m: YMonomial) -> int:
+    """The two_rho form on m's weight: twice its height."""
+    return sum(rho2[i - 1] * e for i, _, e in m.data)
 
 
 def in_span_all_nodes(ch: QtCharacter) -> bool:

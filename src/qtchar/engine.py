@@ -17,6 +17,10 @@ against 19,523 expansions).  Each run therefore keeps one memo of
 expansion rows keyed by (i, node-i exponents); it lives as long as the
 run and each expansion then costs one monomial product per row.
 
+Every visited weight lies in the convex hull of the Weyl orbit of the
+top weight, so a run deeper than twice height(wt - w0 wt) (plus slack)
+can only come from a wrong expansion, and raises InternalError.
+
 Two modes differ only at interior dominant-for-all-colors monomials:
 the head-module mode treats any such monomial as an error (none can
 occur below the top of a single-root character), while the string mode
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import heapq
+import itertools
 import os
 
 from . import kernels
@@ -35,13 +40,14 @@ from .character import (
     DrinfeldPoly,
     QtCharacter,
     _expansion_tail,
+    _form,
     multiply_standard,
     read_qtc,
     write_qtc,
 )
 from .errors import DomainError, InconsistentExpansion, InternalError, QtcharError
 from .monomial import ONE_MONO, YMonomial, v_factorization
-from .roots import LieType
+from .roots import LieType, two_rho
 from .tpoly import TPoly
 
 _ONE = {0: 1}
@@ -52,7 +58,14 @@ def _fixpoint(L: LieType, poly: DrinfeldPoly, string_mode: bool) -> QtCharacter:
     nodes = list(L.nodes)
     expected = {i: {} for i in nodes}
     depth = {top: 0}
-    heap = [(0, top.data, top)]
+    # contributions only flow to deeper monomials, so the order within one
+    # depth is free and an insertion counter breaks ties
+    tick = itertools.count()
+    heap = [(0, next(tick), top)]
+    # every visited weight lies in the convex hull of the top weight's Weyl
+    # orbit, so no genuine run goes deeper than height(wt - w0 wt); twice
+    # that plus slack stops a wrong expansion before it fills memory
+    bound = 2 * _form(two_rho(L), top) + 4 * L.coxeter_number + 16
     coeffs: dict = {}
     memo: dict = {}  # node-i expansion rows per (i, node-i exponents), this run only
     while heap:
@@ -100,8 +113,10 @@ def _fixpoint(L: LieType, poly: DrinfeldPoly, string_mode: bool) -> QtCharacter:
                 dd = d + deg
                 seen = depth.get(mm)
                 if seen is None:
+                    if dd > bound:
+                        raise InternalError(f"expansion reached depth {dd} past the bound {bound}")
                     depth[mm] = dd
-                    heapq.heappush(heap, (dd, mm.data, mm))
+                    heapq.heappush(heap, (dd, next(tick), mm))
                 elif seen != dd:
                     raise InternalError(f"depth mismatch at {mm}: {seen} vs {dd}")
                 slot = expected[i].get(mm)

@@ -184,3 +184,15 @@ def positive_roots(L: LieType) -> tuple:
             f"expected {L.positive_root_count}"
         )
     return tuple(roots)
+
+
+@lru_cache(maxsize=None)
+def two_rho(L: LieType) -> RootVector:
+    """2 rho in root coordinates: the sum of the positive roots.
+
+    Read as an integer linear form on weights in fundamental coordinates,
+    sum(two_rho[k] * w[k]) is twice the height of w (the sum of its root
+    coordinates).  So a monomial below m_ref lies at depth
+    (form(m_ref) - form(m)) / 2, and for dominant w the form is
+    height(w - w0 w), the depth of the lowest weight of the orbit."""
+    return tuple(sum(col) for col in zip(*positive_roots(L)))

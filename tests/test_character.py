@@ -16,6 +16,7 @@ from qtchar import (
     TPoly,
     YMonomial,
     build_lie_type,
+    dominant_product,
     dumps_qtc,
     epsilon,
     expand_E_i,
@@ -32,6 +33,7 @@ from qtchar import (
     specialize_t1,
     star_product,
     t_binomial,
+    two_rho,
     v_factorization,
     write_qtc,
 )
@@ -303,6 +305,57 @@ def test_star_product_matches_pairwise_definition(A2, A3, D4, engine_for):
             assert fast == slow, (L, factors)
 
 
+def _dominant_filter(terms: dict) -> dict:
+    return {m: p for m, p in terms.items() if m.is_l_dominant()}
+
+
+def _star_fold(L, chs, table) -> dict:
+    out = {YMonomial.one(): TPoly.ONE}
+    for ch in chs:
+        out = star_product(L, out, ch, table)
+    return out
+
+
+def test_dominant_product_matches_filtered_star_product(D4, engine_for):
+    # the three products of the D4 (i=2, k=2) t-refined recursion, the
+    # neighbour fold led by a unit factor as the verifier folds it
+    eng = engine_for(D4)
+    kr = eng.kr_char_direct
+    table = EpsilonTable(D4)
+    cases = [
+        ([kr(2, 2, 0), kr(2, 2, 2)], 3),
+        ([kr(2, 3, 0), kr(2, 1, 2)], 2),
+        ([kr(2, 0), kr(1, 2, 1), kr(3, 2, 1), kr(4, 2, 1)], 1),
+    ]
+    for chs, count in cases:
+        dom = dominant_product(D4, chs, table)
+        assert len(dom) == count
+        assert dom == _dominant_filter(_star_fold(D4, chs, table))
+    assert dominant_product(D4, []) == {YMonomial.one(): TPoly.ONE}
+
+
+@pytest.mark.parametrize(
+    "family,rank,factors",
+    [
+        ("D", 5, [(1, 2, 0), (1, 2, 2)]),
+        ("D", 5, [(2, 1, 0), (3, 1, 1)]),
+        ("D", 5, [(4, 2, 0), (5, 2, 2)]),
+        ("D", 5, [(1, 1, 3), (2, 1, 0), (4, 1, 1)]),
+        ("E", 6, [(1, 1, 0), (1, 1, 2)]),
+        ("E", 6, [(1, 2, 0), (6, 1, 3)]),
+        ("E", 6, [(6, 1, 2), (1, 1, 0), (1, 1, 4)]),
+    ],
+)
+def test_dominant_product_matches_filtered_star_product_d5_e6(family, rank, factors):
+    L = build_lie_type(family, rank)
+    eng = Engine(L)
+    chs = [eng.kr_char_direct(i, k, s) for i, k, s in factors]
+    table = EpsilonTable(L)
+    dom = dominant_product(L, chs, table)
+    assert dom
+    assert dom == _dominant_filter(_star_fold(L, chs, table))
+
+
 def _unnormalized_route(L, ch1, p1, ch2, p2) -> dict:
     """The standard product taken through unnormalized coefficients:
     multiply each factor's terms by t^tw, twist each pair by 2 * pairing_d,
@@ -389,10 +442,29 @@ def test_slice_span_accepts_kr_and_standard(A3, D4, engine_for):
     # expansions and characters share one normalization, so the strip also
     # holds where coefficients carry powers of t
     assert in_span_all_nodes(engine_for(D4).kr_char_direct(2, 2))
+    # expansions here lower up to three steps at once, so a pushed term's
+    # depth must count every step
+    assert in_span_all_nodes(engine_for(D4).kr_char_direct(2, 3))
     assert in_span_all_nodes(engine_for(A3).standard_char(DrinfeldPoly.kr(2, 2, 0)))
     # node-2 roots at s-2, s-1 and s
     mixed = DrinfeldPoly(((2, 0), (2, 1), (2, 2)))
     assert in_span_all_nodes(engine_for(A3).standard_char(mixed))
+
+
+def test_weight_depth_matches_factorization(D4, engine_for):
+    # twice a term's depth is the two_rho form of its weight gap to the top,
+    # and the lowest term sits at height(w - w0 w)
+    E6 = build_lie_type("E", 6)
+    for L, ch in ((D4, engine_for(D4).kr_char_direct(2, 2)), (E6, Engine(E6).fundamental_char(2))):
+        rho2 = two_rho(L)
+        top = ch.highest
+        depths = []
+        for m in ch.terms:
+            gap = sum(rho2[i - 1] * e for i, _, e in top.data) - sum(rho2[i - 1] * e for i, _, e in m.data)
+            depth = sum(v_factorization(L, m, top).values())
+            assert gap == 2 * depth
+            depths.append(depth)
+        assert max(depths) == sum(rho2[i - 1] * e for i, _, e in top.data)
 
 
 def test_slice_span_rejects_truncations(A2, engine_for):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from qtchar import (
@@ -7,12 +9,14 @@ from qtchar import (
     DrinfeldPoly,
     Engine,
     InconsistentExpansion,
+    InternalError,
     TPoly,
     YMonomial,
     parse_monomial,
     parse_tpoly,
     read_qtc,
 )
+import qtchar.character
 import qtchar.engine
 from qtchar.engine import _fixpoint
 
@@ -70,6 +74,31 @@ def test_fixpoint_shift_equivariance_directly(A2, engine_for):
 def test_head_mode_rejects_interior_dominant(A1):
     with pytest.raises(InconsistentExpansion):
         _fixpoint(A1, DrinfeldPoly.kr(1, 2, 0), False)
+
+
+def test_fixpoint_depth_guard_stops_wrong_expansion(D4, monkeypatch):
+    # a memo keyed without the node hands one node's rows to another, and
+    # the run then descends without end; the guard must stop it within a
+    # bounded number of expansions instead
+    shared: dict = {}
+    calls = []
+    node_rows = qtchar.character._node_tail
+
+    def nodeless_tail(L, i, m, memo=None):
+        calls.append(i)
+        if len(calls) > 20_000:
+            raise RuntimeError("the expansion ran past the depth guard")
+        ui = tuple((s, u) for j, s, u in m.data if j == i)
+        rows = shared.get(ui)
+        if rows is None:
+            rows = shared[ui] = node_rows(L, i, ui)
+        return [(m * YMonomial._wrap(q), p, deg) for q, p, deg in rows]
+
+    monkeypatch.setattr(qtchar.engine, "_expansion_tail", nodeless_tail)
+    t0 = time.perf_counter()
+    with pytest.raises(InternalError, match="past the bound"):
+        _fixpoint(D4, DrinfeldPoly.kr(2, 2, 0), True)
+    assert time.perf_counter() - t0 < 10.0
 
 
 def test_standard_empty_and_single(engine_for, A2):

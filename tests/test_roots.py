@@ -10,6 +10,7 @@ from qtchar import (
     build_lie_type,
     positive_roots,
     root_to_weight,
+    two_rho,
     weight_to_root_coords,
 )
 from qtchar.roots import weight_to_rational_root_coords
@@ -85,3 +86,13 @@ def test_rational_root_coords(A2):
     )
     # integral weights stay integral
     assert weight_to_rational_root_coords(A2, (1, 1)) == (1, 1)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 1), ("A", 3), ("D", 4), ("D", 5), ("E", 6), ("E", 8)])
+def test_two_rho_form_is_twice_the_height(family, rank):
+    L = build_lie_type(family, rank)
+    rho2 = two_rho(L)
+    assert all(isinstance(x, int) and x > 0 for x in rho2)
+    for k in range(rank):
+        omega = tuple(1 if j == k else 0 for j in range(rank))
+        assert rho2[k] == 2 * sum(weight_to_rational_root_coords(L, omega))

@@ -7,9 +7,11 @@ import pytest
 from qtchar import (
     DomainError,
     DrinfeldPoly,
+    Engine,
     EpsilonTable,
     GCharacter,
     InternalError,
+    QtCharacter,
     TPoly,
     VerifyReport,
     YMonomial,
@@ -29,7 +31,8 @@ from qtchar import (
     verify_t_system_t,
     verify_t_system_t1,
 )
-from qtchar.character import terms_scale
+from qtchar import systems
+from qtchar.character import in_span_all_nodes, terms_scale
 from qtchar.monomial import v_factorization
 from qtchar.systems import (
     check_nu,
@@ -101,6 +104,97 @@ def test_lazy_report_sides_are_text_dicts(engines):
         for side in (rep.lhs, rep.rhs):
             assert side and all(isinstance(k, str) and isinstance(v, str) for k, v in side.items())
         assert rep.lhs == rep.rhs
+
+
+# -- dominant-part decisions against the full route ------------------------------
+
+# (verifier, [(family, rank, nodes, max k)]): the ranges of acceptance
+# criteria 4, 5 and 6
+DECISION_RANGES = [
+    (verify_t_system_t1, [("A", 1, (1,), 6), ("A", 2, (1, 2), 4), ("A", 3, (1, 2, 3), 3), ("D", 4, (1, 2, 3, 4), 2)]),
+    (verify_t_system_t, [("A", 1, (1,), 4), ("A", 2, (1, 2), 3), ("A", 3, (1, 2, 3), 2), ("D", 4, (1, 2, 3, 4), 2)]),
+    (verify_kr_tensor_split, [("A", 1, (1,), 4), ("A", 2, (1, 2), 3), ("D", 4, (1, 2, 3, 4), 2)]),
+]
+
+
+def _full_route(monkeypatch) -> None:
+    """Fail the membership gate, so that every verifier decides on the full
+    sides as it did before the dominant route existed."""
+    monkeypatch.setattr(systems, "in_span_all_nodes", lambda ch: False)
+
+
+def test_dominant_decisions_match_full_route(engines, monkeypatch):
+    cases = [
+        (verify, engines[(family, rank)], i, k)
+        for verify, ranges in DECISION_RANGES
+        for family, rank, nodes, kmax in ranges
+        for i in nodes
+        for k in range(1, kmax + 1)
+    ]
+    eager = []
+    monkeypatch.setattr(systems, "_report", lambda *args: eager.append(args))
+    fast = [verify(eng.L, i, k, eng) for verify, eng, i, k in cases]
+    assert not eager  # every case passed without building its full sides
+    monkeypatch.undo()
+    _full_route(monkeypatch)
+    for rep, (verify, eng, i, k) in zip(fast, cases):
+        full = verify(eng.L, i, k, eng)
+        assert rep.status == full.status == "pass", (verify.__name__, eng.L, i, k)
+        assert rep == full  # the lazily built sides are the eager ones
+        assert rep.text() == full.text()
+
+
+class _ScaledEngine(Engine):
+    """Engine whose node-2 string characters are doubled: still in K_t,
+    but with every coefficient changed, the dominant ones included."""
+
+    def kr_char_direct(self, i, k, s=0):
+        ch = super().kr_char_direct(i, k, s)
+        if i != 2 or k == 0:
+            return ch
+        return QtCharacter(ch.L, ch.poly, {m: p + p for m, p in ch.terms.items()})
+
+
+@pytest.mark.parametrize("verify", [verify_t_system_t, verify_t_system_t1])
+def test_perturbed_dominant_coefficient_fails_like_full_route(A2, verify, monkeypatch):
+    eng = _ScaledEngine(A2)
+    gated = []
+    real_gate = systems.in_span_all_nodes
+    monkeypatch.setattr(systems, "in_span_all_nodes", lambda ch: gated.append(ch) or real_gate(ch))
+    rep = verify(A2, 1, 2, eng)
+    assert gated and all(map(real_gate, gated))  # the gate passed every factor
+    assert rep.status == "fail"
+    _full_route(monkeypatch)
+    full = verify(A2, 1, 2, eng)
+    assert full.status == "fail"
+    assert rep.text() == full.text()
+    assert rep == full
+
+
+def test_perturbed_cache_entry_fails_membership_gate(A2, tmp_path, monkeypatch):
+    Engine(A2, str(tmp_path)).kr_char_direct(1, 2)
+    path = tmp_path / "A2_kr_1_2.qtc"
+    lines = path.read_text().splitlines()
+    # the last term line holds a monomial with a negative exponent
+    assert lines[-2].startswith("term 1 : ") and "^-1" in lines[-2]
+    lines[-2] = "term 2 : " + lines[-2][len("term 1 : "):]
+    path.write_text("\n".join(lines) + "\n")
+    eng = Engine(A2, str(tmp_path))
+    assert not in_span_all_nodes(eng.kr_char_direct(1, 2))
+
+    dominant_calls = []
+    real_dominant = systems.dominant_product
+    monkeypatch.setattr(
+        systems, "dominant_product", lambda *args: dominant_calls.append(args) or real_dominant(*args)
+    )
+    reports = [verify(A2, 1, 2, eng) for verify in (verify_t_system_t, verify_t_system_t1)]
+    assert not dominant_calls
+    _full_route(monkeypatch)
+    for rep, verify in zip(reports, (verify_t_system_t, verify_t_system_t1)):
+        full = verify(A2, 1, 2, eng)
+        assert rep.status == full.status == "fail"
+        assert rep.text() == full.text()
+        assert rep == full
 
 
 # -- specialized and refined string recursions ------------------------------------

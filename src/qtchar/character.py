@@ -5,11 +5,16 @@ Every character here is normalized: writing a term as
 m = top * prod A(i,s)^-v(i,s), its coefficient is t^-tw(m) times the
 unnormalized one, where tw(m) = d(v, u(m)) + d(u(top), v) and
 d(a, b) = sum of a(i,s+1) b(i,s).  The highest term has coefficient 1.
-Both constructions stay in this convention at every step:
+The expansions and multiply_standard stay in this convention at every step:
 
 * the node-i expansion lowers each factor Y[i,s]^u_s of m r_s times with
   coefficient prod_s [u_s r_s] t^-(r_s (u_{s+2} - r_{s+2})), balanced
-  Gaussian binomials, the t-analog of the sl2 standard character;
+  Gaussian binomials, the t-analog of the sl2 standard character
+  (_node_tail, behind expand_E_i and the K_t membership check);
+* the fixpoint expands instead by the sl2 simple character of m's
+  node-i roots (_node_simple): the twisted product of the characters of
+  their q-strings in general position, renormalized, with nonnegative
+  coefficients, so a character built from it never cancels a term;
 * multiply_standard multiplies the coefficients of each term pair and
   twists by t^X, X = sum v1(i,s) (u(m2)(i,s-1) - u(m2)(i,s+1)) +
   sum v2(i,s) (u(top1)(i,s+1) - u(top1)(i,s-1)), which is valid only
@@ -39,6 +44,9 @@ from .monomial import (
 )
 from .roots import LieType, build_lie_type, two_rho
 from .tpoly import TPoly, parse_tpoly, t_binomial
+
+_ONE = {0: 1}
+_SL2 = build_lie_type("A", 1)  # the rank-one type of the node-i simple
 
 
 class DrinfeldPoly:
@@ -233,27 +241,100 @@ def _node_tail(L: LieType, i: int, ui: tuple) -> list:
     return [(mo.data, p, deg) for mo, p, deg, _ in out]
 
 
-def _expansion_tail(L: LieType, i: int, m: YMonomial, memo: dict | None = None) -> list:
+def _q_strings(ui: tuple) -> list:
+    """The levels of ui, (level, multiplicity) pairs of one parity, split
+    into q-strings in general position, as (lowest level, length) pairs.
+    Each round takes every maximal step-2 run of the remaining support and
+    removes one copy of each of its levels, so a later string lies inside
+    an earlier one and strings of one round are at least 4 apart."""
+    left = dict(ui)
+    out = []
+    while left:
+        run: list = []
+        for s in sorted(left):
+            if run and s != run[-1] + 2:
+                out.append((run[0], len(run)))
+                run = []
+            run.append(s)
+        out.append((run[0], len(run)))
+        left = {s: u - 1 for s, u in left.items() if u > 1}
+    return out
+
+
+def _node_simple(L: LieType, i: int, ui: tuple) -> list:
+    """Rows of the node-i expansion by the sl2 simple character of the
+    node-i roots, in _node_tail's format, leading row first.
+
+    The roots split into q-strings in general position (_q_strings), and
+    the simple is the twisted product of their string characters,
+    normalized so that its top coefficient is 1.  A string of k levels has
+    k+1 terms, each with coefficient 1: term j lowers the string's top j
+    levels.  The product is taken in rank one, keeping each term's
+    A(1,s) exponents, which then become A(i,s) exponents of L.  Every
+    coefficient is nonnegative.  Patterns whose levels mix parities never
+    arise below a single-parity top and are rejected."""
+    if len({s % 2 for s, _ in ui}) > 1:
+        raise InternalError(f"node-{i} exponents {ui} mix level parities")
+    mono_mul = kernels.mono_mul
+    sl2 = EpsilonTable(_SL2)
+    # sl2 terms by data: (raw coefficient, A(1,s) exponents as (1, s, count) data)
+    acc = {(): ({0: 1}, ())}
+    for a, k in _q_strings(ui):
+        data = tuple((1, a + 2 * n, 1) for n in range(k))
+        v: tuple = ()
+        string = [(YMonomial._wrap(data), v)]
+        for s in range(a + 2 * k - 1, a, -2):  # lower the highest unlowered level by A(1,s)
+            data = mono_mul(data, ((1, s - 1, -1), (1, s + 1, -1)))
+            v = mono_mul(v, ((1, s, 1),))
+            string.append((YMonomial._wrap(data), v))
+        nxt: dict = {}
+        for d1, (c1, v1) in acc.items():
+            m1 = YMonomial._wrap(d1)
+            for m2, v2 in string:
+                d = mono_mul(d1, m2.data)
+                slot = nxt.get(d)
+                if slot is None:
+                    slot = nxt[d] = ({}, mono_mul(v1, v2))
+                kernels.poly_acc_mul(slot[0], c1, _ONE, sl2.of(m1, m2))
+        acc = nxt
+    # the product of the tops comes first and carries a single power of t
+    (lead,) = acc[tuple((1, s, u) for s, u in ui)][0]
+    # term j of a string lowers level l by A(1, l+1)
+    a_inv = {s + 1: (a_monomial(L, i, s + 1) ** -1).data for s, _ in ui}
+    out = []
+    for c, v in acc.values():
+        q: tuple = ()
+        for _, s, n in v:
+            q = mono_mul(q, kernels.mono_pow(a_inv[s], n))
+        out.append((q, TPoly._wrap(kernels.poly_scale(c, -lead)), sum(n for _, _, n in v)))
+    return out
+
+
+def _expansion_tail(
+    L: LieType, i: int, m: YMonomial, memo: dict | None = None, rows=_node_tail
+) -> list:
     """Terms of the expansion at an i-dominant m as (monomial, coefficient,
     step count), where step count is the total affinization degree of the
     term below m.  The leading entry (m, 1, 0) is included.
 
-    The rows come from _node_tail on m's node-i exponents.  With a memo
-    dict they are built once per (i, node-i exponents) key and reused; the
-    caller owns the dict and decides how long it lives."""
+    The rows come from the row builder rows (_node_tail, the sl2 standard,
+    by default; the fixpoint passes _node_simple) on m's node-i exponents.
+    With a memo dict they are built once per (i, node-i exponents) key and
+    reused; the caller owns the dict, uses it with one row builder and
+    decides how long it lives."""
     ui = tuple((s, u) for j, s, u in m.data if j == i)
-    rows = None if memo is None else memo.get((i, ui))
-    if rows is None:
+    got = None if memo is None else memo.get((i, ui))
+    if got is None:
         # only i-dominant patterns are ever stored, so a memo hit is one
         if any(u < 0 for _, u in ui):
             raise NotDominant(f"{m} is not {i}-dominant")
-        rows = _node_tail(L, i, ui)
+        got = rows(L, i, ui)
         if memo is not None:
-            memo[(i, ui)] = rows
+            memo[(i, ui)] = got
     data = m.data
     mono_mul = kernels.mono_mul
     wrap = YMonomial._wrap
-    return [(wrap(mono_mul(data, q)), p, deg) for q, p, deg in rows]
+    return [(wrap(mono_mul(data, q)), p, deg) for q, p, deg in got]
 
 
 def expand_E_i(L: LieType, m: YMonomial, i: int) -> dict:

@@ -11,21 +11,32 @@ pushed further down.  Contributions only ever flow to strictly deeper
 monomials, so a single sweep is a fixpoint.  Expansions carry normalized
 coefficients, so the pinned values are the character's final ones.
 
+Each expansion at node i is the sl2 simple character of m's node-i roots
+(_node_simple), as in the Frenkel-Mukhin algorithm (arXiv math/9911112;
+t-version in Hernandez, arXiv math/0212257).  The restriction of a
+module to node i decomposes over those simples with nonnegative
+coefficients, so nothing the run visits cancels: it pops exactly the
+terms of the character (9,885 for D4 KR(2,4)).  The sl2 standard rows
+span the same space but carry signs, and would visit four times as many
+monomials there.
+
+The run supports one dominant monomial, the top.  A module whose
+character lies in K_t with no other dominant monomial (every KR module,
+by the paper's theorem) is built exactly; an interior monomial dominant
+for every color with a nonzero accumulated coefficient raises
+InconsistentExpansion, so a second dominant monomial fails loudly.
+
 An expansion at node i depends on m only through m's node-i exponents,
-and a run meets few distinct ones (326 for the 9,885 terms of D4 KR(2,4),
-against 19,523 expansions).  Each run therefore keeps one memo of
-expansion rows keyed by (i, node-i exponents); it lives as long as the
-run and each expansion then costs one monomial product per row.
+and a run meets few distinct ones (279 for D4 KR(2,4), against 8,796
+expansions).  Each run therefore keeps one memo of expansion rows keyed
+by (i, node-i exponents); it lives as long as the run and each expansion
+then costs one monomial product per row.
 
 Every visited weight lies in the convex hull of the Weyl orbit of the
-top weight, so a run deeper than twice height(wt - w0 wt) (plus slack)
-can only come from a wrong expansion, and raises InternalError.
-
-Two modes differ only at interior dominant-for-all-colors monomials:
-the head-module mode treats any such monomial as an error (none can
-occur below the top of a single-root character), while the string mode
-pins its coefficient to zero and lets the correcting expansions cancel
-the accumulated contributions.
+top weight, and the lowest weight w0 wt occurs in every module, so a
+genuine run reaches depth height(wt - w0 wt) exactly.  A run deeper than
+twice that (plus slack), or one that stops short of it, can only come
+from a wrong expansion, and raises InternalError.
 """
 
 from __future__ import annotations
@@ -41,6 +52,7 @@ from .character import (
     QtCharacter,
     _expansion_tail,
     _form,
+    _node_simple,
     multiply_standard,
     read_qtc,
     write_qtc,
@@ -53,7 +65,7 @@ from .tpoly import TPoly
 _ONE = {0: 1}
 
 
-def _fixpoint(L: LieType, poly: DrinfeldPoly, string_mode: bool) -> QtCharacter:
+def _fixpoint(L: LieType, poly: DrinfeldPoly) -> QtCharacter:
     top = poly.monomial()
     nodes = list(L.nodes)
     expected = {i: {} for i in nodes}
@@ -63,9 +75,11 @@ def _fixpoint(L: LieType, poly: DrinfeldPoly, string_mode: bool) -> QtCharacter:
     tick = itertools.count()
     heap = [(0, next(tick), top)]
     # every visited weight lies in the convex hull of the top weight's Weyl
-    # orbit, so no genuine run goes deeper than height(wt - w0 wt); twice
-    # that plus slack stops a wrong expansion before it fills memory
-    bound = 2 * _form(two_rho(L), top) + 4 * L.coxeter_number + 16
+    # orbit, so no genuine run goes deeper than height(wt - w0 wt), where the
+    # lowest weight sits; twice that plus slack stops a wrong expansion
+    # before it fills memory
+    lowest = _form(two_rho(L), top)
+    bound = 2 * lowest + 4 * L.coxeter_number + 16
     coeffs: dict = {}
     memo: dict = {}  # node-i expansion rows per (i, node-i exponents), this run only
     while heap:
@@ -92,13 +106,9 @@ def _fixpoint(L: LieType, poly: DrinfeldPoly, string_mode: bool) -> QtCharacter:
                 a = pinned
             else:
                 # interior monomial dominant for every color
+                if any(expected[i].get(m) for i in nodes):
+                    raise InconsistentExpansion(f"interior dominant monomial {m} reached")
                 a = {}
-                if not string_mode and any(
-                    expected[i].get(m) for i in nodes
-                ):
-                    raise InconsistentExpansion(
-                        f"interior dominant monomial {m} reached"
-                    )
         if a:
             coeffs[m] = a
         for i in nodes:
@@ -107,7 +117,7 @@ def _fixpoint(L: LieType, poly: DrinfeldPoly, string_mode: bool) -> QtCharacter:
             combo = kernels.poly_sub(a, expected[i].pop(m, {}))
             if not combo:
                 continue
-            for mm, p, deg in _expansion_tail(L, i, m, memo):
+            for mm, p, deg in _expansion_tail(L, i, m, memo, rows=_node_simple):
                 if deg == 0:
                     continue
                 dd = d + deg
@@ -123,6 +133,12 @@ def _fixpoint(L: LieType, poly: DrinfeldPoly, string_mode: bool) -> QtCharacter:
                 if slot is None:
                     expected[i][mm] = slot = {}
                 kernels.poly_acc_mul(slot, combo, p.terms, 0)
+    # a run that stops above the lowest weight lost a branch of expansions
+    deepest = max(depth.values())
+    if deepest != lowest:
+        raise InternalError(
+            f"expansion stopped at depth {deepest}, but the lowest weight sits at depth {lowest}"
+        )
     return QtCharacter(L, poly, {m: TPoly._wrap(a) for m, a in coeffs.items()})
 
 
@@ -177,7 +193,7 @@ class Engine:
         name = f"{self.L.family}{self.L.rank}_{stem}.qtc"
         return os.path.join(self.cache_dir, name)
 
-    def _cached(self, stem: str, poly: DrinfeldPoly, string_mode: bool):
+    def _cached(self, stem: str, poly: DrinfeldPoly):
         """Base character of poly, from memory, the disk cache or a fixpoint
         run.  A disk entry counts only if it holds this type and root datum;
         anything else is recomputed and rewritten."""
@@ -194,7 +210,7 @@ class Engine:
                         return ch
                 except (OSError, UnicodeDecodeError, QtcharError):
                     pass  # unreadable cache entry: recompute and rewrite
-        ch = _fixpoint(self.L, poly, string_mode)
+        ch = _fixpoint(self.L, poly)
         self._base[stem] = ch
         if self.cache_dir:
             path = self._cache_path(stem)
@@ -211,7 +227,7 @@ class Engine:
 
     def fundamental_char(self, i: int, s: int = 0) -> QtCharacter:
         self._check_node(i)
-        base = self._cached(f"fund_{i}", DrinfeldPoly.fundamental(i, 0), False)
+        base = self._cached(f"fund_{i}", DrinfeldPoly.fundamental(i, 0))
         return base.shift(s)
 
     def kr_char_direct(self, i: int, k: int, s: int = 0) -> QtCharacter:
@@ -225,7 +241,7 @@ class Engine:
             return QtCharacter(self.L, DrinfeldPoly(), {ONE_MONO: TPoly.ONE})
         if k == 1:
             return self.fundamental_char(i, s)
-        base = self._cached(f"kr_{i}_{k}", DrinfeldPoly.kr(i, k, 0), True)
+        base = self._cached(f"kr_{i}_{k}", DrinfeldPoly.kr(i, k, 0))
         return base.shift(s)
 
     def standard_char(self, poly: DrinfeldPoly) -> QtCharacter:

@@ -140,7 +140,7 @@ def test_criterion_05_t_system_refined(engines):
         ("A", 2, (1, 2), 3),
         ("A", 3, (1, 2, 3), 2),
         ("D", 4, (1, 2, 3, 4), 2),
-        ("D", 5, (1, 2, 4, 5), 2),
+        ("D", 5, (1, 2, 3, 4, 5), 2),
     ]
     for family, rank, nodes, kmax in ranges:
         eng = engines[(family, rank)]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+import random
 
 import pytest
 
@@ -40,7 +41,7 @@ from qtchar import (
 from qtchar import character, engine, kernels, monomial
 from qtchar.character import _expansion_tail, qchar_mul, separation_ok, terms_scale
 from qtchar.engine import _fixpoint, fundamental_char, kr_char_direct, standard_char
-from qtchar.errors import NotDominant
+from qtchar.errors import InternalError, NotDominant
 
 
 def _terms(pairs):
@@ -124,20 +125,20 @@ def test_expand_requires_dominance(A2):
 # -- memoized node expansion ----------------------------------------------------
 
 
-def _popped_monomials(L, poly, string_mode, monkeypatch) -> list:
+def _popped_monomials(L, poly, monkeypatch) -> list:
     """Every monomial the fixpoint pops for poly: the top and every term of
     a tail it walks (each one is pushed, so each one is popped)."""
     seen = {poly.monomial()}
     inner = engine._expansion_tail
 
-    def record(L, i, m, memo=None):
-        out = inner(L, i, m, memo)
+    def record(L, i, m, memo=None, **kw):
+        out = inner(L, i, m, memo, **kw)
         seen.update(mm for mm, _, _ in out)
         return out
 
     with monkeypatch.context() as mp:
         mp.setattr(engine, "_expansion_tail", record)
-        _fixpoint(L, poly, string_mode)
+        _fixpoint(L, poly)
     return sorted(seen)
 
 
@@ -157,11 +158,11 @@ def test_memoized_tail_matches_fresh_tail(D4, A1, A2, monkeypatch):
         assert len(memo) == keys
     # every i-dominant monomial the fixpoint pops
     E6 = build_lie_type("E", 6)
-    cases = [(D4, DrinfeldPoly.kr(2, 3, 0), True), (E6, DrinfeldPoly.fundamental(1, 0), False)]
-    for L, poly, string_mode in cases:
+    cases = [(D4, DrinfeldPoly.kr(2, 3, 0)), (E6, DrinfeldPoly.fundamental(1, 0))]
+    for L, poly in cases:
         memo = {}
         checked = 0
-        for m in _popped_monomials(L, poly, string_mode, monkeypatch):
+        for m in _popped_monomials(L, poly, monkeypatch):
             for i in L.nodes:
                 if m.is_i_dominant(i):
                     assert _expansion_tail(L, i, m, memo) == _expansion_tail(L, i, m), (i, m)
@@ -172,23 +173,92 @@ def test_memoized_tail_matches_fresh_tail(D4, A1, A2, monkeypatch):
 def test_fixpoint_builds_each_node_pattern_once(D4, monkeypatch):
     built: Counter = Counter()
     tails = []
-    inner_rows = character._node_tail
+    inner_rows = engine._node_simple
     inner_tail = engine._expansion_tail
 
     def count_rows(L, i, ui):
         built[(i, ui)] += 1
         return inner_rows(L, i, ui)
 
-    def count_tails(*args):
+    def count_tails(*args, **kw):
         tails.append(args[1])
-        return inner_tail(*args)
+        return inner_tail(*args, **kw)
 
-    monkeypatch.setattr(character, "_node_tail", count_rows)
+    monkeypatch.setattr(engine, "_node_simple", count_rows)
     monkeypatch.setattr(engine, "_expansion_tail", count_tails)
-    ch = _fixpoint(D4, DrinfeldPoly.kr(2, 3, 0), True)
+    ch = _fixpoint(D4, DrinfeldPoly.kr(2, 3, 0))
     assert len(ch) == 2043
     assert max(built.values()) == 1
     assert len(tails) > 10 * len(built)
+
+
+def test_fixpoint_pops_only_terms(D4, D5, monkeypatch):
+    # simple rows carry nonnegative coefficients, so nothing the fixpoint
+    # visits cancels: it pops exactly the terms of the character
+    E6 = build_lie_type("E", 6)
+    for L, i, k in ((D4, 2, 3), (D5, 3, 2), (E6, 1, 2)):
+        poly = DrinfeldPoly.kr(i, k, 0)
+        popped = _popped_monomials(L, poly, monkeypatch)
+        assert popped == sorted(_fixpoint(L, poly).terms), (L, i, k)
+
+
+# -- sl2 simple rows -------------------------------------------------------------
+
+
+def _rank_one_rows(L, i, eng, ui) -> dict:
+    """The A1 simple of the node-i pattern ui from the triangular route,
+    as rows of L keyed by data: each A(1,s) step becomes A(i,s)."""
+    A1 = eng.L
+    poly = DrinfeldPoly((1, s) for s, u in ui for _ in range(u))
+    top = poly.monomial()
+    out = {}
+    for m, p in eng.kl_decompose(poly).simples[poly].terms.items():
+        v = v_factorization(A1, m, top)
+        q = YMonomial()
+        for (_, s), n in v.items():
+            q = q * monomial.a_monomial(L, i, s) ** -n
+        out[q.data] = (p, sum(v.values()))
+    return out
+
+
+def _rows_by_data(rows) -> dict:
+    return {q: (p, deg) for q, p, deg in rows}
+
+
+def test_node_simple_matches_rank_one_simple(A1, D4):
+    rng = random.Random(20)
+    eng = Engine(A1)
+    for _ in range(300):
+        parity = rng.randrange(2)
+        levels = rng.sample(range(parity, parity + 12, 2), rng.randint(1, 4))
+        ui = tuple(sorted((s, rng.randint(1, 3)) for s in levels))
+        i = rng.choice(D4.nodes)
+        rows = character._node_simple(D4, i, ui)
+        assert rows[0] == ((), TPoly.ONE, 0)
+        assert all(p.has_nonneg_coeffs() for _, p, _ in rows)
+        assert _rows_by_data(rows) == _rank_one_rows(D4, i, eng, ui), ui
+
+
+def test_node_simple_is_standard_in_general_position(A2, D4):
+    # no two levels two apart: the standard module is simple
+    for L, i, ui in (
+        (A2, 1, ((0, 1),)),
+        (A2, 2, ((1, 3),)),
+        (D4, 2, ((0, 2), (4, 1))),
+        (D4, 3, ((1, 1), (5, 2), (9, 3))),
+        (D4, 2, ((-4, 1), (0, 1), (6, 2))),
+    ):
+        simple = character._node_simple(L, i, ui)
+        assert _rows_by_data(simple) == _rows_by_data(character._node_tail(L, i, ui)), ui
+
+
+def test_node_simple_strings_and_parity(D4):
+    assert character._q_strings(((0, 2), (2, 1), (4, 2), (8, 1))) == [(0, 3), (8, 1), (0, 1), (4, 1)]
+    # the string P(0 2 4) at one node: four rows with coefficient 1
+    rows = character._node_simple(D4, 2, ((0, 1), (2, 1), (4, 1)))
+    assert [(p, deg) for _, p, deg in rows] == [(TPoly.ONE, j) for j in range(4)]
+    with pytest.raises(InternalError, match="parities"):
+        character._node_simple(D4, 2, ((0, 1), (1, 1)))
 
 
 # -- products ------------------------------------------------------------------

@@ -12,11 +12,11 @@ from qtchar import (
     InternalError,
     TPoly,
     YMonomial,
+    build_lie_type,
     parse_monomial,
     parse_tpoly,
     read_qtc,
 )
-import qtchar.character
 import qtchar.engine
 from qtchar.engine import _fixpoint
 
@@ -67,37 +67,56 @@ def test_kr_rejects_bad_arguments(engine_for, A2):
 
 def test_fixpoint_shift_equivariance_directly(A2, engine_for):
     # running the fixpoint away from the origin commutes with translation
-    direct = _fixpoint(A2, DrinfeldPoly.kr(1, 2, 4), True)
+    direct = _fixpoint(A2, DrinfeldPoly.kr(1, 2, 4))
     assert direct == engine_for(A2).kr_char_direct(1, 2).shift(4)
 
 
-def test_head_mode_rejects_interior_dominant(A1):
-    with pytest.raises(InconsistentExpansion):
-        _fixpoint(A1, DrinfeldPoly.kr(1, 2, 0), False)
+def test_head_mode_rejects_interior_dominant(A2):
+    # the simple of P(1: 0; 2: 1 3) has a second dominant monomial, Y[2,1]
+    with pytest.raises(InconsistentExpansion, match="interior dominant"):
+        _fixpoint(A2, DrinfeldPoly(((1, 0), (2, 1), (2, 3))))
+
+
+@pytest.mark.parametrize(
+    "family, rank, roots",
+    [
+        ("A", 2, ((1, 0), (1, 2), (2, 5))),
+        ("A", 2, ((1, 0), (2, 3))),
+        ("A", 3, ((1, 0), (3, 4))),
+        ("D", 4, ((1, 0), (3, 0))),
+    ],
+)
+def test_fixpoint_builds_special_simples(family, rank, roots, engine_for):
+    # beyond strings: a simple with a single dominant monomial is the
+    # fixpoint's output, here against the triangular route
+    L = build_lie_type(family, rank)
+    poly = DrinfeldPoly(roots)
+    simple = engine_for(L).simple_char(poly)
+    assert [m for m in simple.terms if m.is_l_dominant()] == [poly.monomial()]
+    assert _fixpoint(L, poly) == simple
 
 
 def test_fixpoint_depth_guard_stops_wrong_expansion(D4, monkeypatch):
     # a memo keyed without the node hands one node's rows to another, and
-    # the run then descends without end; the guard must stop it within a
-    # bounded number of expansions instead
+    # the run then either descends without end or stops short of the lowest
+    # weight; a guard must stop it within a bounded number of expansions
     shared: dict = {}
     calls = []
-    node_rows = qtchar.character._node_tail
 
-    def nodeless_tail(L, i, m, memo=None):
+    def nodeless_tail(L, i, m, memo=None, rows=None):
         calls.append(i)
         if len(calls) > 20_000:
             raise RuntimeError("the expansion ran past the depth guard")
         ui = tuple((s, u) for j, s, u in m.data if j == i)
-        rows = shared.get(ui)
-        if rows is None:
-            rows = shared[ui] = node_rows(L, i, ui)
-        return [(m * YMonomial._wrap(q), p, deg) for q, p, deg in rows]
+        got = shared.get(ui)
+        if got is None:
+            got = shared[ui] = rows(L, i, ui)
+        return [(m * YMonomial._wrap(q), p, deg) for q, p, deg in got]
 
     monkeypatch.setattr(qtchar.engine, "_expansion_tail", nodeless_tail)
     t0 = time.perf_counter()
-    with pytest.raises(InternalError, match="past the bound"):
-        _fixpoint(D4, DrinfeldPoly.kr(2, 2, 0), True)
+    with pytest.raises(InternalError, match="past the bound|lowest weight"):
+        _fixpoint(D4, DrinfeldPoly.kr(2, 2, 0))
     assert time.perf_counter() - t0 < 10.0
 
 

@@ -37,11 +37,16 @@ CHARACTERS = [
     ("D4", "kr", 4, "68c609dd5691b72fe69877d6efdbfa9e80d9905e0f47aedaaee1d7c858a05fa8"),
 ]
 
-# (type, node, string length, digest): patterns deeper than length 2, computed
-# before the node expansion was memoized
+# (type, node, string length, digest): patterns deeper than length 2.  The
+# first two were computed before the node expansion was memoized, the rest
+# before the fixpoint switched from standard to simple rows; the D4 KR(2,4)
+# digest is also perfbench's fixpoint_cold reference
 DEEPER = [
     ("D4", 2, 3, "0cc2321543e11431d8356979fcdc42c6d989b79cf31871945a4c420563f72e80"),
     ("E6", 1, 1, "6258f1c2de75d94b9c4f14dba3eb6b3c00b6e451e01653eb4ca14046598d9b90"),
+    ("D4", 2, 4, "ed816c100c8edd03f54a3df0d43c75e882d002c043491201f15921f51a9e2183"),
+    ("D5", 3, 2, "ea46843653f3d3212df9303049050a92da2c7ed998515ebe7f65cdadff725277"),
+    ("E8", 1, 1, "8f08f3f4f8fa98033fd91f2866b9f4c18076b859ba54e40162b5846e667cbef6"),
 ]
 
 D4_P_2_02_STANDARD = "9427def67985c424160f985853c7f2ff0eed65cac0216e69d6c83100576c651e"

@@ -313,15 +313,16 @@ def _node_simple(L: LieType, i: int, ui: tuple) -> list:
 def _expansion_tail(
     L: LieType, i: int, m: YMonomial, memo: dict | None = None, rows=_node_tail
 ) -> list:
-    """Terms of the expansion at an i-dominant m as (monomial, coefficient,
-    step count), where step count is the total affinization degree of the
-    term below m.  The leading entry (m, 1, 0) is included.
+    """Rows of the expansion at an i-dominant m, in the row builder's
+    format: for _node_tail (the sl2 standard, the default) and _node_simple
+    each row is (data of term / m, coefficient, step count), where step
+    count is the total affinization degree of the term below m.  The
+    leading row ((), 1, 0) is included.  The caller applies the rows to m.
 
-    The rows come from the row builder rows (_node_tail, the sl2 standard,
-    by default; the fixpoint passes _node_simple) on m's node-i exponents.
-    With a memo dict they are built once per (i, node-i exponents) key and
-    reused; the caller owns the dict, uses it with one row builder and
-    decides how long it lives."""
+    The rows depend on m only through its node-i exponents.  With a memo
+    dict they are built once per (i, node-i exponents) key and reused; the
+    caller owns the dict, uses it with one row builder and decides how long
+    it lives."""
     ui = tuple((s, u) for j, s, u in m.data if j == i)
     got = None if memo is None else memo.get((i, ui))
     if got is None:
@@ -331,10 +332,7 @@ def _expansion_tail(
         got = rows(L, i, ui)
         if memo is not None:
             memo[(i, ui)] = got
-    data = m.data
-    mono_mul = kernels.mono_mul
-    wrap = YMonomial._wrap
-    return [(wrap(mono_mul(data, q)), p, deg) for q, p, deg in got]
+    return got
 
 
 def expand_E_i(L: LieType, m: YMonomial, i: int) -> dict:
@@ -342,7 +340,10 @@ def expand_E_i(L: LieType, m: YMonomial, i: int) -> dict:
     the twisted-binomial sums in inverse affinization steps, normalized
     against m like every character.  Returns a term dict whose coefficient
     at m itself is 1."""
-    return {mo: p for mo, p, _ in _expansion_tail(L, i, m)}
+    data = m.data
+    return {
+        YMonomial._wrap(kernels.mono_mul(data, q)): p for q, p, _ in _expansion_tail(L, i, m)
+    }
 
 
 # -- products -----------------------------------------------------------------
@@ -684,9 +685,10 @@ def in_slice_span(ch: QtCharacter, i: int) -> bool:
         if not m.is_i_dominant(i):
             return False
         neg = {e: -c for e, c in raw.items()}
-        for mm, p, deg in _expansion_tail(L, i, m, memo):
+        for q, p, deg in _expansion_tail(L, i, m, memo):
             if deg == 0:
                 continue
+            mm = YMonomial._wrap(kernels.mono_mul(m.data, q))
             slot = rem.get(mm)
             if slot is None:
                 rem[mm] = slot = {}

@@ -29,8 +29,16 @@ InconsistentExpansion, so a second dominant monomial fails loudly.
 An expansion at node i depends on m only through m's node-i exponents,
 and a run meets few distinct ones (279 for D4 KR(2,4), against 8,796
 expansions).  Each run therefore keeps one memo of expansion rows keyed
-by (i, node-i exponents); it lives as long as the run and each expansion
-then costs one monomial product per row.
+by (i, node-i exponents); it lives as long as the run.  The run keys its
+monomials by one packed integer (_level_key), additive under products,
+and each memoized row carries the key of its offset, so applying a row
+costs one integer add (39,540 rows for D4 KR(2,4)).  A monomial's factor
+tuple is merged once, when it is first pushed (9,885 times), for its
+negative colors, its node-i exponents and the output.  The key is exact
+because every term lies in a fixed level window, [min_s, max_s + h] of
+the top (h the Coxeter number), and its exponents are bounded by its
+depth, which the guard below bounds; a row that leaves the window raises
+InternalError.
 
 Every visited weight lies in the convex hull of the Weyl orbit of the
 top weight, and the lowest weight w0 wt occurs in every module, so a
@@ -41,6 +49,7 @@ from a wrong expansion, and raises InternalError.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 import heapq
 import itertools
@@ -65,28 +74,69 @@ from .tpoly import TPoly
 _ONE = {0: 1}
 
 
+def _level_key(lo: int, hi: int, limit: int):
+    """Packed integer key of monomials whose levels lie in [lo, hi] and
+    whose exponents stay within +-limit: each factor Y[i,s]^e adds e in a
+    balanced base-2^w digit at slot (i-1)*W + (s-lo), W = hi - lo + 1.  The
+    key is additive, key(m*q) = key(m) + key(q), and with 2^(w-1) > limit
+    every digit is below half the base, so distinct monomials get distinct
+    keys.  A factor outside the window raises InternalError."""
+    width = hi - lo + 1
+    w = limit.bit_length() + 1
+
+    def key(data: tuple) -> int:
+        out = 0
+        for i, s, e in data:
+            if not lo <= s <= hi:
+                raise InternalError(f"expansion left the level window [{lo}, {hi}] at Y[{i},{s}]")
+            out += e << (w * ((i - 1) * width + s - lo))
+        return out
+
+    return key
+
+
 def _fixpoint(L: LieType, poly: DrinfeldPoly) -> QtCharacter:
     top = poly.monomial()
     nodes = list(L.nodes)
-    expected = {i: {} for i in nodes}
-    depth = {top: 0}
-    # contributions only flow to deeper monomials, so the order within one
-    # depth is free and an insertion counter breaks ties
-    tick = itertools.count()
-    heap = [(0, next(tick), top)]
     # every visited weight lies in the convex hull of the top weight's Weyl
     # orbit, so no genuine run goes deeper than height(wt - w0 wt), where the
     # lowest weight sits; twice that plus slack stops a wrong expansion
     # before it fills memory
     lowest = _form(two_rho(L), top)
     bound = 2 * lowest + 4 * L.coxeter_number + 16
+    # Monomials are keyed by _level_key.  Every term of the module is top
+    # times A(i,a)^-1 factors with min_s < a < max_s + h, so its levels lie
+    # in the window below, and a row that leaves it fails when it is built.
+    # Rows are products of deg factors A^-1, each moving any exponent by at
+    # most 1, so a monomial at depth d <= bound has exponents within
+    # max|u_top| + bound: the key is exact as long as the depth is checked
+    # before the key is looked up.
+    levels = [s for _, s, _ in top.data] or [0]
+    key = _level_key(
+        min(levels),
+        max(levels) + L.coxeter_number,
+        max((abs(e) for _, _, e in top.data), default=0) + bound,
+    )
+
+    def keyed_rows(L, i, ui):
+        return [(q, key(q), p, deg) for q, p, deg in _node_simple(L, i, ui)]
+
+    top_key = key(top.data)
+    mono = {top_key: top}
+    expected = {i: {} for i in nodes}
+    depth = {top_key: 0}
+    # contributions only flow to deeper monomials, so the order within one
+    # depth is free and an insertion counter breaks ties
+    tick = itertools.count()
+    heap = [(0, next(tick), top_key)]
     coeffs: dict = {}
     memo: dict = {}  # node-i expansion rows per (i, node-i exponents), this run only
     while heap:
-        d, _, m = heapq.heappop(heap)
+        d, _, k = heapq.heappop(heap)
+        m = mono[k]
         # colors for which m is not dominant
         neg = {j for j, _, e in m.data if e < 0}
-        if m == top:
+        if k == top_key:
             a = dict(_ONE)
         else:
             pinned = None
@@ -94,7 +144,7 @@ def _fixpoint(L: LieType, poly: DrinfeldPoly) -> QtCharacter:
             for i in nodes:
                 if i not in neg:
                     continue
-                val = expected[i].get(m, {})
+                val = expected[i].get(k, {})
                 if have_pin:
                     if val != pinned:
                         raise InconsistentExpansion(
@@ -106,32 +156,34 @@ def _fixpoint(L: LieType, poly: DrinfeldPoly) -> QtCharacter:
                 a = pinned
             else:
                 # interior monomial dominant for every color
-                if any(expected[i].get(m) for i in nodes):
+                if any(expected[i].get(k) for i in nodes):
                     raise InconsistentExpansion(f"interior dominant monomial {m} reached")
                 a = {}
         if a:
-            coeffs[m] = a
+            coeffs[k] = a
         for i in nodes:
             if i in neg:
                 continue
-            combo = kernels.poly_sub(a, expected[i].pop(m, {}))
+            combo = kernels.poly_sub(a, expected[i].pop(k, {}))
             if not combo:
                 continue
-            for mm, p, deg in _expansion_tail(L, i, m, memo, rows=_node_simple):
+            for q, kq, p, deg in _expansion_tail(L, i, m, memo, rows=keyed_rows):
                 if deg == 0:
                     continue
                 dd = d + deg
-                seen = depth.get(mm)
+                if dd > bound:
+                    raise InternalError(f"expansion reached depth {dd} past the bound {bound}")
+                kk = k + kq
+                seen = depth.get(kk)
                 if seen is None:
-                    if dd > bound:
-                        raise InternalError(f"expansion reached depth {dd} past the bound {bound}")
-                    depth[mm] = dd
-                    heapq.heappush(heap, (dd, next(tick), mm))
+                    depth[kk] = dd
+                    mono[kk] = YMonomial._wrap(kernels.mono_mul(m.data, q))
+                    heapq.heappush(heap, (dd, next(tick), kk))
                 elif seen != dd:
-                    raise InternalError(f"depth mismatch at {mm}: {seen} vs {dd}")
-                slot = expected[i].get(mm)
+                    raise InternalError(f"depth mismatch at {mono[kk]}: {seen} vs {dd}")
+                slot = expected[i].get(kk)
                 if slot is None:
-                    expected[i][mm] = slot = {}
+                    expected[i][kk] = slot = {}
                 kernels.poly_acc_mul(slot, combo, p.terms, 0)
     # a run that stops above the lowest weight lost a branch of expansions
     deepest = max(depth.values())
@@ -139,7 +191,7 @@ def _fixpoint(L: LieType, poly: DrinfeldPoly) -> QtCharacter:
         raise InternalError(
             f"expansion stopped at depth {deepest}, but the lowest weight sits at depth {lowest}"
         )
-    return QtCharacter(L, poly, {m: TPoly._wrap(a) for m, a in coeffs.items()})
+    return QtCharacter(L, poly, {mono[k]: TPoly._wrap(a) for k, a in coeffs.items()})
 
 
 @dataclass
@@ -215,8 +267,14 @@ class Engine:
         if self.cache_dir:
             path = self._cache_path(stem)
             tmp = f"{path}.tmp.{os.getpid()}"
-            write_qtc(tmp, ch)
-            os.replace(tmp, path)
+            try:
+                write_qtc(tmp, ch)
+                os.replace(tmp, path)
+            except BaseException:
+                # leave no partial file behind, whatever stopped the write
+                with contextlib.suppress(OSError):
+                    os.remove(tmp)
+                raise
         return ch
 
     # -- module characters ----------------------------------------------------

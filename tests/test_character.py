@@ -133,7 +133,7 @@ def _popped_monomials(L, poly, monkeypatch) -> list:
 
     def record(L, i, m, memo=None, **kw):
         out = inner(L, i, m, memo, **kw)
-        seen.update(mm for mm, _, _ in out)
+        seen.update(m * YMonomial._wrap(row[0]) for row in out)
         return out
 
     with monkeypatch.context() as mp:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+import random
 import time
 
 import pytest
@@ -18,7 +20,7 @@ from qtchar import (
     read_qtc,
 )
 import qtchar.engine
-from qtchar.engine import _fixpoint
+from qtchar.engine import _fixpoint, _level_key
 
 
 def test_fundamental_a2_exact(engine_for, A2):
@@ -111,13 +113,62 @@ def test_fixpoint_depth_guard_stops_wrong_expansion(D4, monkeypatch):
         got = shared.get(ui)
         if got is None:
             got = shared[ui] = rows(L, i, ui)
-        return [(m * YMonomial._wrap(q), p, deg) for q, p, deg in got]
+        return got
 
     monkeypatch.setattr(qtchar.engine, "_expansion_tail", nodeless_tail)
     t0 = time.perf_counter()
     with pytest.raises(InternalError, match="past the bound|lowest weight"):
         _fixpoint(D4, DrinfeldPoly.kr(2, 2, 0))
     assert time.perf_counter() - t0 < 10.0
+
+
+def test_fixpoint_stops_neighbour_rows(A2, D4, monkeypatch):
+    # rows of a neighbour node shift node i's levels by one, so the next
+    # node-i pattern mixes level parities and the run stops at once
+    inner = qtchar.engine._node_simple
+
+    def neighbour_rows(L, i, ui):
+        return inner(L, L.neighbors(i)[0], ui)
+
+    monkeypatch.setattr(qtchar.engine, "_node_simple", neighbour_rows)
+    for L, poly in ((A2, DrinfeldPoly.kr(1, 2, 0)), (D4, DrinfeldPoly.kr(2, 2, 0))):
+        with pytest.raises(InternalError, match="parities"):
+            _fixpoint(L, poly)
+
+
+def test_level_key_is_additive_and_injective():
+    # every monomial on two nodes and two levels with exponents up to the
+    # limit 3, the largest one a 3-bit digit holds: all keys distinct
+    key = _level_key(5, 6, 3)
+    grid = [
+        tuple((i, s, e) for (i, s), e in zip(((1, 5), (1, 6), (2, 5), (2, 6)), es) if e)
+        for es in itertools.product(range(-3, 4), repeat=4)
+    ]
+    assert len({key(d) for d in grid}) == len(grid) == 7**4
+    # random monomials on four nodes over a wider window
+    rng = random.Random(9)
+    lo, hi, limit = -3, 12, 40
+    key = _level_key(lo, hi, limit)
+
+    def draw():
+        slots = rng.sample([(i, s) for i in range(1, 5) for s in range(lo, hi + 1)], rng.randint(0, 12))
+        return YMonomial((i, s, rng.choice((-1, 1)) * rng.randint(1, limit)) for i, s in slots)
+
+    monos = {draw() for _ in range(2000)}
+    assert len({key(m.data) for m in monos}) == len(monos)
+    for m1, m2 in zip(list(monos)[::2], list(monos)[1::2]):
+        assert key((m1 * m2).data) == key(m1.data) + key(m2.data)
+
+
+def test_fixpoint_rejects_rows_past_the_level_window(D4, monkeypatch):
+    inner = qtchar.engine._node_simple
+
+    def shifted_rows(L, i, ui):
+        return [(tuple((j, s + 40, e) for j, s, e in q), p, deg) for q, p, deg in inner(L, i, ui)]
+
+    monkeypatch.setattr(qtchar.engine, "_node_simple", shifted_rows)
+    with pytest.raises(InternalError, match="window"):
+        _fixpoint(D4, DrinfeldPoly.kr(2, 2, 0))
 
 
 def test_standard_empty_and_single(engine_for, A2):
@@ -279,6 +330,20 @@ def test_disk_cache_rejects_truncated_entry(A2, tmp_path):
         assert Engine(A2, str(cache)).kr_char_direct(1, 2) == fresh
         # the cut entry was rewritten
         assert read_qtc(path) == fresh
+
+
+def test_disk_cache_failed_write_leaves_no_temp_file(A2, tmp_path, monkeypatch):
+    cache = tmp_path / "qc"
+
+    def partial_write(path, ch):
+        with open(path, "w") as f:
+            f.write("# qtc v1\n")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(qtchar.engine, "write_qtc", partial_write)
+    with pytest.raises(OSError, match="disk full"):
+        Engine(A2, str(cache)).kr_char_direct(1, 2)
+    assert [p.name for p in cache.iterdir()] == []
 
 
 def test_memory_cache_reuses_objects(A2):

@@ -38,8 +38,9 @@ CHARACTERS = [
 ]
 
 # (type, node, string length, digest): patterns deeper than length 2.  The
-# first two were computed before the node expansion was memoized, the rest
-# before the fixpoint switched from standard to simple rows; the D4 KR(2,4)
+# first two were computed before the node expansion was memoized, the next
+# three before the fixpoint switched from standard to simple rows, and D4
+# KR(2,5) before monomials were keyed by packed integers; the D4 KR(2,4)
 # digest is also perfbench's fixpoint_cold reference
 DEEPER = [
     ("D4", 2, 3, "0cc2321543e11431d8356979fcdc42c6d989b79cf31871945a4c420563f72e80"),
@@ -47,6 +48,7 @@ DEEPER = [
     ("D4", 2, 4, "ed816c100c8edd03f54a3df0d43c75e882d002c043491201f15921f51a9e2183"),
     ("D5", 3, 2, "ea46843653f3d3212df9303049050a92da2c7ed998515ebe7f65cdadff725277"),
     ("E8", 1, 1, "8f08f3f4f8fa98033fd91f2866b9f4c18076b859ba54e40162b5846e667cbef6"),
+    ("D4", 2, 5, "4ecf24620231d2a702b96cd16097b4cd3e72853442677a3167cc8ef372f6a00c"),
 ]
 
 D4_P_2_02_STANDARD = "9427def67985c424160f985853c7f2ff0eed65cac0216e69d6c83100576c651e"

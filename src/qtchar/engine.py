@@ -20,11 +20,14 @@ terms of the character (9,885 for D4 KR(2,4)).  The sl2 standard rows
 span the same space but carry signs, and would visit four times as many
 monomials there.
 
-The run supports one dominant monomial, the top.  A module whose
-character lies in K_t with no other dominant monomial (every KR module,
-by the paper's theorem) is built exactly; an interior monomial dominant
-for every color with a nonzero accumulated coefficient raises
-InconsistentExpansion, so a second dominant monomial fails loudly.
+An element of K_t is fixed by its coefficients at its dominant
+monomials (Hernandez, math/0212257), and the run builds it from them:
+each pinned monomial waits in the heap at its depth, and when popped, an
+interior monomial dominant for every color takes its pin.  One that has
+no pin but has accumulated a nonzero coefficient raises
+InconsistentExpansion.  By default the top alone is pinned, to 1, so a
+module with one dominant monomial (every KR module, by the paper's
+theorem) is built exactly and a second dominant monomial fails loudly.
 
 An expansion at node i depends on m only through m's node-i exponents,
 and a run meets few distinct ones (279 for D4 KR(2,4), against 8,796
@@ -45,6 +48,17 @@ top weight, and the lowest weight w0 wt occurs in every module, so a
 genuine run reaches depth height(wt - w0 wt) exactly.  A run deeper than
 twice that (plus slack), or one that stops short of it, can only come
 from a wrong expansion, and raises InternalError.
+
+The triangular decomposition reads standards only at their dominant
+monomials, so it never builds them: dominant_product over the
+fundamentals gives each standard's dominant part
+(Engine._standard_dominant), and from those come the closure of root
+data and the matrices c, z and l.  Each simple is then built from its
+l-row.  A string's is its string character, and its row must be the
+diagonal, as the paper's theorem says.  A root datum of two bipartite
+classes is the product of its halves' simples.  Any other is one run
+pinned to the row; the pinned run serves one class only, since
+_node_simple rejects a node pattern that mixes level parities.
 """
 
 from __future__ import annotations
@@ -62,17 +76,22 @@ from .character import (
     _expansion_tail,
     _form,
     _node_simple,
+    dominant_product,
     multiply_standard,
     read_qtc,
+    star_product,
     write_qtc,
 )
-from .errors import DomainError, InconsistentExpansion, InternalError, QtcharError
-from .monomial import ONE_MONO, YMonomial, v_factorization
+from .errors import (
+    DomainError,
+    InconsistentExpansion,
+    InternalError,
+    NotComparable,
+    QtcharError,
+)
+from .monomial import ONE_MONO, EpsilonTable, YMonomial, v_factorization
 from .roots import LieType, two_rho
 from .tpoly import TPoly
-
-_ONE = {0: 1}
-
 
 def _level_key(lo: int, hi: int, limit: int):
     """Packed integer key of monomials whose levels lie in [lo, hi] and
@@ -95,8 +114,15 @@ def _level_key(lo: int, hi: int, limit: int):
     return key
 
 
-def _fixpoint(L: LieType, poly: DrinfeldPoly) -> QtCharacter:
+def _fixpoint(L: LieType, poly: DrinfeldPoly, pins: dict | None = None) -> QtCharacter:
+    """The element of K_t with highest monomial poly.monomial() whose
+    l-dominant coefficients are pins ({monomial: TPoly}); by default the
+    top alone, with coefficient 1."""
     top = poly.monomial()
+    if pins is None:
+        pins = {top: TPoly.ONE}
+    if pins.get(top) != TPoly.ONE:
+        raise InternalError(f"the top {top} must be pinned to 1")
     nodes = list(L.nodes)
     # every visited weight lies in the convex hull of the top weight's Weyl
     # orbit, so no genuine run goes deeper than height(wt - w0 wt), where the
@@ -121,14 +147,30 @@ def _fixpoint(L: LieType, poly: DrinfeldPoly) -> QtCharacter:
     def keyed_rows(L, i, ui):
         return [(q, key(q), p, deg) for q, p, deg in _node_simple(L, i, ui)]
 
-    top_key = key(top.data)
-    mono = {top_key: top}
+    mono: dict = {}
     expected = {i: {} for i in nodes}
-    depth = {top_key: 0}
+    depth: dict = {}
     # contributions only flow to deeper monomials, so the order within one
     # depth is free and an insertion counter breaks ties
     tick = itertools.count()
-    heap = [(0, next(tick), top_key)]
+    heap = []
+    # each pinned monomial waits in the heap at its depth, whether or not an
+    # expansion reaches it
+    pinned: dict = {}
+    for m, p in pins.items():
+        if not m.is_l_dominant():
+            raise InternalError(f"pin at {m}, which is not dominant")
+        try:
+            d = sum(v_factorization(L, m, top).values()) if m != top else 0
+        except NotComparable:
+            raise InternalError(f"pin at {m}, which is not below the top {top}") from None
+        if d > bound:
+            raise InternalError(f"pin at {m}, at depth {d} past the bound {bound}")
+        k = key(m.data)
+        pinned[k] = dict(p.terms)
+        mono[k] = m
+        depth[k] = d
+        heapq.heappush(heap, (d, next(tick), k))
     coeffs: dict = {}
     memo: dict = {}  # node-i expansion rows per (i, node-i exponents), this run only
     while heap:
@@ -136,26 +178,20 @@ def _fixpoint(L: LieType, poly: DrinfeldPoly) -> QtCharacter:
         m = mono[k]
         # colors for which m is not dominant
         neg = {j for j, _, e in m.data if e < 0}
-        if k == top_key:
-            a = dict(_ONE)
-        else:
-            pinned = None
-            have_pin = False
-            for i in nodes:
-                if i not in neg:
-                    continue
-                val = expected[i].get(k, {})
-                if have_pin:
-                    if val != pinned:
-                        raise InconsistentExpansion(
-                            f"colors disagree at {m}: {val} vs {pinned}"
-                        )
-                else:
-                    pinned, have_pin = val, True
-            if have_pin:
-                a = pinned
-            else:
-                # interior monomial dominant for every color
+        a = None
+        for i in nodes:
+            if i not in neg:
+                continue
+            val = expected[i].get(k, {})
+            if a is None:
+                a = val
+            elif val != a:
+                raise InconsistentExpansion(f"colors disagree at {m}: {val} vs {a}")
+        if a is None:
+            # dominant for every color: the top or an interior monomial,
+            # which must be pinned once anything has reached it
+            a = pinned.get(k)
+            if a is None:
                 if any(expected[i].get(k) for i in nodes):
                     raise InconsistentExpansion(f"interior dominant monomial {m} reached")
                 a = {}
@@ -201,9 +237,12 @@ class KLResult:
     factors lists (root datum, multiplicity of its simple inside the
     input standard), the input itself first with multiplicity 1.  order
     lists the closure of root data from shallowest (the input) to
-    deepest; c, z, l are matrices over that order, keyed by index pairs;
-    z rows give multiplicities of simples inside standards, l rows are
-    the simple characters evaluated at dominant monomials."""
+    deepest; c, z, l are matrices over that order, keyed by index pairs.
+    c rows are the standards at the dominant monomials, read from their
+    dominant parts alone; z rows give multiplicities of simples inside
+    standards, l rows are the simple characters evaluated at dominant
+    monomials.  simples holds the simple character of every root datum
+    in order."""
 
     standard: DrinfeldPoly
     factors: list
@@ -213,7 +252,6 @@ class KLResult:
     c: dict
     z: dict
     l: dict
-    standards: dict
 
     def multiplicity(self, sub: DrinfeldPoly) -> TPoly:
         try:
@@ -221,6 +259,63 @@ class KLResult:
         except ValueError:
             return TPoly.ZERO
         return self.z.get((0, j), TPoly.ZERO)
+
+
+def _top_normalized(terms: dict, top: YMonomial) -> dict:
+    """terms divided by their coefficient at top, which must be a single
+    power of t."""
+    lead = terms.get(top, TPoly.ZERO).terms
+    if len(lead) != 1 or 1 not in lead.values():
+        raise InternalError(f"top coefficient {terms.get(top)} at {top} is not a power of t")
+    (e,) = lead
+    return {m: p.shifted(-e) for m, p in terms.items()} if e else terms
+
+
+def _fold_order(poly: DrinfeldPoly) -> list:
+    """The roots of poly in ascending spectral order, the order in which
+    standards fold their fundamentals; it always meets the separation
+    condition."""
+    return sorted(poly.roots, key=lambda r: (r[1], r[0]))
+
+
+def _string_of(poly: DrinfeldPoly):
+    """(i, k, s) when poly is the string DrinfeldPoly.kr(i, k, s), k >= 1;
+    otherwise None."""
+    if not poly.roots:
+        return None
+    i, s = poly.roots[0]
+    k = len(poly.roots)
+    return (i, k, s) if poly == DrinfeldPoly.kr(i, k, s) else None
+
+
+def _class_halves(L: LieType, poly: DrinfeldPoly) -> list:
+    """The nonempty parts of poly by bipartite class: the root (i, s) lies
+    in class s + colour(i) mod 2, for a 2-colouring of the Dynkin diagram.
+    Every factor of A(i, s) lies in the class of Y[i, s+1], so characters
+    of the two classes live on disjoint variables, and the commutation
+    exponent between them vanishes."""
+    colour = {1: 0}
+    work = [1]
+    while work:
+        i = work.pop()
+        for j in L.neighbors(i):
+            if j not in colour:
+                colour[j] = 1 - colour[i]
+                work.append(j)
+    halves: tuple = ([], [])
+    for i, s in poly.roots:
+        halves[(s + colour[i]) % 2].append((i, s))
+    return [DrinfeldPoly(h) for h in halves if h]
+
+
+def _mono_poly(m: YMonomial) -> DrinfeldPoly:
+    """The root datum whose monomial is the dominant m."""
+    return DrinfeldPoly((i, s) for i, s, e in m.data for _ in range(e))
+
+
+def _l_row(order: tuple, l: dict, ai: int) -> dict:
+    """Row ai of l as {dominant monomial: coefficient}."""
+    return {order[ci].monomial(): p for (a, ci), p in l.items() if a == ai}
 
 
 class Engine:
@@ -236,6 +331,10 @@ class Engine:
         self._base: dict = {}
         self._standard: dict = {}
         self._kl: dict = {}
+        self._dominant: dict = {}
+        self._triangles: dict = {}
+        self._simples: dict = {}
+        self._table = EpsilonTable(L)
         if cache_dir:
             os.makedirs(cache_dir, exist_ok=True)
 
@@ -312,7 +411,7 @@ class Engine:
         if not poly.roots:
             ch = QtCharacter(self.L, poly, {ONE_MONO: TPoly.ONE})
         else:
-            parts = sorted(poly.roots, key=lambda r: (r[1], r[0]))
+            parts = _fold_order(poly)
             i0, s0 = parts[0]
             acc = DrinfeldPoly.fundamental(i0, s0)
             ch = self.fundamental_char(i0, s0)
@@ -325,44 +424,44 @@ class Engine:
 
     # -- triangular decomposition ----------------------------------------------
 
-    def kl_decompose(self, poly: DrinfeldPoly) -> KLResult:
-        got = self._kl.get(poly.roots)
+    def _standard_dominant(self, poly: DrinfeldPoly) -> dict:
+        """The l-dominant terms of standard_char(poly), without building
+        it: dominant_product over the fundamentals in standard_char's
+        order, divided by its top coefficient (the twisted product and
+        multiply_standard differ by one global power of t)."""
+        got = self._dominant.get(poly.roots)
+        if got is None:
+            factors = [self.fundamental_char(i, s) for i, s in _fold_order(poly)]
+            raw = dominant_product(self.L, factors, self._table)
+            got = self._dominant[poly.roots] = _top_normalized(raw, poly.monomial())
+        return got
+
+    def _triangle(self, poly: DrinfeldPoly) -> tuple:
+        """(order, c, z, l) of poly's standard, from the standards'
+        dominant parts alone; memoized."""
+        got = self._triangles.get(poly.roots)
         if got is not None:
             return got
-        L = self.L
-        top = poly.monomial()
 
         # closure of root data under taking dominant monomials of standards
-        def mono_poly(m: YMonomial) -> DrinfeldPoly:
-            roots = []
-            for i, s, e in m.data:
-                roots.extend([(i, s)] * e)
-            return DrinfeldPoly(roots)
-
         seen = {poly}
         work = [poly]
-        standards = {}
         while work:
-            q = work.pop()
-            ch = self.standard_char(q)
-            standards[q] = ch
-            for m in ch.terms:
-                if m.is_l_dominant():
-                    q2 = mono_poly(m)
-                    if q2 not in seen:
-                        seen.add(q2)
-                        work.append(q2)
+            for m in self._standard_dominant(work.pop()):
+                q2 = _mono_poly(m)
+                if q2 not in seen:
+                    seen.add(q2)
+                    work.append(q2)
 
-        def depth_of(q: DrinfeldPoly) -> int:
-            return sum(v_factorization(L, q.monomial(), top).values())
-
-        order = tuple(sorted(seen, key=lambda q: (depth_of(q), q.roots)))
+        # the two_rho form falls by twice the depth below the top
+        rho2 = two_rho(self.L)
+        order = tuple(sorted(seen, key=lambda q: (-_form(rho2, q.monomial()), q.roots)))
         n = len(order)
         monos = [q.monomial() for q in order]
 
         c: dict = {}
         for ai, qa in enumerate(order):
-            terms = standards[qa].terms
+            terms = self._standard_dominant(qa)
             for bi in range(ai, n):
                 val = terms.get(monos[bi])
                 if val:
@@ -407,29 +506,57 @@ class Engine:
                 if lpoly:
                     lw[(ai, ci)] = lpoly
 
-        simples: dict = {}
-        for ai in range(n - 1, -1, -1):
-            terms = dict(standards[order[ai]].terms)
-            for bi in range(ai + 1, n):
-                zab = z.get((ai, bi))
-                if not zab:
-                    continue
-                for m, p in simples[order[bi]].terms.items():
-                    q = terms.get(m)
-                    r = (q - zab * p) if q is not None else -(zab * p)
-                    if r:
-                        terms[m] = r
-                    else:
-                        terms.pop(m, None)
-            simples[order[ai]] = QtCharacter(L, order[ai], terms)
+        got = self._triangles[poly.roots] = (order, c, z, lw)
+        return got
 
-        factors = [(order[bi], z[(0, bi)]) for bi in range(n) if (0, bi) in z]
-        res = KLResult(poly, factors, simples, L, order, c, z, lw, standards)
+    def _simple(self, poly: DrinfeldPoly, row: dict) -> QtCharacter:
+        """The simple character of poly from its l-row, {dominant monomial:
+        l(poly, m)}; memoized.  A string takes its character from the
+        engine, and its row must hold the diagonal alone (the paper's
+        theorem).  A root datum of two bipartite classes is the product of
+        its halves' simples, which must match the row.  Any other root
+        datum is one fixpoint run pinned to the row."""
+        got = self._simples.get(poly.roots)
+        if got is not None:
+            return got
+        L = self.L
+        top = poly.monomial()
+        string = _string_of(poly)
+        halves = _class_halves(L, poly)
+        if string:
+            if row != {top: TPoly.ONE}:
+                raise InternalError(f"the l-row of the string {poly} holds more than its diagonal")
+            ch = self.kr_char_direct(*string)
+        elif len(halves) == 2:
+            terms = _top_normalized(
+                star_product(L, *(self.simple_char(h) for h in halves), self._table), top
+            )
+            if {m: p for m, p in terms.items() if m.is_l_dominant()} != row:
+                raise InternalError(f"the product of the classes of {poly} differs from its l-row")
+            ch = QtCharacter(L, poly, terms)
+        else:
+            ch = _fixpoint(L, poly, row)
+        self._simples[poly.roots] = ch
+        return ch
+
+    def kl_decompose(self, poly: DrinfeldPoly) -> KLResult:
+        got = self._kl.get(poly.roots)
+        if got is not None:
+            return got
+        order, c, z, l = self._triangle(poly)
+        simples = {q: self._simple(q, _l_row(order, l, ai)) for ai, q in enumerate(order)}
+        factors = [(order[bi], z[(0, bi)]) for bi in range(len(order)) if (0, bi) in z]
+        res = KLResult(poly, factors, simples, self.L, order, c, z, l)
         self._kl[poly.roots] = res
         return res
 
     def simple_char(self, poly: DrinfeldPoly) -> QtCharacter:
-        return self.kl_decompose(poly).simples[poly]
+        """The simple character of poly alone: row 0 of its own triangle."""
+        got = self._simples.get(poly.roots)
+        if got is None:
+            order, _, _, l = self._triangle(poly)
+            got = self._simple(poly, _l_row(order, l, 0))
+        return got
 
 
 _DEFAULT_ENGINES: dict = {}

@@ -305,7 +305,7 @@ def verify_kr_tensor_split(L: LieType, i: int, k: int, engine: Engine | None = N
     q = DrinfeldPoly.kr(i, k - 1, 0)
     for j in L.neighbors(i):
         q = q * DrinfeldPoly.fundamental(j, 2 * k - 1)
-    second = eng.kl_decompose(q).simples[q]
+    second = eng.simple_char(q)
 
     def sides(product) -> tuple:
         lhs = product([eng.kr_char_direct(i, k, 0), eng.fundamental_char(i, 2 * k)])

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from qtchar import Engine, build_lie_type
+from qtchar import Engine, QtCharacter, TPoly, build_lie_type
 
 
 @pytest.fixture(scope="session")
@@ -50,3 +50,30 @@ def engine_for(engines):
         return engines[(L.family, L.rank)]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def subtraction_simples():
+    """Reference simples of a KLResult by the subtraction route, independent
+    of the fixpoint runs that build res.simples: deepest row first, each
+    simple is the full standard character minus the z-weighted simples
+    below it."""
+
+    def build(eng, res) -> dict:
+        out: dict = {}
+        for ai in range(len(res.order) - 1, -1, -1):
+            terms = dict(eng.standard_char(res.order[ai]).terms)
+            for bi in range(ai + 1, len(res.order)):
+                zab = res.z.get((ai, bi))
+                if not zab:
+                    continue
+                for m, p in out[res.order[bi]].terms.items():
+                    r = terms.get(m, TPoly.ZERO) - zab * p
+                    if r:
+                        terms[m] = r
+                    else:
+                        terms.pop(m, None)
+            out[res.order[ai]] = QtCharacter(eng.L, res.order[ai], terms)
+        return out
+
+    return build

@@ -95,12 +95,14 @@ def test_criterion_02_standard_nine_monomials():
     _conclude(2, failures)
 
 
-def test_criterion_03_triangular_factors_and_simple():
+def test_criterion_03_triangular_factors_and_simple(subtraction_simples):
     t0 = time.perf_counter()
     eng = Engine(build_lie_type("A", 2))
     P = DrinfeldPoly.kr(1, 2, 0)
     res = eng.kl_decompose(P)
-    simple = res.simples[P]
+    # the decomposition takes a string's simple from its fixpoint, so the
+    # subtraction route is the independent one
+    simple = subtraction_simples(eng, res)[P]
     direct = eng.kr_char_direct(1, 2, 0)
     elapsed = time.perf_counter() - t0
     failures = []
@@ -111,6 +113,8 @@ def test_criterion_03_triangular_factors_and_simple():
         failures.append(f"simple has {len(simple)} monomials")
     if simple != direct:
         failures.append("simple differs from direct string character")
+    if res.simples[P] != simple:
+        failures.append("decomposition's simple differs from the subtraction route")
     if elapsed >= 1.0:
         failures.append(f"too slow: {elapsed:.2f}s")
     _conclude(3, failures)

@@ -205,14 +205,15 @@ def test_fixpoint_pops_only_terms(D4, D5, monkeypatch):
 # -- sl2 simple rows -------------------------------------------------------------
 
 
-def _rank_one_rows(L, i, eng, ui) -> dict:
-    """The A1 simple of the node-i pattern ui from the triangular route,
-    as rows of L keyed by data: each A(1,s) step becomes A(i,s)."""
+def _rank_one_rows(L, i, eng, ui, subtraction_simples) -> dict:
+    """The A1 simple of the node-i pattern ui from the subtraction route
+    (the fixpoint would expand by _node_simple itself), as rows of L keyed
+    by data: each A(1,s) step becomes A(i,s)."""
     A1 = eng.L
     poly = DrinfeldPoly((1, s) for s, u in ui for _ in range(u))
     top = poly.monomial()
     out = {}
-    for m, p in eng.kl_decompose(poly).simples[poly].terms.items():
+    for m, p in subtraction_simples(eng, eng.kl_decompose(poly))[poly].terms.items():
         v = v_factorization(A1, m, top)
         q = YMonomial()
         for (_, s), n in v.items():
@@ -225,7 +226,7 @@ def _rows_by_data(rows) -> dict:
     return {q: (p, deg) for q, p, deg in rows}
 
 
-def test_node_simple_matches_rank_one_simple(A1, D4):
+def test_node_simple_matches_rank_one_simple(A1, D4, subtraction_simples):
     rng = random.Random(20)
     eng = Engine(A1)
     for _ in range(300):
@@ -236,7 +237,7 @@ def test_node_simple_matches_rank_one_simple(A1, D4):
         rows = character._node_simple(D4, i, ui)
         assert rows[0] == ((), TPoly.ONE, 0)
         assert all(p.has_nonneg_coeffs() for _, p, _ in rows)
-        assert _rows_by_data(rows) == _rank_one_rows(D4, i, eng, ui), ui
+        assert _rows_by_data(rows) == _rank_one_rows(D4, i, eng, ui, subtraction_simples), ui
 
 
 def test_node_simple_is_standard_in_general_position(A2, D4):

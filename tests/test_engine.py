@@ -88,12 +88,13 @@ def test_head_mode_rejects_interior_dominant(A2):
         ("D", 4, ((1, 0), (3, 0))),
     ],
 )
-def test_fixpoint_builds_special_simples(family, rank, roots, engine_for):
+def test_fixpoint_builds_special_simples(family, rank, roots, engine_for, subtraction_simples):
     # beyond strings: a simple with a single dominant monomial is the
-    # fixpoint's output, here against the triangular route
+    # fixpoint's output, here against the subtraction route
     L = build_lie_type(family, rank)
     poly = DrinfeldPoly(roots)
-    simple = engine_for(L).simple_char(poly)
+    eng = engine_for(L)
+    simple = subtraction_simples(eng, eng.kl_decompose(poly))[poly]
     assert [m for m in simple.terms if m.is_l_dominant()] == [poly.monomial()]
     assert _fixpoint(L, poly) == simple
 
@@ -186,7 +187,7 @@ def test_standard_dimension_is_product(engine_for, A2):
     assert st2.dimension() == 9
 
 
-def test_kl_decompose_two_string(engine_for, A2):
+def test_kl_decompose_two_string(engine_for, A2, subtraction_simples):
     eng = engine_for(A2)
     P = DrinfeldPoly.kr(1, 2, 0)
     res = eng.kl_decompose(P)
@@ -196,7 +197,7 @@ def test_kl_decompose_two_string(engine_for, A2):
     assert got == {"P(1: 0 2)": "1", "P(2: 1)": "t^-1"}
     simple = res.simples[P]
     assert len(simple) == 6
-    assert simple == eng.kr_char_direct(1, 2)
+    assert simple == eng.kr_char_direct(1, 2) == subtraction_simples(eng, res)[P]
     assert res.multiplicity(DrinfeldPoly.fundamental(2, 1)) == parse_tpoly("t^-1")
     assert res.multiplicity(DrinfeldPoly.kr(1, 7, 0)) == TPoly.ZERO
 
@@ -239,11 +240,132 @@ def test_kl_standard_resolves_into_simples(engine_for, A2):
     assert acc == dict(eng.standard_char(P).items())
 
 
-def test_simple_char_route_matches_direct(engine_for, A2, A3):
+def test_simple_char_route_matches_direct(engine_for, A2, A3, subtraction_simples):
+    # a string's simple is its fixpoint character; the subtraction route
+    # checks it independently
     for L, i, k in ((A2, 1, 3), (A2, 2, 2), (A3, 2, 2)):
         eng = engine_for(L)
         P = DrinfeldPoly.kr(i, k, 0)
-        assert eng.simple_char(P) == eng.kr_char_direct(i, k)
+        reference = subtraction_simples(eng, eng.kl_decompose(P))[P]
+        assert eng.simple_char(P) == eng.kr_char_direct(i, k) == reference
+
+
+SUBTRACTION_CASES = [
+    ("A", 3, DrinfeldPoly.kr(2, 4, 0)),
+    ("D", 4, DrinfeldPoly.kr(2, 3, 0)),
+    ("D", 4, DrinfeldPoly.kr(1, 4, 0)),
+    ("D", 5, DrinfeldPoly.kr(3, 2, 0)),
+    ("E", 6, DrinfeldPoly.kr(1, 2, 0)),
+    ("A", 3, DrinfeldPoly(((2, 0), (2, 1), (2, 2)))),
+    ("A", 2, DrinfeldPoly(((1, 0), (1, 1), (1, 2), (2, 1), (2, 3)))),
+]
+
+
+@pytest.mark.parametrize("family, rank, poly", SUBTRACTION_CASES, ids=lambda x: str(x))
+def test_simples_match_subtraction_route(family, rank, poly, engines, subtraction_simples):
+    # every simple of the closure (fixpoints pinned to l-rows, strings and
+    # class products) against standard minus z-weighted simples below it
+    L = build_lie_type(family, rank)
+    eng = engines.get((family, rank)) or Engine(L)
+    res = eng.kl_decompose(poly)
+    assert subtraction_simples(eng, res) == res.simples
+    # the dominant data the decomposition reads, against the full standards
+    for q in res.order:
+        full = {m: p for m, p in eng.standard_char(q).terms.items() if m.is_l_dominant()}
+        assert eng._standard_dominant(q) == full, q
+
+
+def test_kr_rows_hold_only_the_diagonal():
+    # the paper's theorem read from dominant data alone: a KR module has one
+    # dominant monomial, so l-row 0 of its root datum is the diagonal
+    cases = [("D", 5, i, k) for i in range(1, 6) for k in (1, 2)]
+    cases += [("E", 6, i, k) for i in (1, 2) for k in (1, 2)]
+    cases += [("E", 7, 7, 2)]
+    cases += [("D", 4, 2, k) for k in (1, 2, 3, 4)]
+    engines: dict = {}
+    for family, rank, i, k in cases:
+        eng = engines.get((family, rank))
+        if eng is None:
+            eng = engines[(family, rank)] = Engine(build_lie_type(family, rank))
+        order, _, _, l = eng._triangle(DrinfeldPoly.kr(i, k, 0))
+        assert [ci for (ai, ci) in l if ai == 0] == [0], (family, rank, i, k)
+
+
+def test_simple_char_runs_only_its_own_fixpoint(D4, monkeypatch):
+    # D4 KR(2,4) has 48 root data in its closure; its simple needs the
+    # fundamentals (for the dominant data) and its own fixpoint, no other
+    runs = []
+    inner = qtchar.engine._fixpoint
+
+    def counting(L, poly, pins=None):
+        runs.append(poly)
+        return inner(L, poly, pins)
+
+    monkeypatch.setattr(qtchar.engine, "_fixpoint", counting)
+    P = DrinfeldPoly.kr(2, 4, 0)
+    eng = Engine(D4)
+    simple = eng.simple_char(P)
+    assert len(eng._triangle(P)[0]) == 48
+    want = [DrinfeldPoly.fundamental(i, 0) for i in (1, 2, 3, 4)] + [P]
+    assert sorted(runs, key=lambda q: q.roots) == sorted(want, key=lambda q: q.roots)
+    assert simple is eng.kr_char_direct(2, 4)
+
+
+def test_pinned_fixpoint_needs_every_dominant_pin(D4):
+    # the simple of this root datum has five dominant monomials; a run
+    # missing any one of them reaches it with a nonzero coefficient
+    P = DrinfeldPoly(((1, 1), (2, 4), (3, 1), (4, 1)))
+    eng = Engine(D4)
+    order, _, _, l = eng._triangle(P)
+    row = qtchar.engine._l_row(order, l, 0)
+    assert len(row) == 5
+    assert _fixpoint(D4, P, row) == eng.simple_char(P)
+    for m in row:
+        if m != P.monomial():
+            with pytest.raises(InconsistentExpansion, match="interior dominant"):
+                _fixpoint(D4, P, {k: p for k, p in row.items() if k != m})
+
+
+def test_pinned_fixpoint_rejects_bad_pins(A2):
+    P = DrinfeldPoly.kr(1, 2, 0)
+    top = P.monomial()
+    bad = [
+        (parse_monomial("Y[1,0] Y[1,4]^-1 Y[2,3]"), "not dominant"),
+        (parse_monomial("Y[2,0]"), "not below"),
+        (top * YMonomial.var(1, 0), "not below"),
+    ]
+    for m, why in bad:
+        with pytest.raises(InternalError, match=why):
+            _fixpoint(A2, P, {top: TPoly.ONE, m: TPoly.ONE})
+    with pytest.raises(InternalError, match="pinned to 1"):
+        _fixpoint(A2, P, {top: parse_tpoly("t")})
+
+
+def test_kr_row_with_off_diagonal_entry_raises(A2, D4):
+    for L, P, other in (
+        (A2, DrinfeldPoly.kr(1, 2, 0), DrinfeldPoly.fundamental(2, 1)),
+        (D4, DrinfeldPoly.kr(2, 2, 0), DrinfeldPoly(((1, 1), (3, 1), (4, 1)))),
+    ):
+        row = {P.monomial(): TPoly.ONE, other.monomial(): parse_tpoly("t^-1")}
+        with pytest.raises(InternalError, match="diagonal"):
+            Engine(L)._simple(P, row)
+
+
+def test_class_product_must_match_its_row(A2, A3):
+    # roots of two bipartite classes: the simple is the product of the
+    # halves' simples, and a row it does not match is an error
+    for L, P in (
+        (A3, DrinfeldPoly(((2, 0), (2, 1), (2, 2)))),
+        (A2, DrinfeldPoly(((1, 0), (1, 1), (1, 2), (2, 1), (2, 3)))),
+    ):
+        eng = Engine(L)
+        order, _, _, l = eng._triangle(P)
+        row = qtchar.engine._l_row(order, l, 0)
+        wrong = dict(row)
+        wrong[order[1].monomial()] = TPoly.ONE
+        with pytest.raises(InternalError, match="differs from its l-row"):
+            Engine(L)._simple(P, wrong)
+        assert eng._simple(P, row) == eng.simple_char(P)
 
 
 def test_fundamental_dimensions_a3_d4(engine_for, A3, D4):

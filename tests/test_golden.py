@@ -54,6 +54,10 @@ DEEPER = [
 D4_P_2_02_STANDARD = "9427def67985c424160f985853c7f2ff0eed65cac0216e69d6c83100576c651e"
 D4_P_2_02_SIMPLE = "d6143d8f07bbf7bb0ea7407d86c1ecda2ccddc29f57088c834ba871b0b5cb7e0"
 
+# every simple of the D4 KR(2,3) decomposition in order, then the factors:
+# perfbench's decompose reference
+D4_KR_2_3_DECOMPOSITION = "dbc63b123c4cc3df4f1739427ca16f02e9ef99de0bbcdfef5531dea1bc9018ce"
+
 
 def _digest(ch) -> str:
     return hashlib.sha256(dumps_qtc(ch).encode("ascii")).hexdigest()
@@ -75,9 +79,22 @@ def test_deeper_string_text_digest(type_name, node, k, digest):
     assert _digest(_engine(type_name).kr_char_direct(node, k)) == digest
 
 
-def test_d4_string_standard_and_simple_digests():
+def test_d4_string_standard_and_simple_digests(subtraction_simples):
     eng = _engine("D4")
     poly = DrinfeldPoly.kr(2, 2, 0)
     assert _digest(eng.standard_char(poly)) == D4_P_2_02_STANDARD
-    # the simple of a string root datum is its string character
+    # the simple of a string root datum is its string character, and the
+    # subtraction route gives it independently
     assert _digest(eng.simple_char(poly)) == D4_P_2_02_SIMPLE
+    reference = subtraction_simples(eng, eng.kl_decompose(poly))[poly]
+    assert _digest(reference) == D4_P_2_02_SIMPLE
+
+
+def test_d4_decomposition_digest():
+    res = _engine("D4").kl_decompose(DrinfeldPoly.kr(2, 3, 0))
+    h = hashlib.sha256()
+    for q in res.order:
+        h.update(dumps_qtc(res.simples[q]).encode("ascii"))
+    for q, z in res.factors:
+        h.update(f"factor {q} {z}\n".encode("ascii"))
+    assert h.hexdigest() == D4_KR_2_3_DECOMPOSITION

@@ -15,7 +15,6 @@ from .errors import (
     NotInRootLattice,
     ParseError,
     QtcharError,
-    SeparationViolation,
     UnsupportedType,
 )
 from .roots import (
@@ -49,7 +48,6 @@ from .character import (
     in_slice_span,
     in_span_all_nodes,
     loads_qtc,
-    multiply_standard,
     normalized_in_A,
     read_qtc,
     restrict_to_g,

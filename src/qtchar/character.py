@@ -5,7 +5,7 @@ Every character here is normalized: writing a term as
 m = top * prod A(i,s)^-v(i,s), its coefficient is t^-tw(m) times the
 unnormalized one, where tw(m) = d(v, u(m)) + d(u(top), v) and
 d(a, b) = sum of a(i,s+1) b(i,s).  The highest term has coefficient 1.
-The expansions and multiply_standard stay in this convention at every step:
+The expansions stay in this convention at every step:
 
 * the node-i expansion lowers each factor Y[i,s]^u_s of m r_s times with
   coefficient prod_s [u_s r_s] t^-(r_s (u_{s+2} - r_{s+2})), balanced
@@ -14,15 +14,12 @@ The expansions and multiply_standard stay in this convention at every step:
 * the fixpoint expands instead by the sl2 simple character of m's
   node-i roots (_node_simple): the twisted product of the characters of
   their q-strings in general position, renormalized, with nonnegative
-  coefficients, so a character built from it never cancels a term;
-* multiply_standard multiplies the coefficients of each term pair and
-  twists by t^X, X = sum v1(i,s) (u(m2)(i,s-1) - u(m2)(i,s+1)) +
-  sum v2(i,s) (u(top1)(i,s+1) - u(top1)(i,s-1)), which is valid only
-  when the factors' spectral roots satisfy the separation condition;
-* star_product twists each term pair by the commutation exponent.
+  coefficients, so a character built from it never cancels a term.
 
-The two products differ by a single global power of t, which the
-verification layer checks rather than assumes.
+star_product twists each term pair by the commutation exponent, so the
+product of two normalized characters has a single power of t as its top
+coefficient.  A standard character is the star_product fold of its
+fundamentals (_star_fold) divided by that top coefficient.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ import itertools
 import re
 
 from . import kernels
-from .errors import InternalError, NotDominant, ParseError, SeparationViolation
+from .errors import InternalError, NotDominant, ParseError
 from .monomial import (
     EpsilonTable,
     ONE_MONO,
@@ -98,15 +95,6 @@ class DrinfeldPoly:
         return "P(" + "; ".join(parts) + ")"
 
     __repr__ = __str__
-
-
-def separation_ok(p1: DrinfeldPoly, p2: DrinfeldPoly) -> bool:
-    """No root of p1 may sit two or more spectral steps above a root of p2."""
-    if not p1.roots or not p2.roots:
-        return True
-    hi = max(s for _, s in p1.roots)
-    lo = min(s for _, s in p2.roots)
-    return hi - lo < 2
 
 
 class QtCharacter:
@@ -353,15 +341,14 @@ def _pair_loop(groups) -> dict:
     """Sum of c1 * c2 * t^tw over the term pairs of each (left row, right
     rows) group, keyed by the product monomial's data.  Left rows are
     (data, coefficient, sparse vector as ((node, level), value) pairs);
-    right rows are (data, coefficient, functional, constant), and the
-    pair's exponent is tw = constant + the functional applied to the
-    vector."""
+    right rows are (data, coefficient, functional), and the pair's
+    exponent tw is the functional applied to the vector."""
     mono_mul = kernels.mono_mul
     acc_mul = kernels.poly_acc_mul
     acc: dict = {}
     for (d1, c1, vec), right in groups:
-        for d2, c2, phi, const in right:
-            tw = const
+        for d2, c2, phi in right:
+            tw = 0
             get = phi.get
             for k, x in vec:
                 tw += x * get(k, 0)
@@ -387,9 +374,19 @@ def star_product(L: LieType, a, b, table: EpsilonTable | None = None) -> dict:
         for m, p in d1.items()
     ]
     keys = {k for _, _, vec in left for k, _ in vec}
-    right = [(m.data, p.terms, tab.functional(m, keys), 0) for m, p in d2.items()]
+    right = [(m.data, p.terms, tab.functional(m, keys)) for m, p in d2.items()]
     acc = _pair_loop((row, right) for row in left)
     return {YMonomial._wrap(k): TPoly._wrap(p) for k, p in acc.items() if p}
+
+
+def _star_fold(L: LieType, chars, table: EpsilonTable) -> dict:
+    """The twisted product of chars folded left to right from the unit with
+    star_product, a raw term dict: the full counterpart of
+    dominant_product."""
+    out = {ONE_MONO: TPoly.ONE}
+    for ch in chars:
+        out = star_product(L, out, ch, table)
+    return out
 
 
 def dominant_product(L: LieType, factors, table: EpsilonTable | None = None) -> dict:
@@ -475,52 +472,11 @@ def _dominant_step(left: dict, right: dict, after: dict, tab: EpsilonTable) -> d
             if all(e >= 0 or e + after.get((i, s), 0) >= 0 for i, s, e in mono_mul(d1, m.data)):
                 row = built.get(n)
                 if row is None:
-                    row = built[n] = (m.data, p.terms, tab.functional(m, keys), 0)
+                    row = built[n] = (m.data, p.terms, tab.functional(m, keys))
                 fits.append(row)
         if fits:
             groups.append(((d1, c1, tuple(((i, s), e) for i, s, e in d1)), fits))
     return {k: p for k, p in _pair_loop(groups).items() if p}
-
-
-def multiply_standard(
-    ch1: QtCharacter, p1: DrinfeldPoly, ch2: QtCharacter, p2: DrinfeldPoly
-) -> QtCharacter:
-    """Character of the composite module built from two normalized
-    characters of the given root data, normalized against p1 * p2.
-    Requires the separation condition between the root data.  With
-    m1 = top1 * A^-v1 and m2 = top2 * A^-v2, each term pair contributes
-    c1 * c2 * t^X at m1 * m2, where
-    X = sum v1(i,s) (u(m2)(i,s-1) - u(m2)(i,s+1))
-      + sum v2(i,s) (u(top1)(i,s+1) - u(top1)(i,s-1))."""
-    if ch1.L != ch2.L:
-        raise InternalError("type mismatch in product")
-    L = ch1.L
-    if not separation_ok(p1, p2):
-        raise SeparationViolation(f"roots of {p1} reach 2 or more above {p2}")
-    mp1, mp2 = p1.monomial(), p2.monomial()
-    up1 = mp1.u_map()
-
-    left = [
-        (m.data, a.terms, tuple(v_factorization(L, m, mp1).items()))
-        for m, a in ch1.terms.items()
-    ]
-    keys = {k for _, _, vec in left for k, _ in vec}
-    right = []
-    for m, a in ch2.terms.items():
-        phi: dict = {}
-        for i, s, e in m.data:
-            for k, x in (((i, s + 1), e), ((i, s - 1), -e)):
-                if k in keys:
-                    phi[k] = phi.get(k, 0) + x
-        const = sum(
-            e * (up1.get((i, s + 1), 0) - up1.get((i, s - 1), 0))
-            for (i, s), e in v_factorization(L, m, mp2).items()
-        )
-        right.append((m.data, a.terms, phi, const))
-
-    acc = _pair_loop((row, right) for row in left)
-    terms = {YMonomial._wrap(k): TPoly._wrap(p) for k, p in acc.items() if p}
-    return QtCharacter(L, p1 * p2, terms)
 
 
 # -- specializations ----------------------------------------------------------

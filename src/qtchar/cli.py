@@ -14,13 +14,7 @@ import sys
 
 from .character import DrinfeldPoly, QtCharacter, dumps_qtc
 from .engine import Engine
-from .errors import (
-    DomainError,
-    NotInRootLattice,
-    ParseError,
-    SeparationViolation,
-    UnsupportedType,
-)
+from .errors import DomainError, NotInRootLattice, ParseError, UnsupportedType
 from .monomial import a_monomial
 from .roots import build_lie_type
 from . import kernels, systems
@@ -219,13 +213,7 @@ def main(argv=None) -> int:
         return code
     try:
         return _dispatch(args)
-    except (
-        DomainError,
-        ParseError,
-        NotInRootLattice,
-        SeparationViolation,
-        UnsupportedType,
-    ) as exc:
+    except (DomainError, ParseError, NotInRootLattice, UnsupportedType) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

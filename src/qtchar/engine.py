@@ -76,8 +76,8 @@ from .character import (
     _expansion_tail,
     _form,
     _node_simple,
+    _star_fold,
     dominant_product,
-    multiply_standard,
     read_qtc,
     star_product,
     write_qtc,
@@ -273,8 +273,8 @@ def _top_normalized(terms: dict, top: YMonomial) -> dict:
 
 def _fold_order(poly: DrinfeldPoly) -> list:
     """The roots of poly in ascending spectral order, the order in which
-    standards fold their fundamentals; it always meets the separation
-    condition."""
+    standard_char and _standard_dominant fold their fundamentals.  The
+    twisted product does not commute, so both must use this one order."""
     return sorted(poly.roots, key=lambda r: (r[1], r[0]))
 
 
@@ -402,33 +402,23 @@ class Engine:
         return base.shift(s)
 
     def standard_char(self, poly: DrinfeldPoly) -> QtCharacter:
-        """Character of the product module: fundamentals folded together in
-        ascending spectral order, which always meets the separation
-        condition."""
+        """Character of the product module: the twisted product of its
+        fundamentals, folded in _fold_order from the unit (_star_fold),
+        divided by its top coefficient, a single power of t.  The empty
+        root datum gives the unit."""
         got = self._standard.get(poly.roots)
-        if got is not None:
-            return got
-        if not poly.roots:
-            ch = QtCharacter(self.L, poly, {ONE_MONO: TPoly.ONE})
-        else:
-            parts = _fold_order(poly)
-            i0, s0 = parts[0]
-            acc = DrinfeldPoly.fundamental(i0, s0)
-            ch = self.fundamental_char(i0, s0)
-            for i, s in parts[1:]:
-                nxt = DrinfeldPoly.fundamental(i, s)
-                ch = multiply_standard(ch, acc, self.fundamental_char(i, s), nxt)
-                acc = acc * nxt
-        self._standard[poly.roots] = ch
-        return ch
+        if got is None:
+            factors = [self.fundamental_char(i, s) for i, s in _fold_order(poly)]
+            terms = _top_normalized(_star_fold(self.L, factors, self._table), poly.monomial())
+            got = self._standard[poly.roots] = QtCharacter(self.L, poly, terms)
+        return got
 
     # -- triangular decomposition ----------------------------------------------
 
     def _standard_dominant(self, poly: DrinfeldPoly) -> dict:
         """The l-dominant terms of standard_char(poly), without building
-        it: dominant_product over the fundamentals in standard_char's
-        order, divided by its top coefficient (the twisted product and
-        multiply_standard differ by one global power of t)."""
+        it: the same fold of the same fundamentals through
+        dominant_product, divided by the same top coefficient."""
         got = self._dominant.get(poly.roots)
         if got is None:
             factors = [self.fundamental_char(i, s) for i, s in _fold_order(poly)]

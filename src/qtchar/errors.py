@@ -25,10 +25,6 @@ class NotDominant(QtcharError):
     """Expansion requested at a monomial that is not dominant for the node."""
 
 
-class SeparationViolation(QtcharError):
-    """Spectral roots of a twisted product violate the separation condition."""
-
-
 class InconsistentExpansion(QtcharError):
     """Two nodes force contradictory coefficients during character expansion."""
 

@@ -28,13 +28,13 @@ from fractions import Fraction
 from .character import (
     DrinfeldPoly,
     GCharacter,
+    _star_fold,
     dominant_product,
     in_span_all_nodes,
     normalized_in_A,
     qchar_mul,
     restrict_to_g,
     specialize_t1,
-    star_product,
     terms_add,
 )
 from .engine import Engine, default_engine
@@ -197,15 +197,6 @@ def _tshift(d: dict, n: int) -> dict:
 
 
 # -- T-system ----------------------------------------------------------------
-
-
-def _star_fold(L: LieType, chars, table: EpsilonTable) -> dict:
-    """The twisted product of chars folded left to right from the unit with
-    star_product: the full counterpart of dominant_product."""
-    out = {ONE_MONO: TPoly.ONE}
-    for ch in chars:
-        out = star_product(L, out, ch, table)
-    return out
 
 
 def _t_system_factors(eng: Engine, i: int, k: int) -> list:

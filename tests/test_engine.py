@@ -187,6 +187,43 @@ def test_standard_dimension_is_product(engine_for, A2):
     assert st2.dimension() == 9
 
 
+def _random_root_datum(seed: int) -> tuple:
+    rng = random.Random(seed)
+    family, rank = (("A", 2), ("A", 3), ("D", 4))[seed % 3]
+    roots = [(rng.randint(1, rank), rng.randint(0, 5)) for _ in range(rng.randint(2, 3))]
+    return family, rank, DrinfeldPoly(roots)
+
+
+STANDARD_CASES = [
+    ("A", 1, DrinfeldPoly(((1, 0), (1, 2)))),
+    ("A", 1, DrinfeldPoly(((1, 0), (1, 0)))),
+    ("A", 1, DrinfeldPoly.kr(1, 3, 0)),
+    ("A", 2, DrinfeldPoly(((1, 0), (2, 1)))),
+    ("A", 2, DrinfeldPoly.kr(1, 2, 0)),
+    ("A", 2, DrinfeldPoly(((1, 0), (2, 0)))),
+    ("A", 2, DrinfeldPoly(((1, 0), (1, 0), (2, 1)))),
+    ("A", 3, DrinfeldPoly.kr(2, 3, 0)),
+    ("A", 3, DrinfeldPoly(((1, 0), (2, 5), (3, 1)))),
+    ("A", 3, DrinfeldPoly(((1, 0), (3, 0)))),
+    ("D", 4, DrinfeldPoly.kr(2, 2, 0)),
+    ("D", 4, DrinfeldPoly.kr(2, 3, 0)),
+    ("D", 4, DrinfeldPoly(((1, 0), (2, 2), (3, 1), (4, 5)))),
+    ("D", 4, DrinfeldPoly(((1, 1), (2, 4), (3, 1), (4, 1)))),
+    ("D", 4, DrinfeldPoly(((2, 0), (2, 0)))),
+    ("D", 5, DrinfeldPoly.kr(3, 2, 0)),
+    ("E", 6, DrinfeldPoly.kr(1, 2, 0)),
+    ("E", 6, DrinfeldPoly(((1, 0), (6, 3)))),
+] + [_random_root_datum(seed) for seed in range(8)]
+
+
+@pytest.mark.parametrize("family, rank, poly", STANDARD_CASES, ids=lambda x: str(x))
+def test_standard_matches_reference_fold(family, rank, poly, engines, reference_standard):
+    # the top-normalized twisted fold against the fold of the reference
+    # product, which twists each term pair by its v-exponents
+    eng = engines.get((family, rank)) or Engine(build_lie_type(family, rank))
+    assert eng.standard_char(poly) == reference_standard(eng, poly)
+
+
 def test_kl_decompose_two_string(engine_for, A2, subtraction_simples):
     eng = engine_for(A2)
     P = DrinfeldPoly.kr(1, 2, 0)

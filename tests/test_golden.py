@@ -54,6 +54,16 @@ DEEPER = [
 D4_P_2_02_STANDARD = "9427def67985c424160f985853c7f2ff0eed65cac0216e69d6c83100576c651e"
 D4_P_2_02_SIMPLE = "d6143d8f07bbf7bb0ea7407d86c1ecda2ccddc29f57088c834ba871b0b5cb7e0"
 
+# (type, roots, digest): standards computed while standard_char still
+# folded with a product that twists each term pair by its v-exponents
+STANDARDS = [
+    ("D4", ((2, 0), (2, 2), (2, 4)), "795e79a43b5fe9039c4f6966e575b18b03279ed363214f87a8a022de6e07c5a7"),
+    ("D4", ((1, 0), (2, 2), (3, 1), (4, 5)), "0db7f926cef434ebe12d487dbc039a03de3e6c5cf72ee12789884463fe340e5c"),
+    ("D5", ((3, 0), (3, 2)), "bce9ea5843b4419fc61d0eba46c9996384ace10beca5838fc3c8cc28c62fbde7"),
+    ("E6", ((1, 0), (6, 3)), "61bd7fef16a6de9d2be7361e9fcc9a0395db9fe2b7c8b5e4db18bfe6e1004e3e"),
+    ("A3", ((1, 0), (2, 5), (3, 1)), "436e22ddc04b885c7678f3cf86993507c065714ac91e28f097f282feddee8e2d"),
+]
+
 # every simple of the D4 KR(2,3) decomposition in order, then the factors:
 # perfbench's decompose reference
 D4_KR_2_3_DECOMPOSITION = "dbc63b123c4cc3df4f1739427ca16f02e9ef99de0bbcdfef5531dea1bc9018ce"
@@ -88,6 +98,11 @@ def test_d4_string_standard_and_simple_digests(subtraction_simples):
     assert _digest(eng.simple_char(poly)) == D4_P_2_02_SIMPLE
     reference = subtraction_simples(eng, eng.kl_decompose(poly))[poly]
     assert _digest(reference) == D4_P_2_02_SIMPLE
+
+
+@pytest.mark.parametrize("type_name, roots, digest", STANDARDS)
+def test_standard_text_digest(type_name, roots, digest):
+    assert _digest(_engine(type_name).standard_char(DrinfeldPoly(roots))) == digest
 
 
 def test_d4_decomposition_digest():

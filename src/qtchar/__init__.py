@@ -44,7 +44,6 @@ from .character import (
     QtCharacter,
     dominant_product,
     dumps_qtc,
-    expand_E_i,
     in_slice_span,
     in_span_all_nodes,
     loads_qtc,

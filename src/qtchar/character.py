@@ -5,16 +5,15 @@ Every character here is normalized: writing a term as
 m = top * prod A(i,s)^-v(i,s), its coefficient is t^-tw(m) times the
 unnormalized one, where tw(m) = d(v, u(m)) + d(u(top), v) and
 d(a, b) = sum of a(i,s+1) b(i,s).  The highest term has coefficient 1.
-The expansions stay in this convention at every step:
 
-* the node-i expansion lowers each factor Y[i,s]^u_s of m r_s times with
-  coefficient prod_s [u_s r_s] t^-(r_s (u_{s+2} - r_{s+2})), balanced
-  Gaussian binomials, the t-analog of the sl2 standard character
-  (_node_tail, behind expand_E_i and the K_t membership check);
-* the fixpoint expands instead by the sl2 simple character of m's
-  node-i roots (_node_simple): the twisted product of the characters of
-  their q-strings in general position, renormalized, with nonnegative
-  coefficients, so a character built from it never cancels a term.
+There is one node-i expansion, and it stays in this convention: the sl2
+simple character of m's node-i roots (_node_simple), the twisted product
+of the characters of their q-strings in general position, renormalized,
+with nonnegative coefficients.  The fixpoint builds characters from it,
+so nothing it visits cancels, and the K_t membership check strips with
+it.  Over Z[t, t^-1] the sl2 simples and the sl2 standards of the
+i-dominant monomials are unitriangular to each other, so both span the
+same module and the check decides alike with either.
 
 star_product twists each term pair by the commutation exponent, so the
 product of two normalized characters has a single power of t as its top
@@ -40,7 +39,7 @@ from .monomial import (
     v_factorization,
 )
 from .roots import LieType, build_lie_type, two_rho
-from .tpoly import TPoly, parse_tpoly, t_binomial
+from .tpoly import TPoly, parse_tpoly
 
 _ONE = {0: 1}
 _SL2 = build_lie_type("A", 1)  # the rank-one type of the node-i simple
@@ -195,51 +194,18 @@ def terms_scale(a: dict, c: TPoly) -> dict:
 # -- expansion at a node ------------------------------------------------------
 
 
-def _node_tail(L: LieType, i: int, ui: tuple) -> list:
-    """Rows of the node-i expansion of any i-dominant monomial whose node-i
-    factors are Y[i,s]^u_s for the (s, u_s) pairs in ui (sorted by level):
-    (data of term / m, coefficient, step count), the leading row
-    ((), 1, 0) first.  Other nodes' exponents never enter, so the rows can
-    be shared by every monomial with the same node-i exponents.
-
-    Lowering the factor Y[i,s]^u_s r_s times (by A(i,s+1)^-r_s) carries
-    [u_s r_s] t^-(r_s (u_{s+2} - r_{s+2})) with a balanced Gaussian
-    binomial, so the coefficients are already normalized; the exponent
-    couples only neighbouring levels s and s+2 of node i."""
-    u_at = dict(ui)
-    # rows: (term / m, coefficient, step count, r at the last level).
-    # Levels are visited by parity, then ascending, so when s-2 is a level
-    # it is the one visited just before s; other parities never couple.
-    out = [(ONE_MONO, TPoly.ONE, 0, 0)]
-    for s in sorted(u_at, key=lambda s: (s % 2, s)):
-        u = u_at[s]
-        above = u_at.get(s + 2, 0)
-        linked = 1 if s - 2 in u_at else 0
-        a_inv = a_monomial(L, i, s + 1) ** -1
-        options = []
-        step = ONE_MONO
-        for r in range(u + 1):
-            options.append((step, t_binomial(u, r).shifted(-r * above), r))
-            step = step * a_inv
-        out = [
-            (mono * am, (poly * c).shifted(linked * r * prev), deg + r, r)
-            for mono, poly, deg, prev in out
-            for am, c, r in options
-        ]
-    return [(mo.data, p, deg) for mo, p, deg, _ in out]
-
-
 def _q_strings(ui: tuple) -> list:
-    """The levels of ui, (level, multiplicity) pairs of one parity, split
-    into q-strings in general position, as (lowest level, length) pairs.
-    Each round takes every maximal step-2 run of the remaining support and
-    removes one copy of each of its levels, so a later string lies inside
-    an earlier one and strings of one round are at least 4 apart."""
+    """The levels of ui, (level, multiplicity) pairs, split into q-strings
+    in general position, as (lowest level, length) pairs.  Each round takes
+    every maximal step-2 run of the remaining support and removes one copy
+    of each of its levels, so a later string lies inside an earlier one
+    and strings of one parity and one round are at least 4 apart.  Levels
+    of different parities never share a string."""
     left = dict(ui)
     out = []
     while left:
         run: list = []
-        for s in sorted(left):
+        for s in sorted(left, key=lambda s: (s % 2, s)):
             if run and s != run[-1] + 2:
                 out.append((run[0], len(run)))
                 run = []
@@ -250,8 +216,12 @@ def _q_strings(ui: tuple) -> list:
 
 
 def _node_simple(L: LieType, i: int, ui: tuple) -> list:
-    """Rows of the node-i expansion by the sl2 simple character of the
-    node-i roots, in _node_tail's format, leading row first.
+    """Rows of the node-i expansion of any i-dominant monomial whose node-i
+    factors are Y[i,s]^u_s for the (s, u_s) pairs in ui (sorted by level),
+    by the sl2 simple character of its node-i roots: (data of term / m,
+    coefficient, step count), the leading row ((), 1, 0) first.  Other
+    nodes' exponents never enter, so the rows can be shared by every
+    monomial with the same node-i exponents.
 
     The roots split into q-strings in general position (_q_strings), and
     the simple is the twisted product of their string characters,
@@ -259,10 +229,10 @@ def _node_simple(L: LieType, i: int, ui: tuple) -> list:
     k+1 terms, each with coefficient 1: term j lowers the string's top j
     levels.  The product is taken in rank one, keeping each term's
     A(1,s) exponents, which then become A(i,s) exponents of L.  Every
-    coefficient is nonnegative.  Patterns whose levels mix parities never
-    arise below a single-parity top and are rejected."""
-    if len({s % 2 for s, _ in ui}) > 1:
-        raise InternalError(f"node-{i} exponents {ui} mix level parities")
+    coefficient is nonnegative.  Levels of the two parities live on
+    disjoint variables in rank one, where their commutation exponent
+    vanishes, so a pattern that mixes them gets the product of its even
+    and odd parts' rows."""
     mono_mul = kernels.mono_mul
     sl2 = EpsilonTable(_SL2)
     # sl2 terms by data: (raw coefficient, A(1,s) exponents as (1, s, count) data)
@@ -299,13 +269,13 @@ def _node_simple(L: LieType, i: int, ui: tuple) -> list:
 
 
 def _expansion_tail(
-    L: LieType, i: int, m: YMonomial, memo: dict | None = None, rows=_node_tail
+    L: LieType, i: int, m: YMonomial, memo: dict | None = None, rows=_node_simple
 ) -> list:
-    """Rows of the expansion at an i-dominant m, in the row builder's
-    format: for _node_tail (the sl2 standard, the default) and _node_simple
-    each row is (data of term / m, coefficient, step count), where step
-    count is the total affinization degree of the term below m.  The
-    leading row ((), 1, 0) is included.  The caller applies the rows to m.
+    """Rows of the node-i expansion at an i-dominant m, rows(L, i, node-i
+    exponents): by default _node_simple's (data of term / m, coefficient,
+    step count), where step count is the total affinization degree of the
+    term below m; a builder that wraps _node_simple may add to each row.
+    The leading row is included.  The caller applies the rows to m.
 
     The rows depend on m only through its node-i exponents.  With a memo
     dict they are built once per (i, node-i exponents) key and reused; the
@@ -321,17 +291,6 @@ def _expansion_tail(
         if memo is not None:
             memo[(i, ui)] = got
     return got
-
-
-def expand_E_i(L: LieType, m: YMonomial, i: int) -> dict:
-    """Expansion at an i-dominant monomial: product over spectral levels of
-    the twisted-binomial sums in inverse affinization steps, normalized
-    against m like every character.  Returns a term dict whose coefficient
-    at m itself is 1."""
-    data = m.data
-    return {
-        YMonomial._wrap(kernels.mono_mul(data, q)): p for q, p, _ in _expansion_tail(L, i, m)
-    }
 
 
 # -- products -----------------------------------------------------------------
@@ -609,12 +568,15 @@ def normalized_in_A(ch: QtCharacter, D: int) -> dict:
 
 
 def in_slice_span(ch: QtCharacter, i: int) -> bool:
-    """Whether the character lies in the span of expansions at i-dominant
-    monomials.  Greedy strip from the top: the shallowest remaining
-    monomial must be i-dominant and is removed by subtracting its full
-    expansion.  Exact for genuine members (each step strips one summand of
-    the decomposition); returns False at the first shallowest non-i-dominant
-    monomial.
+    """Whether the character lies in the span of the node-i expansions
+    (_node_simple) at i-dominant monomials.  Greedy strip from the top: the
+    shallowest remaining monomial must be i-dominant and is removed by
+    subtracting its expansion times its remaining coefficient.  The rows at
+    m lead with m itself, coefficient 1, so the strip is exact for genuine
+    members (each step strips one summand of the decomposition); returns
+    False at the first shallowest non-i-dominant monomial.  The rows'
+    coefficients are nonnegative, so on the characters the fixpoint
+    builds, nothing the strip pushes cancels.
 
     Depths come from weights, not from factorizing each monomial against
     the top: twice a term's depth is form(top) - form(term) for the integer

@@ -2,7 +2,8 @@
 or as DOT graphs, and runs the identity verifiers.
 
 Exit status: 0 on success or a passing verification, 1 on a failing
-verification, 2 on usage errors.
+verification, 2 on usage errors, including an --out or --cache-dir path
+that cannot be written.
 """
 
 from __future__ import annotations
@@ -213,7 +214,7 @@ def main(argv=None) -> int:
         return code
     try:
         return _dispatch(args)
-    except (DomainError, ParseError, NotInRootLattice, UnsupportedType) as exc:
+    except (DomainError, ParseError, NotInRootLattice, UnsupportedType, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,7 +18,7 @@ module to node i decomposes over those simples with nonnegative
 coefficients, so nothing the run visits cancels: it pops exactly the
 terms of the character (9,885 for D4 KR(2,4)).  The sl2 standard rows
 span the same space but carry signs, and would visit four times as many
-monomials there.
+monomials there.  The K_t membership check strips with the same rows.
 
 An element of K_t is fixed by its coefficients at its dominant
 monomials (Hernandez, math/0212257), and the run builds it from them:
@@ -57,8 +57,9 @@ data and the matrices c, z and l.  Each simple is then built from its
 l-row.  A string's is its string character, and its row must be the
 diagonal, as the paper's theorem says.  A root datum of two bipartite
 classes is the product of its halves' simples.  Any other is one run
-pinned to the row; the pinned run serves one class only, since
-_node_simple rejects a node pattern that mixes level parities.
+pinned to the row.  A run serves one class only: below a single-class
+top every node's levels keep one parity, and the run rejects a node
+pattern that mixes them.
 """
 
 from __future__ import annotations
@@ -145,6 +146,10 @@ def _fixpoint(L: LieType, poly: DrinfeldPoly, pins: dict | None = None) -> QtCha
     )
 
     def keyed_rows(L, i, ui):
+        # a single-class top keeps each node's levels of one parity, so a
+        # pattern that mixes them can only come from a wrong expansion
+        if len({s % 2 for s, _ in ui}) > 1:
+            raise InternalError(f"node-{i} exponents {ui} mix level parities")
         return [(q, key(q), p, deg) for q, p, deg in _node_simple(L, i, ui)]
 
     mono: dict = {}

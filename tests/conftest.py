@@ -1,8 +1,24 @@
 from __future__ import annotations
 
+from functools import lru_cache
+import heapq
+import itertools
+
 import pytest
 
-from qtchar import DrinfeldPoly, Engine, QtCharacter, TPoly, YMonomial, build_lie_type, v_factorization
+from qtchar import (
+    DrinfeldPoly,
+    Engine,
+    QtCharacter,
+    TPoly,
+    YMonomial,
+    a_monomial,
+    build_lie_type,
+    t_binomial,
+    two_rho,
+    v_factorization,
+)
+from qtchar import kernels
 
 
 @pytest.fixture(scope="session")
@@ -138,3 +154,92 @@ def subtraction_simples(reference_standard):
         return out
 
     return build
+
+
+@lru_cache(maxsize=None)
+def _standard_rows(L, i: int, ui: tuple) -> tuple:
+    """Reference rows of the node-i expansion by the sl2 standard character,
+    independent of the library's simple rows, in their format: (data of
+    term / m, coefficient, step count), the leading row ((), 1, 0) first,
+    for any i-dominant m whose node-i factors are Y[i,s]^u_s for the
+    (s, u_s) pairs in ui.
+
+    Lowering the factor Y[i,s]^u_s r_s times (by A(i,s+1)^-r_s) carries
+    [u_s r_s] t^-(r_s (u_{s+2} - r_{s+2})) with a balanced Gaussian
+    binomial, so the coefficients are already normalized; the exponent
+    couples only neighbouring levels s and s+2 of node i.  Coefficients
+    carry signs wherever two levels are two apart.  Memoized: the rows
+    depend only on the arguments."""
+    u_at = dict(ui)
+    # rows: (term / m, coefficient, step count, r at the last level).
+    # Levels are visited by parity, then ascending, so when s-2 is a level
+    # it is the one visited just before s; other parities never couple.
+    out = [(YMonomial.one(), TPoly.ONE, 0, 0)]
+    for s in sorted(u_at, key=lambda s: (s % 2, s)):
+        u = u_at[s]
+        above = u_at.get(s + 2, 0)
+        linked = 1 if s - 2 in u_at else 0
+        a_inv = a_monomial(L, i, s + 1) ** -1
+        options = []
+        step = YMonomial.one()
+        for r in range(u + 1):
+            options.append((step, t_binomial(u, r).shifted(-r * above), r))
+            step = step * a_inv
+        out = [
+            (mono * am, (poly * c).shifted(linked * r * prev), deg + r, r)
+            for mono, poly, deg, prev in out
+            for am, c, r in options
+        ]
+    return tuple((mo.data, p, deg) for mo, p, deg, _ in out)
+
+
+@pytest.fixture(scope="session")
+def standard_rows():
+    """The reference rows _standard_rows."""
+    return _standard_rows
+
+
+def _standard_strip(ch: QtCharacter, i: int) -> bool:
+    """Reference K_t membership at node i: the greedy strip from the top
+    with the sl2 standard rows.  The shallowest remaining monomial must be
+    i-dominant and is removed with its rows times its remaining
+    coefficient; depths are halves of the two_rho form's drop below the
+    top.  Raises AssertionError past a depth bound."""
+    L = ch.L
+    rho2 = two_rho(L)
+
+    def level(m):
+        return sum(rho2[j - 1] * e for j, _, e in m.data)
+
+    top_level = level(ch.highest)
+    rem = {m: dict(p.terms) for m, p in ch.terms.items()}
+    tick = itertools.count()
+    heap = [(top_level - level(m), next(tick), m) for m in rem]
+    guard = 2 * max((d for d, _, _ in heap), default=0) + 8 * L.coxeter_number + 32
+    heapq.heapify(heap)
+    while heap:
+        d, _, m = heapq.heappop(heap)
+        raw = rem.pop(m, None)
+        if not raw:
+            continue
+        assert d <= guard, "reference strip exceeded its depth bound"
+        if not m.is_i_dominant(i):
+            return False
+        ui = tuple((s, u) for j, s, u in m.data if j == i)
+        neg = {e: -c for e, c in raw.items()}
+        for q, p, deg in _standard_rows(L, i, ui)[1:]:
+            mm = YMonomial._wrap(kernels.mono_mul(m.data, q))
+            slot = rem.get(mm)
+            if slot is None:
+                rem[mm] = slot = {}
+                heapq.heappush(heap, (d + 2 * deg, next(tick), mm))
+            kernels.poly_acc_mul(slot, neg, p.terms, 0)
+            if not slot:
+                del rem[mm]
+    return True
+
+
+@pytest.fixture(scope="session")
+def standard_strip():
+    """The reference membership test _standard_strip."""
+    return _standard_strip

@@ -19,7 +19,6 @@ from qtchar import (
     dominant_product,
     dumps_qtc,
     epsilon,
-    expand_E_i,
     in_slice_span,
     in_span_all_nodes,
     loads_qtc,
@@ -39,7 +38,7 @@ from qtchar import (
 from qtchar import character, engine, kernels, monomial
 from qtchar.character import _expansion_tail, _star_fold, qchar_mul, terms_scale
 from qtchar.engine import _fixpoint, _top_normalized, fundamental_char, kr_char_direct, standard_char
-from qtchar.errors import InternalError, NotDominant
+from qtchar.errors import NotDominant
 
 
 def _terms(pairs):
@@ -65,30 +64,38 @@ def test_drinfeld_poly_basics():
 # -- single-node expansion -----------------------------------------------------
 
 
-def test_expand_one_variable(A2):
-    got = expand_E_i(A2, parse_monomial("Y[1,0]"), 1)
-    assert got == _terms([("Y[1,0]", "1"), ("Y[1,2]^-1 Y[2,1]", "1")])
+def _expand(rows, L, m: YMonomial, i: int) -> dict:
+    """The term dict of m's node-i expansion by a row builder."""
+    ui = tuple((s, u) for j, s, u in m.data if j == i)
+    return {m * YMonomial._wrap(q): p for q, p, _ in rows(L, i, ui)}
+
+
+def test_expand_one_variable(A2, standard_rows):
+    m = parse_monomial("Y[1,0]")
+    want = _terms([("Y[1,0]", "1"), ("Y[1,2]^-1 Y[2,1]", "1")])
+    assert _expand(standard_rows, A2, m, 1) == want
+    assert _expand(character._node_simple, A2, m, 1) == want
 
 
 def _root_datum(m: YMonomial) -> DrinfeldPoly:
     return DrinfeldPoly((i, s) for i, s, e in m.data for _ in range(e))
 
 
-def _assert_expansion_is_standard(L, eng, m: YMonomial):
-    # in rank one the node-1 expansion of a dominant monomial is the
-    # standard character of its root datum, coefficients included
-    assert expand_E_i(L, m, 1) == eng.standard_char(_root_datum(m)).terms, m
+def _assert_expansion_is_standard(L, eng, m: YMonomial, standard_rows):
+    # in rank one the node-1 standard expansion of a dominant monomial is
+    # the standard character of its root datum, coefficients included
+    assert _expand(standard_rows, L, m, 1) == eng.standard_char(_root_datum(m)).terms, m
 
 
-def test_expand_square_has_balanced_binomial(A1, engine_for):
+def test_expand_square_has_balanced_binomial(A1, engine_for, standard_rows):
     eng = engine_for(A1)
     for text in ("Y[1,0]^2", "Y[1,0]^2 Y[1,2]"):
-        _assert_expansion_is_standard(A1, eng, parse_monomial(text))
-    got = expand_E_i(A1, parse_monomial("Y[1,0]^2"), 1)
+        _assert_expansion_is_standard(A1, eng, parse_monomial(text), standard_rows)
+    got = _expand(standard_rows, A1, parse_monomial("Y[1,0]^2"), 1)
     assert got[parse_monomial("Y[1,0] Y[1,2]^-1")] == t_binomial(2, 1)
 
 
-def test_expand_two_levels(A1, engine_for):
+def test_expand_two_levels(A1, engine_for, standard_rows):
     eng = engine_for(A1)
     for text in (
         "Y[1,0] Y[1,2]",
@@ -99,15 +106,14 @@ def test_expand_two_levels(A1, engine_for):
         "Y[1,1] Y[1,2] Y[1,3]",
         "Y[1,0] Y[1,1] Y[1,2] Y[1,3] Y[1,4]",
     ):
-        _assert_expansion_is_standard(A1, eng, parse_monomial(text))
+        _assert_expansion_is_standard(A1, eng, parse_monomial(text), standard_rows)
 
 
 def test_expand_requires_dominance(A2):
     with pytest.raises(NotDominant):
-        expand_E_i(A2, parse_monomial("Y[1,0]^-1"), 1)
+        _expansion_tail(A2, 1, parse_monomial("Y[1,0]^-1"))
     # other-node exponents are unconstrained
-    got = expand_E_i(A2, parse_monomial("Y[2,0]^-1"), 1)
-    assert got == _terms([("Y[2,0]^-1", "1")])
+    assert _expansion_tail(A2, 1, parse_monomial("Y[2,0]^-1")) == [((), TPoly.ONE, 0)]
 
 
 # -- memoized node expansion ----------------------------------------------------
@@ -217,9 +223,12 @@ def _rows_by_data(rows) -> dict:
 def test_node_simple_matches_rank_one_simple(A1, D4, subtraction_simples):
     rng = random.Random(20)
     eng = Engine(A1)
-    for _ in range(300):
-        parity = rng.randrange(2)
-        levels = rng.sample(range(parity, parity + 12, 2), rng.randint(1, 4))
+    for n in range(360):
+        if n < 300:
+            parity = rng.randrange(2)
+            levels = rng.sample(range(parity, parity + 12, 2), rng.randint(1, 4))
+        else:  # levels of both parities
+            levels = rng.sample(range(0, 12, 2), rng.randint(1, 2)) + rng.sample(range(1, 13, 2), rng.randint(1, 2))
         ui = tuple(sorted((s, rng.randint(1, 3)) for s in levels))
         i = rng.choice(D4.nodes)
         rows = character._node_simple(D4, i, ui)
@@ -228,7 +237,7 @@ def test_node_simple_matches_rank_one_simple(A1, D4, subtraction_simples):
         assert _rows_by_data(rows) == _rank_one_rows(D4, i, eng, ui, subtraction_simples), ui
 
 
-def test_node_simple_is_standard_in_general_position(A2, D4):
+def test_node_simple_is_standard_in_general_position(A2, D4, standard_rows):
     # no two levels two apart: the standard module is simple
     for L, i, ui in (
         (A2, 1, ((0, 1),)),
@@ -238,7 +247,7 @@ def test_node_simple_is_standard_in_general_position(A2, D4):
         (D4, 2, ((-4, 1), (0, 1), (6, 2))),
     ):
         simple = character._node_simple(L, i, ui)
-        assert _rows_by_data(simple) == _rows_by_data(character._node_tail(L, i, ui)), ui
+        assert _rows_by_data(simple) == _rows_by_data(standard_rows(L, i, ui)), ui
 
 
 def test_node_simple_strings_and_parity(D4):
@@ -246,8 +255,13 @@ def test_node_simple_strings_and_parity(D4):
     # the string P(0 2 4) at one node: four rows with coefficient 1
     rows = character._node_simple(D4, 2, ((0, 1), (2, 1), (4, 1)))
     assert [(p, deg) for _, p, deg in rows] == [(TPoly.ONE, j) for j in range(4)]
-    with pytest.raises(InternalError, match="parities"):
-        character._node_simple(D4, 2, ((0, 1), (1, 1)))
+    # levels of both parities: the product of the even and odd parts' rows
+    assert character._q_strings(((0, 1), (1, 2), (2, 1), (3, 1))) == [(0, 2), (1, 2), (1, 1)]
+    rows = character._node_simple(D4, 2, ((0, 1), (1, 1)))
+    assert rows[0] == ((), TPoly.ONE, 0)
+    a1, a2 = (monomial.a_monomial(D4, 2, s) ** -1 for s in (1, 2))
+    product = ((YMonomial(), 0), (a1, 1), (a2, 1), (a1 * a2, 2))
+    assert _rows_by_data(rows) == {q.data: (TPoly.ONE, deg) for q, deg in product}
 
 
 # -- products ------------------------------------------------------------------
@@ -525,6 +539,82 @@ def test_slice_span_rejects_truncations(A2, engine_for):
     assert in_slice_span(broken, 1)
     assert not in_slice_span(broken, 2)
     assert not in_span_all_nodes(broken)
+
+
+def _perturbed(ch: QtCharacter):
+    """ch, then ch with each term dropped, shifted by t or raised by 1."""
+    yield ch
+    for m, p in ch.items():
+        for q in (TPoly.ZERO, p.shifted(1), p + TPoly.ONE):
+            yield QtCharacter(ch.L, ch.poly, {**ch.terms, m: q})
+
+
+def _decisions(strip, ch) -> list:
+    return [strip(ch, i) for i in ch.L.nodes]
+
+
+@pytest.mark.parametrize(
+    "family,rank,verb,args,terms",
+    [
+        ("A", 2, "kr_char_direct", (1, 2), 6),
+        ("A", 3, "kr_char_direct", (2, 2), 20),
+        ("D", 4, "kr_char_direct", (2, 2), 307),
+        # node-2 levels of both parities, so mixed-parity rows
+        ("A", 3, "standard_char", (DrinfeldPoly(((2, 0), (2, 1), (2, 2))),), 210),
+        ("A", 2, "standard_char", (DrinfeldPoly(((1, 0), (1, 2), (2, 1))),), 21),
+        ("A", 2, "simple_char", (DrinfeldPoly(((1, 0), (1, 1), (1, 2), (2, 1), (2, 3))),), 90),
+    ],
+)
+def test_slice_span_decides_like_standard_strip(engines, standard_strip, family, rank, verb, args, terms):
+    # the gate strips with the simple rows and the reference with the signed
+    # standard rows; they span the same module, so each node's decision must
+    # agree on a member and on every perturbation of it
+    ch = getattr(engines[(family, rank)], verb)(*args)
+    assert len(ch) == terms
+    decided = []
+    for v in _perturbed(ch):
+        got = _decisions(in_slice_span, v)
+        assert got == _decisions(standard_strip, v), v.items()
+        decided.append(all(got))
+    # the member passes, and every perturbation fails at some node
+    assert decided == [True] + [False] * 3 * terms
+
+
+def test_slice_span_decides_like_standard_strip_on_members(A2, D5, engine_for, standard_strip):
+    E6 = build_lie_type("E", 6)
+    kr = engine_for(A2).kr_char_direct(1, 2)
+    # the last term raised to 2, as the perturbed cache entry of
+    # test_perturbed_cache_entry_fails_membership_gate holds it
+    last, p = kr.items()[-1]
+    perturbed = QtCharacter(A2, kr.poly, {**kr.terms, last: p + TPoly.ONE})
+    assert not in_span_all_nodes(perturbed)
+    for ch in (engine_for(D5).kr_char_direct(3, 2), Engine(E6).fundamental_char(1), perturbed):
+        assert _decisions(in_slice_span, ch) == _decisions(standard_strip, ch), (ch.L, ch.poly)
+
+
+def test_slice_span_pushes_only_terms(D4, D5, engine_for, monkeypatch):
+    # the simple rows carry nonnegative coefficients, so stripping a
+    # character the fixpoint built cancels nothing: every monomial a row
+    # reaches is a term (the signed standard rows reach thousands more)
+    E6 = build_lie_type("E", 6)
+    inner = character._expansion_tail
+    for ch in (
+        engine_for(D4).kr_char_direct(2, 3),
+        engine_for(D5).kr_char_direct(3, 2),
+        Engine(E6).kr_char_direct(1, 2),
+    ):
+        for i in ch.L.nodes:
+            reached = set()
+
+            def record(L, j, m, memo=None, **kw):
+                out = inner(L, j, m, memo, **kw)
+                reached.update(m * YMonomial._wrap(row[0]) for row in out)
+                return out
+
+            with monkeypatch.context() as mp:
+                mp.setattr(character, "_expansion_tail", record)
+                assert in_slice_span(ch, i)
+            assert reached == set(ch.terms), (ch.L, ch.poly, i)
 
 
 # -- finite-type restriction -----------------------------------------------------

@@ -224,10 +224,17 @@ def test_failing_report_exits_one(capsys, tmp_path, monkeypatch):
         ("kr", "--type", "A2", "--node", "1", "--k", "-1"),
         ("standard", "--type", "A2", "--p", "bogus"),
         ("fermionic", "--type", "A1", "--nu", "1:0=1", "--truncate", "2"),
+        # paths that cannot be written are usage errors, not failed checks
+        ("fund", "--type", "A1", "--node", "1", "--out", "/nonexistent/dir/x.qtc"),
+        ("fund", "--type", "A1", "--node", "1", "--cache-dir", "{file}"),
     ],
 )
 def test_usage_errors_exit_two(capsys, tmp_path, argv):
-    rc, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+    plain = tmp_path / "plain-file"
+    plain.write_text("")
+    argv = [a.format(file=plain) for a in argv]
+    # the last --cache-dir wins, so a case's own one overrides the default
+    rc, out, err = run_cli(capsys, argv[0], "--cache-dir", str(tmp_path / "cache"), *argv[1:])
     assert rc == 2
     assert err.startswith("error:")
 

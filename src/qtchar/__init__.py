@@ -44,8 +44,6 @@ from .character import (
     QtCharacter,
     dominant_product,
     dumps_qtc,
-    in_slice_span,
-    in_span_all_nodes,
     loads_qtc,
     normalized_in_A,
     read_qtc,
@@ -59,6 +57,7 @@ from .engine import (
     KLResult,
     default_engine,
     fundamental_char,
+    in_span_all_nodes,
     kl_decompose,
     kr_char_direct,
     simple_char,

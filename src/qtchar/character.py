@@ -9,11 +9,8 @@ d(a, b) = sum of a(i,s+1) b(i,s).  The highest term has coefficient 1.
 There is one node-i expansion, and it stays in this convention: the sl2
 simple character of m's node-i roots (_node_simple), the twisted product
 of the characters of their q-strings in general position, renormalized,
-with nonnegative coefficients.  The fixpoint builds characters from it,
-so nothing it visits cancels, and the K_t membership check strips with
-it.  Over Z[t, t^-1] the sl2 simples and the sl2 standards of the
-i-dominant monomials are unitriangular to each other, so both span the
-same module and the check decides alike with either.
+with nonnegative coefficients.  The fixpoint (engine.py) builds
+characters from it, so nothing it visits cancels.
 
 star_product twists each term pair by the commutation exponent, so the
 product of two normalized characters has a single power of t as its top
@@ -24,8 +21,6 @@ fundamentals (_star_fold) divided by that top coefficient.
 from __future__ import annotations
 
 from collections import Counter
-import heapq
-import itertools
 import re
 
 from . import kernels
@@ -38,7 +33,7 @@ from .monomial import (
     parse_monomial,
     v_factorization,
 )
-from .roots import LieType, build_lie_type, two_rho
+from .roots import LieType, build_lie_type
 from .tpoly import TPoly, parse_tpoly
 
 _ONE = {0: 1}
@@ -65,9 +60,6 @@ class DrinfeldPoly:
     def monomial(self) -> YMonomial:
         c = Counter(self.roots)
         return YMonomial((i, s, e) for (i, s), e in c.items())
-
-    def node_roots(self, i: int) -> tuple:
-        return tuple(s for j, s in self.roots if j == i)
 
     def shift(self, d: int) -> "DrinfeldPoly":
         return DrinfeldPoly((i, s + d) for i, s in self.roots)
@@ -115,10 +107,6 @@ class QtCharacter:
             h = self.poly.monomial()
             self._highest = h
         return h
-
-    @property
-    def lie_type(self) -> LieType:
-        return self.L
 
     def coeff(self, m: YMonomial) -> TPoly:
         return self.terms.get(m, TPoly.ZERO)
@@ -268,28 +256,24 @@ def _node_simple(L: LieType, i: int, ui: tuple) -> list:
     return out
 
 
-def _expansion_tail(
-    L: LieType, i: int, m: YMonomial, memo: dict | None = None, rows=_node_simple
-) -> list:
+def _expansion_tail(L: LieType, i: int, m: YMonomial, memo: dict, rows) -> list:
     """Rows of the node-i expansion at an i-dominant m, rows(L, i, node-i
-    exponents): by default _node_simple's (data of term / m, coefficient,
-    step count), where step count is the total affinization degree of the
-    term below m; a builder that wraps _node_simple may add to each row.
-    The leading row is included.  The caller applies the rows to m.
+    exponents): a builder that wraps _node_simple's (data of term / m,
+    coefficient, step count), where step count is the total affinization
+    degree of the term below m, and may add to each row.  The leading row
+    is included.  The caller applies the rows to m.
 
-    The rows depend on m only through its node-i exponents.  With a memo
-    dict they are built once per (i, node-i exponents) key and reused; the
+    The rows depend on m only through its node-i exponents, so they are
+    built once per (i, node-i exponents) key of memo and reused; the
     caller owns the dict, uses it with one row builder and decides how long
     it lives."""
     ui = tuple((s, u) for j, s, u in m.data if j == i)
-    got = None if memo is None else memo.get((i, ui))
+    got = memo.get((i, ui))
     if got is None:
         # only i-dominant patterns are ever stored, so a memo hit is one
         if any(u < 0 for _, u in ui):
             raise NotDominant(f"{m} is not {i}-dominant")
-        got = rows(L, i, ui)
-        if memo is not None:
-            memo[(i, ui)] = got
+        got = memo[(i, ui)] = rows(L, i, ui)
     return got
 
 
@@ -562,68 +546,6 @@ def normalized_in_A(ch: QtCharacter, D: int) -> dict:
             continue
         out[tuple(sorted(v.items()))] = p
     return out
-
-
-# -- independent span membership check ----------------------------------------
-
-
-def in_slice_span(ch: QtCharacter, i: int) -> bool:
-    """Whether the character lies in the span of the node-i expansions
-    (_node_simple) at i-dominant monomials.  Greedy strip from the top: the
-    shallowest remaining monomial must be i-dominant and is removed by
-    subtracting its expansion times its remaining coefficient.  The rows at
-    m lead with m itself, coefficient 1, so the strip is exact for genuine
-    members (each step strips one summand of the decomposition); returns
-    False at the first shallowest non-i-dominant monomial.  The rows'
-    coefficients are nonnegative, so on the characters the fixpoint
-    builds, nothing the strip pushes cancels.
-
-    Depths come from weights, not from factorizing each monomial against
-    the top: twice a term's depth is form(top) - form(term) for the integer
-    form two_rho, and a term an expansion pushes sits at the popped depth
-    plus the expansion's step count.  Contributions only flow to deeper
-    monomials, so an insertion counter breaks depth ties."""
-    L = ch.L
-    rho2 = two_rho(L)
-    top_level = _form(rho2, ch.highest)
-    rem = {m: dict(p.terms) for m, p in ch.terms.items()}
-    tick = itertools.count()
-    # twice the depth below the top, so that the heap keys stay integers
-    heap = [(top_level - _form(rho2, m), next(tick), m) for m in rem]
-    guard = 2 * max((d for d, _, _ in heap), default=0) + 8 * L.coxeter_number + 32
-    memo: dict = {}
-    heapq.heapify(heap)
-    while heap:
-        d, _, m = heapq.heappop(heap)
-        raw = rem.pop(m, None)
-        if not raw:
-            continue
-        if d > guard:
-            raise InternalError("span check exceeded depth bound")
-        if not m.is_i_dominant(i):
-            return False
-        neg = {e: -c for e, c in raw.items()}
-        for q, p, deg in _expansion_tail(L, i, m, memo):
-            if deg == 0:
-                continue
-            mm = YMonomial._wrap(kernels.mono_mul(m.data, q))
-            slot = rem.get(mm)
-            if slot is None:
-                rem[mm] = slot = {}
-                heapq.heappush(heap, (d + 2 * deg, next(tick), mm))
-            kernels.poly_acc_mul(slot, neg, p.terms, 0)
-            if not slot:
-                del rem[mm]
-    return True
-
-
-def _form(rho2: tuple, m: YMonomial) -> int:
-    """The two_rho form on m's weight: twice its height."""
-    return sum(rho2[i - 1] * e for i, _, e in m.data)
-
-
-def in_span_all_nodes(ch: QtCharacter) -> bool:
-    return all(in_slice_span(ch, i) for i in ch.L.nodes)
 
 
 # -- serialization -------------------------------------------------------------

@@ -18,7 +18,7 @@ module to node i decomposes over those simples with nonnegative
 coefficients, so nothing the run visits cancels: it pops exactly the
 terms of the character (9,885 for D4 KR(2,4)).  The sl2 standard rows
 span the same space but carry signs, and would visit four times as many
-monomials there.  The K_t membership check strips with the same rows.
+monomials there.
 
 An element of K_t is fixed by its coefficients at its dominant
 monomials (Hernandez, math/0212257), and the run builds it from them:
@@ -28,6 +28,8 @@ no pin but has accumulated a nonzero coefficient raises
 InconsistentExpansion.  By default the top alone is pinned, to 1, so a
 module with one dominant monomial (every KR module, by the paper's
 theorem) is built exactly and a second dominant monomial fails loudly.
+The same fact decides K_t membership (in_span_all_nodes): a character
+that the run pinned to its dominant terms rebuilds lies in K_t.
 
 An expansion at node i depends on m only through m's node-i exponents,
 and a run meets few distinct ones (279 for D4 KR(2,4), against 8,796
@@ -57,9 +59,10 @@ data and the matrices c, z and l.  Each simple is then built from its
 l-row.  A string's is its string character, and its row must be the
 diagonal, as the paper's theorem says.  A root datum of two bipartite
 classes is the product of its halves' simples.  Any other is one run
-pinned to the row.  A run serves one class only: below a single-class
-top every node's levels keep one parity, and the run rejects a node
-pattern that mixes them.
+pinned to the row.  Every term keeps its factors in the bipartite
+classes of the top (_colouring), so a run rejects a node-i level of
+another parity; a top of both classes, as the membership check meets
+them, keeps both parities.
 """
 
 from __future__ import annotations
@@ -75,7 +78,6 @@ from .character import (
     DrinfeldPoly,
     QtCharacter,
     _expansion_tail,
-    _form,
     _node_simple,
     _star_fold,
     dominant_product,
@@ -93,6 +95,28 @@ from .errors import (
 from .monomial import ONE_MONO, EpsilonTable, YMonomial, v_factorization
 from .roots import LieType, two_rho
 from .tpoly import TPoly
+
+
+def _form(rho2: tuple, m: YMonomial) -> int:
+    """The two_rho form on m's weight: twice its height."""
+    return sum(rho2[i - 1] * e for i, _, e in m.data)
+
+
+def _colouring(L: LieType) -> dict:
+    """A 2-colouring of the Dynkin diagram, node -> 0 or 1.  The root (i, s)
+    and the factor Y[i, s] lie in the bipartite class s + colour(i) mod 2;
+    every factor of A(i, s) lies in the class of Y[i, s+1], so a term
+    below a top keeps its factors in the top's classes."""
+    colour = {1: 0}
+    work = [1]
+    while work:
+        i = work.pop()
+        for j in L.neighbors(i):
+            if j not in colour:
+                colour[j] = 1 - colour[i]
+                work.append(j)
+    return colour
+
 
 def _level_key(lo: int, hi: int, limit: int):
     """Packed integer key of monomials whose levels lie in [lo, hi] and
@@ -118,12 +142,13 @@ def _level_key(lo: int, hi: int, limit: int):
 def _fixpoint(L: LieType, poly: DrinfeldPoly, pins: dict | None = None) -> QtCharacter:
     """The element of K_t with highest monomial poly.monomial() whose
     l-dominant coefficients are pins ({monomial: TPoly}); by default the
-    top alone, with coefficient 1."""
+    top alone, with coefficient 1.  The top may be pinned to any nonzero
+    coefficient."""
     top = poly.monomial()
     if pins is None:
         pins = {top: TPoly.ONE}
-    if pins.get(top) != TPoly.ONE:
-        raise InternalError(f"the top {top} must be pinned to 1")
+    if not pins.get(top):
+        raise InternalError(f"the top {top} must be pinned to a nonzero coefficient")
     nodes = list(L.nodes)
     # every visited weight lies in the convex hull of the top weight's Weyl
     # orbit, so no genuine run goes deeper than height(wt - w0 wt), where the
@@ -145,11 +170,14 @@ def _fixpoint(L: LieType, poly: DrinfeldPoly, pins: dict | None = None) -> QtCha
         max((abs(e) for _, _, e in top.data), default=0) + bound,
     )
 
+    colour = _colouring(L)
+    classes = {(s + colour[i]) % 2 for i, s, _ in top.data}
+
     def keyed_rows(L, i, ui):
-        # a single-class top keeps each node's levels of one parity, so a
-        # pattern that mixes them can only come from a wrong expansion
-        if len({s % 2 for s, _ in ui}) > 1:
-            raise InternalError(f"node-{i} exponents {ui} mix level parities")
+        # every term keeps its factors in the top's bipartite classes, so a
+        # node-i level of another parity can only come from a wrong expansion
+        if any((s + colour[i]) % 2 not in classes for s, _ in ui):
+            raise InternalError(f"node-{i} exponents {ui} leave the level parities of the top's classes")
         return [(q, key(q), p, deg) for q, p, deg in _node_simple(L, i, ui)]
 
     mono: dict = {}
@@ -235,6 +263,28 @@ def _fixpoint(L: LieType, poly: DrinfeldPoly, pins: dict | None = None) -> QtCha
     return QtCharacter(L, poly, {mono[k]: TPoly._wrap(a) for k, a in coeffs.items()})
 
 
+def in_span_all_nodes(ch: QtCharacter) -> bool:
+    """Whether ch lies in K_t, the intersection over the nodes i of the
+    span of the node-i expansions.  An element of K_t is fixed by its
+    coefficients at its l-dominant monomials, so ch is accepted when the
+    run pinned to those terms rebuilds it, and only then.
+
+    A missing top or a dominant term not below the top gives False.  So
+    does a run that reaches a dominant monomial ch lacks, which a member
+    with cancelling coefficients could do; a False only sends a check to
+    its full sides."""
+    top = ch.highest
+    pins = {m: p for m, p in ch.terms.items() if m.is_l_dominant()}
+    if top not in pins:
+        return False
+    try:
+        for m in pins:
+            v_factorization(ch.L, m, top)
+        return _fixpoint(ch.L, ch.poly, pins).terms == ch.terms
+    except (NotComparable, InconsistentExpansion):
+        return False
+
+
 @dataclass
 class KLResult:
     """Triangular decomposition data for one standard character.
@@ -295,18 +345,9 @@ def _string_of(poly: DrinfeldPoly):
 
 def _class_halves(L: LieType, poly: DrinfeldPoly) -> list:
     """The nonempty parts of poly by bipartite class: the root (i, s) lies
-    in class s + colour(i) mod 2, for a 2-colouring of the Dynkin diagram.
-    Every factor of A(i, s) lies in the class of Y[i, s+1], so characters
-    of the two classes live on disjoint variables, and the commutation
-    exponent between them vanishes."""
-    colour = {1: 0}
-    work = [1]
-    while work:
-        i = work.pop()
-        for j in L.neighbors(i):
-            if j not in colour:
-                colour[j] = 1 - colour[i]
-                work.append(j)
+    in class s + colour(i) mod 2 (_colouring).  Characters of the two classes live on disjoint
+    variables, and the commutation exponent between them vanishes."""
+    colour = _colouring(L)
     halves: tuple = ([], [])
     for i, s in poly.roots:
         halves[(s + colour[i]) % 2].append((i, s))

@@ -10,15 +10,17 @@ serializer and turns them into text only when they are read, so a failure
 can print the mismatching terms while a pass never pays for the strings.
 
 The T-system checks (t = 1 and t-refined) and the tensor split compare
-sums of twisted products of characters.  When every factor passes the
-K_t membership check (in_span_all_nodes), both sides lie in K_t, which
-is closed under the twisted product, and an element of K_t is fixed by
+sums of twisted products of characters.  An element of K_t is fixed by
 its coefficients at l-dominant monomials (Frenkel-Mukhin at t = 1;
-Hernandez, "Algebraic approach to q,t-characters").  Those checks then
-pass on equal dominant parts (dominant_product) and build their full
-sides only if a report's sides are read.  A factor outside K_t, or
-dominant parts that differ, sends the check through the full products,
-so every failing report is the one the full comparison gives.
+Hernandez, "Algebraic approach to q,t-characters"), so the K_t
+membership check (in_span_all_nodes) rebuilds each factor from its
+dominant terms with one fixpoint run and compares.  When every factor
+passes, both sides lie in K_t, which is closed under the twisted
+product, and those checks pass on equal dominant parts
+(dominant_product), building their full sides only if a report's sides
+are read.  A factor outside K_t, or dominant parts that differ, sends
+the check through the full products, so every failing report is the one
+the full comparison gives.
 """
 
 from __future__ import annotations
@@ -30,14 +32,13 @@ from .character import (
     GCharacter,
     _star_fold,
     dominant_product,
-    in_span_all_nodes,
     normalized_in_A,
     qchar_mul,
     restrict_to_g,
     specialize_t1,
     terms_add,
 )
-from .engine import Engine, default_engine
+from .engine import Engine, default_engine, in_span_all_nodes
 from .errors import DomainError, InternalError, NotInRootLattice
 from .monomial import ONE_MONO, EpsilonTable, YMonomial
 from .roots import (
@@ -151,11 +152,12 @@ def _decide(claim: str, params: dict, factors, sides, dominant, full, ser) -> Ve
     characters in factors (up to spectral shifts).  sides(product) builds
     both sides, given product(list of characters) -> raw term dict.
 
-    When every factor lies in K_t (in_span_all_nodes), so do both sides,
-    and an element of K_t is fixed by its l-dominant terms.  Equal sides
-    under the dominant product then pass, and the full sides are built
-    only if the report's sides are read.  Every other case, including
-    each failure, is decided on the full sides as before."""
+    An element of K_t is fixed by its l-dominant terms, so a factor lies
+    in K_t when the fixpoint run pinned to those terms rebuilds it
+    (in_span_all_nodes).  When every factor does, so do both sides, and
+    equal sides under the dominant product then pass; the full sides are
+    built only if the report's sides are read.  Every other case,
+    including each failure, is decided on the full sides."""
     if all(in_span_all_nodes(ch) for ch in factors):
         lhs, rhs = sides(dominant)
         if lhs == rhs:
@@ -199,6 +201,15 @@ def _tshift(d: dict, n: int) -> dict:
 # -- T-system ----------------------------------------------------------------
 
 
+def _check_string(L: LieType, i: int, k: int) -> None:
+    """The node and string length of a T-system or tensor-split check, both
+    checked before any character or commutation exponent is looked up."""
+    if k < 1:
+        raise DomainError("k must be positive")
+    if i not in L.nodes:
+        raise DomainError(f"node {i} out of range for {L}")
+
+
 def _t_system_factors(eng: Engine, i: int, k: int) -> list:
     """The distinct characters the recursion at (i, k) multiplies, at shift
     0; membership in K_t does not depend on the shift."""
@@ -213,8 +224,7 @@ def verify_t_system_t1(L: LieType, i: int, k: int, engine: Engine | None = None)
     neighbors' length-k characters at shift 1.  Length 0 means the unit
     character.  Decided on dominant parts as the module docstring says,
     with t = 1 set in the twisted dominant products."""
-    if k < 1:
-        raise DomainError("k must be positive")
+    _check_string(L, i, k)
     eng = engine or default_engine(L)
     table = EpsilonTable(L)
     kr = eng.kr_char_direct
@@ -246,8 +256,7 @@ def verify_t_system_t(L: LieType, i: int, k: int, engine: Engine | None = None) 
     highest monomials; the neighbor term carries t^(-1-N) where N sums
     the pairwise commutation exponents in ascending node order.  Decided
     on dominant parts as the module docstring says."""
-    if k < 1:
-        raise DomainError("k must be positive")
+    _check_string(L, i, k)
     eng = engine or default_engine(L)
     table = EpsilonTable(L)
     kr = eng.kr_char_direct
@@ -285,8 +294,7 @@ def verify_kr_tensor_split(L: LieType, i: int, k: int, engine: Engine | None = N
     through the triangular decomposition.  Decided on dominant parts as
     the module docstring says, with the simple among the factors checked
     for membership."""
-    if k < 1:
-        raise DomainError("k must be positive")
+    _check_string(L, i, k)
     eng = engine or default_engine(L)
     table = EpsilonTable(L)
 

@@ -19,7 +19,6 @@ from qtchar import (
     dominant_product,
     dumps_qtc,
     epsilon,
-    in_slice_span,
     in_span_all_nodes,
     loads_qtc,
     normalized_in_A,
@@ -36,7 +35,7 @@ from qtchar import (
     write_qtc,
 )
 from qtchar import character, engine, kernels, monomial
-from qtchar.character import _expansion_tail, _star_fold, qchar_mul, terms_scale
+from qtchar.character import _expansion_tail, _node_simple, _star_fold, qchar_mul, terms_scale
 from qtchar.engine import _fixpoint, _top_normalized, fundamental_char, kr_char_direct, standard_char
 from qtchar.errors import NotDominant
 
@@ -111,29 +110,38 @@ def test_expand_two_levels(A1, engine_for, standard_rows):
 
 def test_expand_requires_dominance(A2):
     with pytest.raises(NotDominant):
-        _expansion_tail(A2, 1, parse_monomial("Y[1,0]^-1"))
+        _expansion_tail(A2, 1, parse_monomial("Y[1,0]^-1"), {}, _node_simple)
     # other-node exponents are unconstrained
-    assert _expansion_tail(A2, 1, parse_monomial("Y[2,0]^-1")) == [((), TPoly.ONE, 0)]
+    assert _expansion_tail(A2, 1, parse_monomial("Y[2,0]^-1"), {}, _node_simple) == [((), TPoly.ONE, 0)]
 
 
 # -- memoized node expansion ----------------------------------------------------
 
 
-def _popped_monomials(L, poly, monkeypatch) -> list:
-    """Every monomial the fixpoint pops for poly: the top and every term of
-    a tail it walks (each one is pushed, so each one is popped)."""
+def _popped_monomials(L, poly, monkeypatch, run=None) -> list:
+    """Every monomial the fixpoint pops for poly, in run() or by default a
+    run of its own: the top and every term of a tail it walks (each one is
+    pushed, so each one is popped)."""
     seen = {poly.monomial()}
     inner = engine._expansion_tail
 
-    def record(L, i, m, memo=None, **kw):
-        out = inner(L, i, m, memo, **kw)
+    def record(L, i, m, *args, **kw):
+        out = inner(L, i, m, *args, **kw)
         seen.update(m * YMonomial._wrap(row[0]) for row in out)
         return out
 
     with monkeypatch.context() as mp:
         mp.setattr(engine, "_expansion_tail", record)
-        _fixpoint(L, poly)
+        (run or (lambda: _fixpoint(L, poly)))()
     return sorted(seen)
+
+
+def _memo_tail(L, i, m, memo) -> list:
+    return _expansion_tail(L, i, m, memo, _node_simple)
+
+
+def _fresh_tail(L, i, m) -> list:
+    return _node_simple(L, i, tuple((s, u) for j, s, u in m.data if j == i))
 
 
 def test_memoized_tail_matches_fresh_tail(D4, A1, A2, monkeypatch):
@@ -148,7 +156,7 @@ def test_memoized_tail_matches_fresh_tail(D4, A1, A2, monkeypatch):
             for m in map(parse_monomial, texts):
                 for i in L.nodes:
                     if m.is_i_dominant(i):
-                        assert _expansion_tail(L, i, m, memo) == _expansion_tail(L, i, m), (i, m)
+                        assert _memo_tail(L, i, m, memo) == _fresh_tail(L, i, m), (i, m)
         assert len(memo) == keys
     # every i-dominant monomial the fixpoint pops
     E6 = build_lie_type("E", 6)
@@ -159,7 +167,7 @@ def test_memoized_tail_matches_fresh_tail(D4, A1, A2, monkeypatch):
         for m in _popped_monomials(L, poly, monkeypatch):
             for i in L.nodes:
                 if m.is_i_dominant(i):
-                    assert _expansion_tail(L, i, m, memo) == _expansion_tail(L, i, m), (i, m)
+                    assert _memo_tail(L, i, m, memo) == _fresh_tail(L, i, m), (i, m)
                     checked += 1
         assert len(memo) < checked
 
@@ -194,6 +202,11 @@ def test_fixpoint_pops_only_terms(D4, D5, monkeypatch):
         poly = DrinfeldPoly.kr(i, k, 0)
         popped = _popped_monomials(L, poly, monkeypatch)
         assert popped == sorted(_fixpoint(L, poly).terms), (L, i, k)
+    # so does the membership gate's run, pinned to the character's dominant
+    # terms, on a character read back from the engine
+    ch = Engine(E6).kr_char_direct(1, 2)
+    popped = _popped_monomials(E6, ch.poly, monkeypatch, lambda: in_span_all_nodes(ch))
+    assert popped == sorted(ch.terms)
 
 
 # -- sl2 simple rows -------------------------------------------------------------
@@ -494,9 +507,9 @@ def test_normalized_in_A_truncates_by_depth(A1, engine_for):
 
 def test_slice_span_accepts_engine_output(A2, engine_for):
     ch = engine_for(A2).fundamental_char(1, 0)
-    assert in_slice_span(ch, 1)
-    assert in_slice_span(ch, 2)
     assert in_span_all_nodes(ch)
+    # K_t is a module: a member scaled by 2, top included, stays in it
+    assert in_span_all_nodes(QtCharacter(A2, ch.poly, {m: p + p for m, p in ch.terms.items()}))
 
 
 def test_slice_span_accepts_kr_and_standard(A3, D4, engine_for):
@@ -533,12 +546,35 @@ def test_slice_span_rejects_truncations(A2, engine_for):
     drop_mid = {
         m: p for m, p in ch.terms.items() if m != parse_monomial("Y[1,2]^-1 Y[2,1]")
     }
-    assert not in_slice_span(QtCharacter(A2, ch.poly, drop_mid), 1)
+    assert not in_span_all_nodes(QtCharacter(A2, ch.poly, drop_mid))
     drop_last = {m: p for m, p in ch.terms.items() if m != parse_monomial("Y[2,3]^-1")}
-    broken = QtCharacter(A2, ch.poly, drop_last)
-    assert in_slice_span(broken, 1)
-    assert not in_slice_span(broken, 2)
-    assert not in_span_all_nodes(broken)
+    assert not in_span_all_nodes(QtCharacter(A2, ch.poly, drop_last))
+    # a missing top, or a dominant term not below the top, is no member,
+    # and the gate says so without raising
+    drop_top = {m: p for m, p in ch.terms.items() if m != ch.highest}
+    assert not in_span_all_nodes(QtCharacter(A2, ch.poly, drop_top))
+    stray = {**ch.terms, parse_monomial("Y[1,6]"): TPoly.ONE}
+    assert not in_span_all_nodes(QtCharacter(A2, ch.poly, stray))
+
+
+def test_gate_refuses_member_lacking_a_reached_dominant_term(A1, standard_strip):
+    # the node-1 simple of Y[1,0]^2 Y[1,2] holds the dominant Y[1,0]; less
+    # c times the simple of Y[1,0], it is a member of K_t without Y[1,0]
+    def simple(m):
+        rows = _node_simple(A1, 1, tuple((s, u) for _, s, u in m.data))
+        return {m * YMonomial._wrap(q): p for q, p, _ in rows}
+
+    top, low = parse_monomial("Y[1,0]^2 Y[1,2]"), parse_monomial("Y[1,0]")
+    terms = simple(top)
+    c = terms[low]
+    for m, p in simple(low).items():
+        terms[m] = terms.get(m, TPoly.ZERO) - c * p
+    ch = QtCharacter(A1, DrinfeldPoly(((1, 0), (1, 0), (1, 2))), terms)
+    assert low not in ch.terms and standard_strip(ch, 1)
+    # the gate's run reaches Y[1,0] with nothing pinned there, so it
+    # refuses the member, without raising: a refusal only sends a check to
+    # its full sides
+    assert not in_span_all_nodes(ch)
 
 
 def _perturbed(ch: QtCharacter):
@@ -549,8 +585,8 @@ def _perturbed(ch: QtCharacter):
             yield QtCharacter(ch.L, ch.poly, {**ch.terms, m: q})
 
 
-def _decisions(strip, ch) -> list:
-    return [strip(ch, i) for i in ch.L.nodes]
+def _strip_decision(standard_strip, ch) -> bool:
+    return all(standard_strip(ch, i) for i in ch.L.nodes)
 
 
 @pytest.mark.parametrize(
@@ -566,55 +602,34 @@ def _decisions(strip, ch) -> list:
     ],
 )
 def test_slice_span_decides_like_standard_strip(engines, standard_strip, family, rank, verb, args, terms):
-    # the gate strips with the simple rows and the reference with the signed
-    # standard rows; they span the same module, so each node's decision must
-    # agree on a member and on every perturbation of it
+    # the gate rebuilds a character from its dominant terms and the
+    # reference strips it with the signed standard rows at every node; both
+    # decide K_t membership, so they must agree on a member and on every
+    # perturbation of it
     ch = getattr(engines[(family, rank)], verb)(*args)
     assert len(ch) == terms
     decided = []
     for v in _perturbed(ch):
-        got = _decisions(in_slice_span, v)
-        assert got == _decisions(standard_strip, v), v.items()
-        decided.append(all(got))
-    # the member passes, and every perturbation fails at some node
+        got = in_span_all_nodes(v)
+        assert got == _strip_decision(standard_strip, v), v.items()
+        decided.append(got)
+    # the member passes, and every perturbation fails
     assert decided == [True] + [False] * 3 * terms
 
 
 def test_slice_span_decides_like_standard_strip_on_members(A2, D5, engine_for, standard_strip):
-    E6 = build_lie_type("E", 6)
     kr = engine_for(A2).kr_char_direct(1, 2)
     # the last term raised to 2, as the perturbed cache entry of
     # test_perturbed_cache_entry_fails_membership_gate holds it
     last, p = kr.items()[-1]
     perturbed = QtCharacter(A2, kr.poly, {**kr.terms, last: p + TPoly.ONE})
-    assert not in_span_all_nodes(perturbed)
-    for ch in (engine_for(D5).kr_char_direct(3, 2), Engine(E6).fundamental_char(1), perturbed):
-        assert _decisions(in_slice_span, ch) == _decisions(standard_strip, ch), (ch.L, ch.poly)
-
-
-def test_slice_span_pushes_only_terms(D4, D5, engine_for, monkeypatch):
-    # the simple rows carry nonnegative coefficients, so stripping a
-    # character the fixpoint built cancels nothing: every monomial a row
-    # reaches is a term (the signed standard rows reach thousands more)
-    E6 = build_lie_type("E", 6)
-    inner = character._expansion_tail
-    for ch in (
-        engine_for(D4).kr_char_direct(2, 3),
-        engine_for(D5).kr_char_direct(3, 2),
-        Engine(E6).kr_char_direct(1, 2),
-    ):
-        for i in ch.L.nodes:
-            reached = set()
-
-            def record(L, j, m, memo=None, **kw):
-                out = inner(L, j, m, memo, **kw)
-                reached.update(m * YMonomial._wrap(row[0]) for row in out)
-                return out
-
-            with monkeypatch.context() as mp:
-                mp.setattr(character, "_expansion_tail", record)
-                assert in_slice_span(ch, i)
-            assert reached == set(ch.terms), (ch.L, ch.poly, i)
+    # D5 KR(3,2) and the node-1 fundamentals of E6, E7 and E8 (3,875 terms)
+    chars = [engine_for(D5).kr_char_direct(3, 2)]
+    chars += [Engine(build_lie_type("E", n)).fundamental_char(1) for n in (6, 7, 8)]
+    chars.append(perturbed)
+    got = [in_span_all_nodes(ch) for ch in chars]
+    assert got == [True] * 4 + [False]
+    assert got == [_strip_decision(standard_strip, ch) for ch in chars]
 
 
 # -- finite-type restriction -----------------------------------------------------

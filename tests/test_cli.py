@@ -227,6 +227,8 @@ def test_failing_report_exits_one(capsys, tmp_path, monkeypatch):
         # paths that cannot be written are usage errors, not failed checks
         ("fund", "--type", "A1", "--node", "1", "--out", "/nonexistent/dir/x.qtc"),
         ("fund", "--type", "A1", "--node", "1", "--cache-dir", "{file}"),
+        # a node above the rank is a usage error, not a failed check
+        ("tsys", "--type", "A2", "--node", "5", "--k", "1", "--t-analog"),
     ],
 )
 def test_usage_errors_exit_two(capsys, tmp_path, argv):

@@ -374,8 +374,12 @@ def test_pinned_fixpoint_rejects_bad_pins(A2):
     for m, why in bad:
         with pytest.raises(InternalError, match=why):
             _fixpoint(A2, P, {top: TPoly.ONE, m: TPoly.ONE})
-    with pytest.raises(InternalError, match="pinned to 1"):
-        _fixpoint(A2, P, {top: parse_tpoly("t")})
+    for pins in ({}, {top: TPoly.ZERO}):
+        with pytest.raises(InternalError, match="nonzero coefficient"):
+            _fixpoint(A2, P, pins)
+    # any other top coefficient scales the whole character
+    t = parse_tpoly("t")
+    assert _fixpoint(A2, P, {top: t}).terms == {m: p * t for m, p in _fixpoint(A2, P).terms.items()}
 
 
 def test_kr_row_with_off_diagonal_entry_raises(A2, D4):

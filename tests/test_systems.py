@@ -31,8 +31,8 @@ from qtchar import (
     verify_t_system_t,
     verify_t_system_t1,
 )
-from qtchar import systems
-from qtchar.character import in_span_all_nodes, terms_scale
+from qtchar import in_span_all_nodes, systems
+from qtchar.character import terms_scale
 from qtchar.monomial import v_factorization
 from qtchar.systems import (
     check_nu,
@@ -197,6 +197,27 @@ def test_perturbed_cache_entry_fails_membership_gate(A2, tmp_path, monkeypatch):
         assert rep == full
 
 
+def test_cache_entry_with_stray_dominant_term_fails_like_full_route(A2, tmp_path, monkeypatch):
+    # a dominant term that is not below the top: the gate must refuse the
+    # factor without raising, and the full route reports the failure
+    Engine(A2, str(tmp_path)).kr_char_direct(1, 2)
+    path = tmp_path / "A2_kr_1_2.qtc"
+    lines = path.read_text().splitlines()
+    assert lines[-1] == "end 6"
+    lines[-1:] = ["term 1 : Y[1,6]", "end 7"]
+    path.write_text("\n".join(lines) + "\n")
+    eng = Engine(A2, str(tmp_path))
+    assert parse_monomial("Y[1,6]") in eng.kr_char_direct(1, 2).terms
+    assert not in_span_all_nodes(eng.kr_char_direct(1, 2))
+    reports = [verify(A2, 1, 2, eng) for verify in (verify_t_system_t, verify_t_system_t1)]
+    _full_route(monkeypatch)
+    for rep, verify in zip(reports, (verify_t_system_t, verify_t_system_t1)):
+        full = verify(A2, 1, 2, eng)
+        assert rep.status == full.status == "fail"
+        assert rep.text() == full.text()
+        assert rep == full
+
+
 # -- specialized and refined string recursions ------------------------------------
 
 
@@ -219,6 +240,14 @@ def test_t_system_rejects_bad_k(A2):
         verify_t_system_t1(A2, 1, 0)
     with pytest.raises(DomainError):
         verify_t_system_t(A2, 1, -2)
+
+
+@pytest.mark.parametrize("verify", [verify_t_system_t1, verify_t_system_t, verify_kr_tensor_split])
+def test_string_checks_reject_out_of_range_nodes(A2, verify):
+    # the node is checked before any commutation exponent is looked up
+    for i in (0, 3, 5):
+        with pytest.raises(DomainError, match=f"node {i} out of range for A2"):
+            verify(A2, i, 1, Engine(A2))
 
 
 def test_t1_system_restricts_to_q_system(A2, engine_for):

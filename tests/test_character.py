@@ -202,11 +202,24 @@ def test_fixpoint_pops_only_terms(D4, D5, monkeypatch):
         poly = DrinfeldPoly.kr(i, k, 0)
         popped = _popped_monomials(L, poly, monkeypatch)
         assert popped == sorted(_fixpoint(L, poly).terms), (L, i, k)
-    # so does the membership gate's run, pinned to the character's dominant
-    # terms, on a character read back from the engine
-    ch = Engine(E6).kr_char_direct(1, 2)
-    popped = _popped_monomials(E6, ch.poly, monkeypatch, lambda: in_span_all_nodes(ch))
-    assert popped == sorted(ch.terms)
+
+
+def test_slice_span_pushes_only_terms(D4, D5, engine_for, monkeypatch):
+    # so does the membership gate's run, pinned to the dominant terms of a
+    # character read back from the engine: every monomial a row reaches is
+    # a term (the signed standard rows reach thousands more)
+    E6 = build_lie_type("E", 6)
+    for ch in (
+        engine_for(D4).kr_char_direct(2, 3),
+        engine_for(D5).kr_char_direct(3, 2),
+        Engine(E6).kr_char_direct(1, 2),
+    ):
+        decided = []
+        popped = _popped_monomials(
+            ch.L, ch.poly, monkeypatch, lambda: decided.append(in_span_all_nodes(ch))
+        )
+        assert decided == [True], (ch.L, ch.poly)
+        assert popped == sorted(ch.terms), (ch.L, ch.poly)
 
 
 # -- sl2 simple rows -------------------------------------------------------------

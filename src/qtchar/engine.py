@@ -31,6 +31,18 @@ theorem) is built exactly and a second dominant monomial fails loudly.
 The same fact decides K_t membership (in_span_all_nodes): a character
 that the run pinned to its dominant terms rebuilds lies in K_t.
 
+A completed run has already shown membership for its own output: at
+each monomial and each node i, the coefficient is what the node-i
+expansions above it sent there, topped up by one rooted there where the
+monomial is i-dominant, so the output is a combination of node-i rows
+for every i.  The run therefore marks its output certified
+(QtCharacter.certified), strict and pinned runs alike; shifts keep the
+mark, and the product of two certified class halves gets it, since K_t
+is closed under the twisted product.  A disk-cache entry keeps the mark
+only through the digest in its trailer (write_qtc); an entry without
+one, or a character built outside the engine, is unmarked, and the
+verifiers run in_span_all_nodes on it instead.
+
 An expansion at node i depends on m only through m's node-i exponents,
 and a run meets few distinct ones (279 for D4 KR(2,4), against 8,796
 expansions).  Each run therefore keeps one memo of expansion rows keyed
@@ -79,6 +91,7 @@ from .character import (
     QtCharacter,
     _expansion_tail,
     _node_simple,
+    _sealed,
     _star_fold,
     dominant_product,
     read_qtc,
@@ -116,6 +129,12 @@ def _colouring(L: LieType) -> dict:
                 colour[j] = 1 - colour[i]
                 work.append(j)
     return colour
+
+
+def _certify(ch: QtCharacter) -> QtCharacter:
+    """ch, marked as a member of K_t (QtCharacter.certified)."""
+    ch._certified = True
+    return ch
 
 
 def _level_key(lo: int, hi: int, limit: int):
@@ -260,7 +279,7 @@ def _fixpoint(L: LieType, poly: DrinfeldPoly, pins: dict | None = None) -> QtCha
         raise InternalError(
             f"expansion stopped at depth {deepest}, but the lowest weight sits at depth {lowest}"
         )
-    return QtCharacter(L, poly, {mono[k]: TPoly._wrap(a) for k, a in coeffs.items()})
+    return _certify(QtCharacter(L, poly, {mono[k]: TPoly._wrap(a) for k, a in coeffs.items()}))
 
 
 def in_span_all_nodes(ch: QtCharacter) -> bool:
@@ -393,7 +412,9 @@ class Engine:
     def _cached(self, stem: str, poly: DrinfeldPoly):
         """Base character of poly, from memory, the disk cache or a fixpoint
         run.  A disk entry counts only if it holds this type and root datum;
-        anything else is recomputed and rewritten."""
+        anything else is recomputed and rewritten.  An entry is certified
+        when its trailer's digest verifies; one without a digest is read
+        uncertified, so the membership gate checks it."""
         ch = self._base.get(stem)
         if ch is not None:
             return ch
@@ -401,8 +422,14 @@ class Engine:
             path = self._cache_path(stem)
             if os.path.exists(path):
                 try:
+                    # the trailer is looked at before the read: an engine
+                    # writes only sealed entries, so one that replaces this
+                    # entry in between is sealed too, and read_qtc checks it
+                    sealed = _sealed(path)
                     ch = read_qtc(path)
                     if ch.L == self.L and ch.poly == poly:
+                        if sealed:
+                            _certify(ch)
                         self._base[stem] = ch
                         return ch
                 except (OSError, UnicodeDecodeError, QtcharError):
@@ -550,8 +577,9 @@ class Engine:
         l(poly, m)}; memoized.  A string takes its character from the
         engine, and its row must hold the diagonal alone (the paper's
         theorem).  A root datum of two bipartite classes is the product of
-        its halves' simples, which must match the row.  Any other root
-        datum is one fixpoint run pinned to the row."""
+        its halves' simples, which must match the row, and is certified
+        when both halves are.  Any other root datum is one fixpoint run
+        pinned to the row."""
         got = self._simples.get(poly.roots)
         if got is not None:
             return got
@@ -564,12 +592,13 @@ class Engine:
                 raise InternalError(f"the l-row of the string {poly} holds more than its diagonal")
             ch = self.kr_char_direct(*string)
         elif len(halves) == 2:
-            terms = _top_normalized(
-                star_product(L, *(self.simple_char(h) for h in halves), self._table), top
-            )
+            parts = [self.simple_char(h) for h in halves]
+            terms = _top_normalized(star_product(L, *parts, self._table), top)
             if {m: p for m, p in terms.items() if m.is_l_dominant()} != row:
                 raise InternalError(f"the product of the classes of {poly} differs from its l-row")
             ch = QtCharacter(L, poly, terms)
+            if all(h.certified for h in parts):
+                _certify(ch)
         else:
             ch = _fixpoint(L, poly, row)
         self._simples[poly.roots] = ch

@@ -12,11 +12,13 @@ can print the mismatching terms while a pass never pays for the strings.
 The T-system checks (t = 1 and t-refined) and the tensor split compare
 sums of twisted products of characters.  An element of K_t is fixed by
 its coefficients at l-dominant monomials (Frenkel-Mukhin at t = 1;
-Hernandez, "Algebraic approach to q,t-characters"), so the K_t
-membership check (in_span_all_nodes) rebuilds each factor from its
-dominant terms with one fixpoint run and compares.  When every factor
-passes, both sides lie in K_t, which is closed under the twisted
-product, and those checks pass on equal dominant parts
+Hernandez, "Algebraic approach to q,t-characters").  A factor the
+engine built is certified, since its fixpoint run proved membership node
+by node (engine.py); any other factor goes through the membership check
+(in_span_all_nodes), which rebuilds it from its dominant terms with one
+fixpoint run and compares.  When every factor is certified or passes,
+both sides lie in K_t, which is closed under the twisted product, and
+those checks pass on equal dominant parts
 (dominant_product), building their full sides only if a report's sides
 are read.  A factor outside K_t, or dominant parts that differ, sends
 the check through the full products, so every failing report is the one
@@ -152,13 +154,15 @@ def _decide(claim: str, params: dict, factors, sides, dominant, full, ser) -> Ve
     characters in factors (up to spectral shifts).  sides(product) builds
     both sides, given product(list of characters) -> raw term dict.
 
-    An element of K_t is fixed by its l-dominant terms, so a factor lies
-    in K_t when the fixpoint run pinned to those terms rebuilds it
-    (in_span_all_nodes).  When every factor does, so do both sides, and
-    equal sides under the dominant product then pass; the full sides are
-    built only if the report's sides are read.  Every other case,
-    including each failure, is decided on the full sides."""
-    if all(in_span_all_nodes(ch) for ch in factors):
+    A certified factor lies in K_t: the engine built it, and its fixpoint
+    run proved membership.  An element of K_t is fixed by its l-dominant
+    terms, so any other factor lies in K_t when the fixpoint run pinned to
+    those terms rebuilds it (in_span_all_nodes), which runs only on
+    factors without the mark.  When every factor lies in K_t, so do both
+    sides, and equal sides under the dominant product then pass; the full
+    sides are built only if the report's sides are read.  Every other
+    case, including each failure, is decided on the full sides."""
+    if all(ch.certified or in_span_all_nodes(ch) for ch in factors):
         lhs, rhs = sides(dominant)
         if lhs == rhs:
             return VerifyReport.deferred(claim, params, "pass", lambda: sides(full), ser)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 from functools import lru_cache
 import random
@@ -721,11 +722,26 @@ def test_qtc_rejects_malformed_input():
 
 def test_qtc_trailer_counts_terms(A2, engine_for, tmp_path):
     ch = engine_for(A2).kr_char_direct(1, 2)
+    assert ch.certified
     path = tmp_path / "ch.qtc"
     write_qtc(path, ch)
     text = path.read_text()
-    assert text == dumps_qtc(ch) + f"end {len(ch)}\n"
+    # a certified character's trailer carries the digest of the text above
+    # it, prefixed by the cache-format tag
+    digest = hashlib.sha256(b"qtchar cache 1\n" + dumps_qtc(ch).encode()).hexdigest()
+    assert text == dumps_qtc(ch) + f"end {len(ch)} {digest}\n"
     assert loads_qtc(text) == ch
+    # a wrong digest, and an edited term under the right one
+    edited = text.replace("term 1 :", "term 2 :", 1)
+    for bad in (text.replace(digest, digest[::-1]), edited):
+        with pytest.raises(ParseError, match="digest"):
+            loads_qtc(bad)
+        path.write_text(bad)
+        with pytest.raises(ParseError, match="digest"):
+            read_qtc(path)
+    # an uncertified character gets the count alone
+    write_qtc(path, loads_qtc(text))
+    assert path.read_text() == dumps_qtc(ch) + f"end {len(ch)}\n"
     # plain qtc text has no trailer: loads_qtc takes it, read_qtc does not
     path.write_text(dumps_qtc(ch))
     with pytest.raises(ParseError, match="trailer"):

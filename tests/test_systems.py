@@ -15,9 +15,11 @@ from qtchar import (
     TPoly,
     VerifyReport,
     YMonomial,
+    dumps_qtc,
     epsilon,
     fermionic_rhs,
     irreducible_g_char,
+    loads_qtc,
     pairing_d,
     pairing_d_alt,
     parse_monomial,
@@ -118,19 +120,25 @@ DECISION_RANGES = [
 
 
 def _full_route(monkeypatch) -> None:
-    """Fail the membership gate, so that every verifier decides on the full
-    sides as it did before the dominant route existed."""
+    """Unmark every character and fail the membership gate, so that every
+    verifier decides on the full sides as it did before the dominant route
+    existed."""
+    monkeypatch.setattr(QtCharacter, "certified", property(lambda ch: False))
     monkeypatch.setattr(systems, "in_span_all_nodes", lambda ch: False)
 
 
-def test_dominant_decisions_match_full_route(engines, monkeypatch):
-    cases = [
+def _decision_cases(engines) -> list:
+    return [
         (verify, engines[(family, rank)], i, k)
         for verify, ranges in DECISION_RANGES
         for family, rank, nodes, kmax in ranges
         for i in nodes
         for k in range(1, kmax + 1)
     ]
+
+
+def test_dominant_decisions_match_full_route(engines, monkeypatch):
+    cases = _decision_cases(engines)
     eager = []
     monkeypatch.setattr(systems, "_report", lambda *args: eager.append(args))
     fast = [verify(eng.L, i, k, eng) for verify, eng, i, k in cases]
@@ -142,6 +150,49 @@ def test_dominant_decisions_match_full_route(engines, monkeypatch):
         assert rep.status == full.status == "pass", (verify.__name__, eng.L, i, k)
         assert rep == full  # the lazily built sides are the eager ones
         assert rep.text() == full.text()
+
+
+# characters up to this many terms are run through the gate below: every
+# factor of the corpus except D5 KR(3,3) (80,218 terms), about 3 s in all
+GATE_TERM_BUDGET = 10_000
+
+
+def test_certified_factors_pass_the_gate(engines, monkeypatch):
+    # the mark stands in for the gate on every factor the engine built, so
+    # it must never pass a factor the gate would refuse
+    factors: dict = {}
+    real_decide = systems._decide
+
+    def recording(claim, params, chars, *rest):
+        for ch in chars:
+            factors.setdefault((str(ch.L), ch.poly), ch)
+        return real_decide(claim, params, chars, *rest)
+
+    monkeypatch.setattr(systems, "_decide", recording)
+    for verify, eng, i, k in _decision_cases(engines):
+        assert verify(eng.L, i, k, eng).ok
+    monkeypatch.undo()
+    # criterion 5 adds D5, whose factors the decision ranges above lack
+    eng = engines[("D", 5)]
+    for i in eng.L.nodes:
+        for k in (1, 2):
+            for ch in systems._t_system_factors(eng, i, k):
+                factors.setdefault((str(ch.L), ch.poly), ch)
+    # every factor but the unit (k = 0) comes marked from the engine
+    assert all(ch.certified == bool(ch.poly) for ch in factors.values())
+    skipped = []
+    for key, ch in factors.items():
+        if len(ch) > GATE_TERM_BUDGET:
+            skipped.append(key)
+            continue
+        # parsing, the constructor and a perturbed copy never carry the mark
+        copies = [loads_qtc(dumps_qtc(ch)), QtCharacter(ch.L, ch.poly, ch.terms)]
+        last = ch.items()[-1][0]
+        dropped = QtCharacter(ch.L, ch.poly, {m: p for m, p in ch.terms.items() if m != last})
+        assert not any(c.certified for c in copies + [dropped])
+        assert in_span_all_nodes(ch), key
+        assert not in_span_all_nodes(dropped), key
+    assert skipped == [("D5", DrinfeldPoly.kr(3, 3, 0))]
 
 
 class _ScaledEngine(Engine):
@@ -175,11 +226,15 @@ def test_perturbed_cache_entry_fails_membership_gate(A2, tmp_path, monkeypatch):
     Engine(A2, str(tmp_path)).kr_char_direct(1, 2)
     path = tmp_path / "A2_kr_1_2.qtc"
     lines = path.read_text().splitlines()
-    # the last term line holds a monomial with a negative exponent
+    # the last term line holds a monomial with a negative exponent; the
+    # edit also drops the trailer's digest, with which the entry would be
+    # refused at read and recomputed
     assert lines[-2].startswith("term 1 : ") and "^-1" in lines[-2]
     lines[-2] = "term 2 : " + lines[-2][len("term 1 : "):]
+    lines[-1] = "end 6"
     path.write_text("\n".join(lines) + "\n")
     eng = Engine(A2, str(tmp_path))
+    assert not eng.kr_char_direct(1, 2).certified
     assert not in_span_all_nodes(eng.kr_char_direct(1, 2))
 
     dominant_calls = []
@@ -198,16 +253,18 @@ def test_perturbed_cache_entry_fails_membership_gate(A2, tmp_path, monkeypatch):
 
 
 def test_cache_entry_with_stray_dominant_term_fails_like_full_route(A2, tmp_path, monkeypatch):
-    # a dominant term that is not below the top: the gate must refuse the
-    # factor without raising, and the full route reports the failure
+    # a dominant term that is not below the top, in an entry edited by hand
+    # without a digest: the gate must refuse the factor without raising, and
+    # the full route reports the failure
     Engine(A2, str(tmp_path)).kr_char_direct(1, 2)
     path = tmp_path / "A2_kr_1_2.qtc"
     lines = path.read_text().splitlines()
-    assert lines[-1] == "end 6"
+    assert lines[-1].startswith("end 6 ")
     lines[-1:] = ["term 1 : Y[1,6]", "end 7"]
     path.write_text("\n".join(lines) + "\n")
     eng = Engine(A2, str(tmp_path))
     assert parse_monomial("Y[1,6]") in eng.kr_char_direct(1, 2).terms
+    assert not eng.kr_char_direct(1, 2).certified
     assert not in_span_all_nodes(eng.kr_char_direct(1, 2))
     reports = [verify(A2, 1, 2, eng) for verify in (verify_t_system_t, verify_t_system_t1)]
     _full_route(monkeypatch)
@@ -216,6 +273,27 @@ def test_cache_entry_with_stray_dominant_term_fails_like_full_route(A2, tmp_path
         assert rep.status == full.status == "fail"
         assert rep.text() == full.text()
         assert rep == full
+
+
+def test_old_cache_entry_is_read_uncertified_and_gated(A2, tmp_path, monkeypatch):
+    fresh = Engine(A2, str(tmp_path)).kr_char_direct(1, 2)
+    path = tmp_path / "A2_kr_1_2.qtc"
+    # an entry written before the trailer carried a digest
+    lines = path.read_text().splitlines(keepends=True)
+    lines[-1] = f"end {len(fresh)}\n"
+    path.write_text("".join(lines))
+    before = (path.stat().st_ino, path.stat().st_mtime_ns, path.stat().st_size)
+    eng = Engine(A2, str(tmp_path))
+    got = eng.kr_char_direct(1, 2)
+    assert got == fresh and not got.certified
+    gated = []
+    real_gate = systems.in_span_all_nodes
+    monkeypatch.setattr(systems, "in_span_all_nodes", lambda ch: gated.append(ch) or real_gate(ch))
+    rep = verify_t_system_t(A2, 1, 2, eng)
+    assert rep.ok, rep.text()
+    # the gate checked that entry and no other factor, and it was not rewritten
+    assert len(gated) == 1 and gated[0] is got
+    assert (path.stat().st_ino, path.stat().st_mtime_ns, path.stat().st_size) == before
 
 
 # -- specialized and refined string recursions ------------------------------------

@@ -57,7 +57,6 @@ from .engine import (
     KLResult,
     default_engine,
     fundamental_char,
-    in_span_all_nodes,
     kl_decompose,
     kr_char_direct,
     simple_char,

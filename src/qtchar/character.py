@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from collections import Counter
 import hashlib
-import os
 import re
 
 from . import kernels
@@ -92,25 +91,15 @@ class DrinfeldPoly:
 
 class QtCharacter:
     """Character of a module: highest root datum plus a finite term dict
-    mapping monomials to t-polynomial coefficients.
+    mapping monomials to t-polynomial coefficients."""
 
-    certified marks a character the engine built, which therefore lies in
-    K_t: a completed fixpoint run, its shifts, the product of two
-    certified class halves, or a cache entry whose digest verifies.  The
-    constructor never sets it, and equality ignores it."""
-
-    __slots__ = ("L", "poly", "terms", "_highest", "_certified")
+    __slots__ = ("L", "poly", "terms", "_highest")
 
     def __init__(self, L: LieType, poly: DrinfeldPoly, terms):
         self.L = L
         self.poly = poly
         self.terms = {m: p for m, p in dict(terms).items() if p}
         self._highest = None
-        self._certified = False
-
-    @property
-    def certified(self) -> bool:
-        return self._certified
 
     @property
     def highest(self) -> YMonomial:
@@ -144,13 +133,11 @@ class QtCharacter:
     def shift(self, d: int) -> "QtCharacter":
         if d == 0:
             return self
-        out = QtCharacter(
+        return QtCharacter(
             self.L,
             self.poly.shift(d),
             {m.shift(d): p for m, p in self.terms.items()},
         )
-        out._certified = self._certified
-        return out
 
     def bar(self) -> "QtCharacter":
         return QtCharacter(self.L, self.poly, {m: p.bar() for m, p in self.terms.items()})
@@ -567,12 +554,10 @@ def normalized_in_A(ch: QtCharacter, D: int) -> dict:
 _QTC_HEADER = "# qtc v1"
 _TYPE_RE = re.compile(r"^type ([ADE]) (\d+)$")
 _P_RE = re.compile(r"^P (\d+):((?: -?\d+)*)$")
-_END_RE = re.compile(r"^end (\d+)(?: ([0-9a-f]{64}))?$")
+_END_RE = re.compile(r"^end (\d+) ([0-9a-f]{64})$")
 # Prefixed to the text a cache digest covers: a new tag invalidates every
 # digest written under the old one.
 _CACHE_TAG = b"qtchar cache 1\n"
-# the last bytes of a trailer that carries a digest
-_DIGEST_TAIL = re.compile(rb".* [0-9a-f]{64}\n", re.DOTALL)
 
 
 def _cache_digest(body: bytes) -> str:
@@ -595,9 +580,10 @@ def dumps_qtc(ch: QtCharacter) -> str:
 
 
 def loads_qtc(text: str) -> QtCharacter:
-    """Parse qtc text.  A last line `end <N>` or `end <N> <digest>` (the
-    trailer write_qtc adds) must match the number of term lines, and its
-    digest, if any, the text above it.  The result is never certified."""
+    """Parse qtc text, with or without the trailer `end <N> <digest>` that
+    write_qtc adds.  A trailer must match the number of term lines, and
+    its digest the text above it; a count alone, `end <N>`, is no
+    trailer and is refused as an unknown line."""
     lines = [ln.rstrip("\n") for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != _QTC_HEADER:
         raise ParseError("missing qtc v1 header")
@@ -606,8 +592,7 @@ def loads_qtc(text: str) -> QtCharacter:
     end = _END_RE.match(lines[-1]) if len(lines) > 2 else None
     if end:
         lines.pop()
-        digest = end.group(2)
-        if digest and _cache_digest(text[: text.rstrip().rfind("\n") + 1].encode("utf-8")) != digest:
+        if _cache_digest(text[: text.rstrip().rfind("\n") + 1].encode("utf-8")) != end.group(2):
             raise ParseError("the trailer's digest does not match the text above it")
     mt = _TYPE_RE.match(lines[1])
     if not mt:
@@ -643,34 +628,20 @@ def loads_qtc(text: str) -> QtCharacter:
 
 
 def write_qtc(path, ch: QtCharacter) -> None:
-    """dumps_qtc text plus an `end <term count>` trailer, so that read_qtc
-    can tell a complete file from a cut one.  For a certified character
-    the trailer goes on with the digest of the text above it
-    (_cache_digest), so that a reader can tell the file is as written."""
+    """dumps_qtc text plus the trailer `end <term count> <digest>`, the
+    digest of the text above it (_cache_digest), so that read_qtc can tell
+    a complete file as written from a cut or edited one."""
     body = dumps_qtc(ch).encode("ascii")
-    trailer = f"end {len(ch.terms)}"
-    if ch.certified:
-        trailer += " " + _cache_digest(body)
     with open(path, "wb") as fp:
         fp.write(body)
-        fp.write(f"{trailer}\n".encode("ascii"))
+        fp.write(f"end {len(ch.terms)} {_cache_digest(body)}\n".encode("ascii"))
 
 
 def read_qtc(path) -> QtCharacter:
-    """Inverse of write_qtc: the trailer is required, and a digest in it
-    must match.  The result is never certified."""
+    """Inverse of write_qtc: the trailer is required, and its digest must
+    match."""
     with open(path, "r", encoding="ascii") as fp:
         text = fp.read()
     if not _END_RE.match(text.rstrip().rpartition("\n")[2]):
         raise ParseError(f"{path}: missing end trailer, the file may be cut short")
     return loads_qtc(text)
-
-
-def _sealed(path) -> bool:
-    """Whether the file at path ends as write_qtc ends a certified
-    character, with a digest in its trailer.  Only the last bytes are
-    read; read_qtc checks the digest."""
-    with open(path, "rb") as fp:
-        size = fp.seek(0, os.SEEK_END)
-        fp.seek(max(0, size - 66))
-        return _DIGEST_TAIL.fullmatch(fp.read()) is not None

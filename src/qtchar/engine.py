@@ -28,20 +28,17 @@ no pin but has accumulated a nonzero coefficient raises
 InconsistentExpansion.  By default the top alone is pinned, to 1, so a
 module with one dominant monomial (every KR module, by the paper's
 theorem) is built exactly and a second dominant monomial fails loudly.
-The same fact decides K_t membership (in_span_all_nodes): a character
-that the run pinned to its dominant terms rebuilds lies in K_t.
 
-A completed run has already shown membership for its own output: at
-each monomial and each node i, the coefficient is what the node-i
-expansions above it sent there, topped up by one rooted there where the
-monomial is i-dominant, so the output is a combination of node-i rows
-for every i.  The run therefore marks its output certified
-(QtCharacter.certified), strict and pinned runs alike; shifts keep the
-mark, and the product of two certified class halves gets it, since K_t
-is closed under the twisted product.  A disk-cache entry keeps the mark
-only through the digest in its trailer (write_qtc); an entry without
-one, or a character built outside the engine, is unmarked, and the
-verifiers run in_span_all_nodes on it instead.
+A completed run lies in K_t by construction: at each monomial and each
+node i, the coefficient is what the node-i expansions above it sent
+there, topped up by one rooted there where the monomial is i-dominant,
+so the output is a combination of node-i rows for every i.  That holds
+for strict and pinned runs alike, so every character the engine hands
+out is a member: a run, its shifts, the unit, a twisted product of
+members (a standard, or the product of two class halves; K_t is closed
+under the twisted product), or a disk-cache entry whose digest shows it
+is a run's output as written (write_qtc).  The verifiers rely on this
+and check membership nowhere.
 
 An expansion at node i depends on m only through m's node-i exponents,
 and a run meets few distinct ones (279 for D4 KR(2,4), against 8,796
@@ -73,8 +70,7 @@ diagonal, as the paper's theorem says.  A root datum of two bipartite
 classes is the product of its halves' simples.  Any other is one run
 pinned to the row.  Every term keeps its factors in the bipartite
 classes of the top (_colouring), so a run rejects a node-i level of
-another parity; a top of both classes, as the membership check meets
-them, keeps both parities.
+another parity; a top of both classes keeps both parities.
 """
 
 from __future__ import annotations
@@ -91,7 +87,6 @@ from .character import (
     QtCharacter,
     _expansion_tail,
     _node_simple,
-    _sealed,
     _star_fold,
     dominant_product,
     read_qtc,
@@ -129,12 +124,6 @@ def _colouring(L: LieType) -> dict:
                 colour[j] = 1 - colour[i]
                 work.append(j)
     return colour
-
-
-def _certify(ch: QtCharacter) -> QtCharacter:
-    """ch, marked as a member of K_t (QtCharacter.certified)."""
-    ch._certified = True
-    return ch
 
 
 def _level_key(lo: int, hi: int, limit: int):
@@ -279,29 +268,7 @@ def _fixpoint(L: LieType, poly: DrinfeldPoly, pins: dict | None = None) -> QtCha
         raise InternalError(
             f"expansion stopped at depth {deepest}, but the lowest weight sits at depth {lowest}"
         )
-    return _certify(QtCharacter(L, poly, {mono[k]: TPoly._wrap(a) for k, a in coeffs.items()}))
-
-
-def in_span_all_nodes(ch: QtCharacter) -> bool:
-    """Whether ch lies in K_t, the intersection over the nodes i of the
-    span of the node-i expansions.  An element of K_t is fixed by its
-    coefficients at its l-dominant monomials, so ch is accepted when the
-    run pinned to those terms rebuilds it, and only then.
-
-    A missing top or a dominant term not below the top gives False.  So
-    does a run that reaches a dominant monomial ch lacks, which a member
-    with cancelling coefficients could do; a False only sends a check to
-    its full sides."""
-    top = ch.highest
-    pins = {m: p for m, p in ch.terms.items() if m.is_l_dominant()}
-    if top not in pins:
-        return False
-    try:
-        for m in pins:
-            v_factorization(ch.L, m, top)
-        return _fixpoint(ch.L, ch.poly, pins).terms == ch.terms
-    except (NotComparable, InconsistentExpansion):
-        return False
+    return QtCharacter(L, poly, {mono[k]: TPoly._wrap(a) for k, a in coeffs.items()})
 
 
 @dataclass
@@ -412,9 +379,9 @@ class Engine:
     def _cached(self, stem: str, poly: DrinfeldPoly):
         """Base character of poly, from memory, the disk cache or a fixpoint
         run.  A disk entry counts only if it holds this type and root datum;
-        anything else is recomputed and rewritten.  An entry is certified
-        when its trailer's digest verifies; one without a digest is read
-        uncertified, so the membership gate checks it."""
+        anything else is recomputed and rewritten, an entry without the
+        digest trailer (read_qtc) included, since only the digest shows the
+        entry is a run's output as written."""
         ch = self._base.get(stem)
         if ch is not None:
             return ch
@@ -422,14 +389,8 @@ class Engine:
             path = self._cache_path(stem)
             if os.path.exists(path):
                 try:
-                    # the trailer is looked at before the read: an engine
-                    # writes only sealed entries, so one that replaces this
-                    # entry in between is sealed too, and read_qtc checks it
-                    sealed = _sealed(path)
                     ch = read_qtc(path)
                     if ch.L == self.L and ch.poly == poly:
-                        if sealed:
-                            _certify(ch)
                         self._base[stem] = ch
                         return ch
                 except (OSError, UnicodeDecodeError, QtcharError):
@@ -577,9 +538,8 @@ class Engine:
         l(poly, m)}; memoized.  A string takes its character from the
         engine, and its row must hold the diagonal alone (the paper's
         theorem).  A root datum of two bipartite classes is the product of
-        its halves' simples, which must match the row, and is certified
-        when both halves are.  Any other root datum is one fixpoint run
-        pinned to the row."""
+        its halves' simples, which must match the row.  Any other root
+        datum is one fixpoint run pinned to the row."""
         got = self._simples.get(poly.roots)
         if got is not None:
             return got
@@ -597,8 +557,6 @@ class Engine:
             if {m: p for m, p in terms.items() if m.is_l_dominant()} != row:
                 raise InternalError(f"the product of the classes of {poly} differs from its l-row")
             ch = QtCharacter(L, poly, terms)
-            if all(h.certified for h in parts):
-                _certify(ch)
         else:
             ch = _fixpoint(L, poly, row)
         self._simples[poly.roots] = ch

@@ -12,17 +12,14 @@ can print the mismatching terms while a pass never pays for the strings.
 The T-system checks (t = 1 and t-refined) and the tensor split compare
 sums of twisted products of characters.  An element of K_t is fixed by
 its coefficients at l-dominant monomials (Frenkel-Mukhin at t = 1;
-Hernandez, "Algebraic approach to q,t-characters").  A factor the
-engine built is certified, since its fixpoint run proved membership node
-by node (engine.py); any other factor goes through the membership check
-(in_span_all_nodes), which rebuilds it from its dominant terms with one
-fixpoint run and compares.  When every factor is certified or passes,
-both sides lie in K_t, which is closed under the twisted product, and
-those checks pass on equal dominant parts
-(dominant_product), building their full sides only if a report's sides
-are read.  A factor outside K_t, or dominant parts that differ, sends
-the check through the full products, so every failing report is the one
-the full comparison gives.
+Hernandez, "Algebraic approach to q,t-characters").  Every factor comes
+from the engine, which builds only members of K_t (engine.py): a KR
+module has a single dominant monomial, so its character is the fixpoint
+output, and the tensor split's simple is a pinned run or a product of
+two.  K_t is closed under the twisted product, so both sides lie in it, and those checks pass on equal dominant parts (dominant_product),
+building their full sides only if a report's sides are read.  Dominant
+parts that differ send the check through the full products, so every
+failing report is the one the full comparison gives.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ from .character import (
     specialize_t1,
     terms_add,
 )
-from .engine import Engine, default_engine, in_span_all_nodes
+from .engine import Engine, default_engine
 from .errors import DomainError, InternalError, NotInRootLattice
 from .monomial import ONE_MONO, EpsilonTable, YMonomial
 from .roots import (
@@ -149,23 +146,19 @@ def _report(claim: str, params: dict, lhs: dict, rhs: dict, ser) -> VerifyReport
     return VerifyReport(claim, params, "pass" if lhs == rhs else "fail", lhs, rhs, ser)
 
 
-def _decide(claim: str, params: dict, factors, sides, dominant, full, ser) -> VerifyReport:
-    """Report on an identity whose sides are sums of products of the
-    characters in factors (up to spectral shifts).  sides(product) builds
-    both sides, given product(list of characters) -> raw term dict.
+def _decide(claim: str, params: dict, sides, dominant, full, ser) -> VerifyReport:
+    """Report on an identity whose sides are sums of twisted products of
+    engine-built characters.  sides(product) builds both sides, given
+    product(list of characters) -> raw term dict.
 
-    A certified factor lies in K_t: the engine built it, and its fixpoint
-    run proved membership.  An element of K_t is fixed by its l-dominant
-    terms, so any other factor lies in K_t when the fixpoint run pinned to
-    those terms rebuilds it (in_span_all_nodes), which runs only on
-    factors without the mark.  When every factor lies in K_t, so do both
-    sides, and equal sides under the dominant product then pass; the full
-    sides are built only if the report's sides are read.  Every other
-    case, including each failure, is decided on the full sides."""
-    if all(ch.certified or in_span_all_nodes(ch) for ch in factors):
-        lhs, rhs = sides(dominant)
-        if lhs == rhs:
-            return VerifyReport.deferred(claim, params, "pass", lambda: sides(full), ser)
+    Every such character lies in K_t, and so do both sides, which are
+    therefore fixed by their l-dominant terms: equal sides under the
+    dominant product pass, and the full sides are built only if the
+    report's sides are read.  Any other case, each failure included, is
+    decided on the full sides."""
+    lhs, rhs = sides(dominant)
+    if lhs == rhs:
+        return VerifyReport.deferred(claim, params, "pass", lambda: sides(full), ser)
     return _report(claim, params, *sides(full), ser)
 
 
@@ -214,14 +207,6 @@ def _check_string(L: LieType, i: int, k: int) -> None:
         raise DomainError(f"node {i} out of range for {L}")
 
 
-def _t_system_factors(eng: Engine, i: int, k: int) -> list:
-    """The distinct characters the recursion at (i, k) multiplies, at shift
-    0; membership in K_t does not depend on the shift."""
-    return [eng.kr_char_direct(i, kk) for kk in (k - 1, k, k + 1)] + [
-        eng.kr_char_direct(j, k) for j in eng.L.neighbors(i)
-    ]
-
-
 def verify_t_system_t1(L: LieType, i: int, k: int, engine: Engine | None = None) -> VerifyReport:
     """Specialized recursion: the product of the length-k characters at
     shifts 0 and 2 equals the (k+1, k-1) product plus the product of the
@@ -249,8 +234,7 @@ def verify_t_system_t1(L: LieType, i: int, k: int, engine: Engine | None = None)
         return lhs, terms_add(first, second)
 
     params = {"type": str(L), "i": i, "k": k}
-    factors = _t_system_factors(eng, i, k)
-    return _decide("t_system_t1", params, factors, sides, dominant, full, _ser_int_terms)
+    return _decide("t_system_t1", params, sides, dominant, full, _ser_int_terms)
 
 
 def verify_t_system_t(L: LieType, i: int, k: int, engine: Engine | None = None) -> VerifyReport:
@@ -284,7 +268,7 @@ def verify_t_system_t(L: LieType, i: int, k: int, engine: Engine | None = None) 
 
     params = {"type": str(L), "i": i, "k": k}
     return _decide(
-        "t_system_t", params, _t_system_factors(eng, i, k), sides,
+        "t_system_t", params, sides,
         lambda chars: dominant_product(L, chars, table),
         lambda chars: _star_fold(L, chars, table),
         _ser_int_terms,
@@ -296,8 +280,7 @@ def verify_kr_tensor_split(L: LieType, i: int, k: int, engine: Engine | None = N
     character at shift 2k splits into the length-(k+1) character plus
     t^-1 times one non-tensor simple character, the latter computed
     through the triangular decomposition.  Decided on dominant parts as
-    the module docstring says, with the simple among the factors checked
-    for membership."""
+    the module docstring says."""
     _check_string(L, i, k)
     eng = engine or default_engine(L)
     table = EpsilonTable(L)
@@ -316,9 +299,8 @@ def verify_kr_tensor_split(L: LieType, i: int, k: int, engine: Engine | None = N
         return _tshift(lhs, -tw_lhs), rhs
 
     params = {"type": str(L), "i": i, "k": k}
-    factors = [eng.kr_char_direct(i, k), eng.fundamental_char(i), eng.kr_char_direct(i, k + 1), second]
     return _decide(
-        "kr_tensor_split", params, factors, sides,
+        "kr_tensor_split", params, sides,
         lambda chars: dominant_product(L, chars, table),
         lambda chars: _star_fold(L, chars, table),
         _ser_int_terms,

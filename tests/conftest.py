@@ -19,6 +19,8 @@ from qtchar import (
     v_factorization,
 )
 from qtchar import kernels
+from qtchar.engine import _fixpoint
+from qtchar.errors import InconsistentExpansion, NotComparable
 
 
 @pytest.fixture(scope="session")
@@ -243,3 +245,34 @@ def _standard_strip(ch: QtCharacter, i: int) -> bool:
 def standard_strip():
     """The reference membership test _standard_strip."""
     return _standard_strip
+
+
+def _in_span_all_nodes(ch: QtCharacter) -> bool:
+    """Test oracle for K_t membership, the intersection over the nodes i of
+    the span of the node-i expansions.  An element of K_t is fixed by its
+    coefficients at its l-dominant monomials, so ch is accepted when the
+    fixpoint run pinned to those terms rebuilds it, and only then.
+
+    A missing top or a dominant term not below the top gives False.  So
+    does a run that reaches a dominant monomial ch lacks, which a member
+    with cancelling coefficients can do
+    (test_gate_refuses_member_lacking_a_reached_dominant_term).  So the
+    oracle can refuse some members, but not the output of a fixpoint run:
+    the run pinned to that output's dominant terms is the run that built
+    it."""
+    top = ch.highest
+    pins = {m: p for m, p in ch.terms.items() if m.is_l_dominant()}
+    if top not in pins:
+        return False
+    try:
+        for m in pins:
+            v_factorization(ch.L, m, top)
+        return _fixpoint(ch.L, ch.poly, pins).terms == ch.terms
+    except (NotComparable, InconsistentExpansion):
+        return False
+
+
+@pytest.fixture(scope="session")
+def in_span_all_nodes():
+    """The membership oracle _in_span_all_nodes."""
+    return _in_span_all_nodes

@@ -20,7 +20,6 @@ from qtchar import (
     dominant_product,
     dumps_qtc,
     epsilon,
-    in_span_all_nodes,
     loads_qtc,
     normalized_in_A,
     pairing_d,
@@ -205,8 +204,8 @@ def test_fixpoint_pops_only_terms(D4, D5, monkeypatch):
         assert popped == sorted(_fixpoint(L, poly).terms), (L, i, k)
 
 
-def test_slice_span_pushes_only_terms(D4, D5, engine_for, monkeypatch):
-    # so does the membership gate's run, pinned to the dominant terms of a
+def test_slice_span_pushes_only_terms(D4, D5, engine_for, in_span_all_nodes, monkeypatch):
+    # so does the membership oracle's run, pinned to the dominant terms of a
     # character read back from the engine: every monomial a row reaches is
     # a term (the signed standard rows reach thousands more)
     E6 = build_lie_type("E", 6)
@@ -519,14 +518,14 @@ def test_normalized_in_A_truncates_by_depth(A1, engine_for):
     }
 
 
-def test_slice_span_accepts_engine_output(A2, engine_for):
+def test_slice_span_accepts_engine_output(A2, engine_for, in_span_all_nodes):
     ch = engine_for(A2).fundamental_char(1, 0)
     assert in_span_all_nodes(ch)
     # K_t is a module: a member scaled by 2, top included, stays in it
     assert in_span_all_nodes(QtCharacter(A2, ch.poly, {m: p + p for m, p in ch.terms.items()}))
 
 
-def test_slice_span_accepts_kr_and_standard(A3, D4, engine_for):
+def test_slice_span_accepts_kr_and_standard(A3, D4, engine_for, in_span_all_nodes):
     # expansions and characters share one normalization, so the strip also
     # holds where coefficients carry powers of t
     assert in_span_all_nodes(engine_for(D4).kr_char_direct(2, 2))
@@ -555,7 +554,7 @@ def test_weight_depth_matches_factorization(D4, engine_for):
         assert max(depths) == sum(rho2[i - 1] * e for i, _, e in top.data)
 
 
-def test_slice_span_rejects_truncations(A2, engine_for):
+def test_slice_span_rejects_truncations(A2, engine_for, in_span_all_nodes):
     ch = engine_for(A2).fundamental_char(1, 0)
     drop_mid = {
         m: p for m, p in ch.terms.items() if m != parse_monomial("Y[1,2]^-1 Y[2,1]")
@@ -564,14 +563,14 @@ def test_slice_span_rejects_truncations(A2, engine_for):
     drop_last = {m: p for m, p in ch.terms.items() if m != parse_monomial("Y[2,3]^-1")}
     assert not in_span_all_nodes(QtCharacter(A2, ch.poly, drop_last))
     # a missing top, or a dominant term not below the top, is no member,
-    # and the gate says so without raising
+    # and the oracle says so without raising
     drop_top = {m: p for m, p in ch.terms.items() if m != ch.highest}
     assert not in_span_all_nodes(QtCharacter(A2, ch.poly, drop_top))
     stray = {**ch.terms, parse_monomial("Y[1,6]"): TPoly.ONE}
     assert not in_span_all_nodes(QtCharacter(A2, ch.poly, stray))
 
 
-def test_gate_refuses_member_lacking_a_reached_dominant_term(A1, standard_strip):
+def test_gate_refuses_member_lacking_a_reached_dominant_term(A1, standard_strip, in_span_all_nodes):
     # the node-1 simple of Y[1,0]^2 Y[1,2] holds the dominant Y[1,0]; less
     # c times the simple of Y[1,0], it is a member of K_t without Y[1,0]
     def simple(m):
@@ -585,9 +584,8 @@ def test_gate_refuses_member_lacking_a_reached_dominant_term(A1, standard_strip)
         terms[m] = terms.get(m, TPoly.ZERO) - c * p
     ch = QtCharacter(A1, DrinfeldPoly(((1, 0), (1, 0), (1, 2))), terms)
     assert low not in ch.terms and standard_strip(ch, 1)
-    # the gate's run reaches Y[1,0] with nothing pinned there, so it
-    # refuses the member, without raising: a refusal only sends a check to
-    # its full sides
+    # the oracle's run reaches Y[1,0] with nothing pinned there, so it
+    # refuses the member, without raising
     assert not in_span_all_nodes(ch)
 
 
@@ -615,8 +613,10 @@ def _strip_decision(standard_strip, ch) -> bool:
         ("A", 2, "simple_char", (DrinfeldPoly(((1, 0), (1, 1), (1, 2), (2, 1), (2, 3))),), 90),
     ],
 )
-def test_slice_span_decides_like_standard_strip(engines, standard_strip, family, rank, verb, args, terms):
-    # the gate rebuilds a character from its dominant terms and the
+def test_slice_span_decides_like_standard_strip(
+    engines, standard_strip, in_span_all_nodes, family, rank, verb, args, terms
+):
+    # the oracle rebuilds a character from its dominant terms and the
     # reference strips it with the signed standard rows at every node; both
     # decide K_t membership, so they must agree on a member and on every
     # perturbation of it
@@ -631,10 +631,10 @@ def test_slice_span_decides_like_standard_strip(engines, standard_strip, family,
     assert decided == [True] + [False] * 3 * terms
 
 
-def test_slice_span_decides_like_standard_strip_on_members(A2, D5, engine_for, standard_strip):
+def test_slice_span_decides_like_standard_strip_on_members(A2, D5, engine_for, standard_strip, in_span_all_nodes):
     kr = engine_for(A2).kr_char_direct(1, 2)
-    # the last term raised to 2, as the perturbed cache entry of
-    # test_perturbed_cache_entry_fails_membership_gate holds it
+    # the last term raised to 2, as in the edited cache entry of
+    # test_digest_less_cache_entry_is_recomputed
     last, p = kr.items()[-1]
     perturbed = QtCharacter(A2, kr.poly, {**kr.terms, last: p + TPoly.ONE})
     # D5 KR(3,2) and the node-1 fundamentals of E6, E7 and E8 (3,875 terms)
@@ -722,16 +722,23 @@ def test_qtc_rejects_malformed_input():
 
 def test_qtc_trailer_counts_terms(A2, engine_for, tmp_path):
     ch = engine_for(A2).kr_char_direct(1, 2)
-    assert ch.certified
     path = tmp_path / "ch.qtc"
+
+    def sealed(body: str, n: int) -> str:
+        # the trailer: the term count and the digest of the text above it,
+        # prefixed by the cache-format tag
+        digest = hashlib.sha256(b"qtchar cache 1\n" + body.encode()).hexdigest()
+        return body + f"end {n} {digest}\n"
+
     write_qtc(path, ch)
     text = path.read_text()
-    # a certified character's trailer carries the digest of the text above
-    # it, prefixed by the cache-format tag
-    digest = hashlib.sha256(b"qtchar cache 1\n" + dumps_qtc(ch).encode()).hexdigest()
-    assert text == dumps_qtc(ch) + f"end {len(ch)} {digest}\n"
+    assert text == sealed(dumps_qtc(ch), len(ch))
     assert loads_qtc(text) == ch
+    # every character gets the same trailer, a parsed one included
+    write_qtc(path, loads_qtc(text))
+    assert path.read_text() == text
     # a wrong digest, and an edited term under the right one
+    digest = text.rsplit(" ", 1)[1].strip()
     edited = text.replace("term 1 :", "term 2 :", 1)
     for bad in (text.replace(digest, digest[::-1]), edited):
         with pytest.raises(ParseError, match="digest"):
@@ -739,19 +746,25 @@ def test_qtc_trailer_counts_terms(A2, engine_for, tmp_path):
         path.write_text(bad)
         with pytest.raises(ParseError, match="digest"):
             read_qtc(path)
-    # an uncertified character gets the count alone
-    write_qtc(path, loads_qtc(text))
-    assert path.read_text() == dumps_qtc(ch) + f"end {len(ch)}\n"
     # plain qtc text has no trailer: loads_qtc takes it, read_qtc does not
+    assert loads_qtc(dumps_qtc(ch)) == ch
     path.write_text(dumps_qtc(ch))
+    with pytest.raises(ParseError, match="trailer"):
+        read_qtc(path)
+    # a count without a digest is no trailer, for either reader
+    count_only = dumps_qtc(ch) + f"end {len(ch)}\n"
+    with pytest.raises(ParseError):
+        loads_qtc(count_only)
+    path.write_text(count_only)
     with pytest.raises(ParseError, match="trailer"):
         read_qtc(path)
     body = text.splitlines(keepends=True)[:-1]
     n = len(ch)
-    # a wrong count, and a dropped term under the right count
-    for bad in (body + [f"end {n - 1}\n"], body[:-1] + [f"end {n}\n"]):
+    # a wrong count, and a dropped term under the right count, each with
+    # the digest of its own body, so that only the count is wrong
+    for bad in (sealed("".join(body), n - 1), sealed("".join(body[:-1]), n)):
         with pytest.raises(ParseError, match="trailer"):
-            loads_qtc("".join(bad))
+            loads_qtc(bad)
 
 
 # -- module-level convenience wrappers -------------------------------------------

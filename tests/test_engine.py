@@ -12,18 +12,15 @@ from qtchar import (
     Engine,
     InconsistentExpansion,
     InternalError,
-    QtCharacter,
     TPoly,
     YMonomial,
     build_lie_type,
-    dumps_qtc,
-    loads_qtc,
     parse_monomial,
     parse_tpoly,
     read_qtc,
 )
 import qtchar.engine
-from qtchar.engine import _class_halves, _fixpoint, _level_key
+from qtchar.engine import _fixpoint, _level_key
 
 
 def test_fundamental_a2_exact(engine_for, A2):
@@ -509,55 +506,10 @@ def test_disk_cache_rejects_edited_sealed_entry(A2, tmp_path):
     assert lines[-2].startswith("term 1 : ")
     lines[-2] = "term 2 : " + lines[-2][len("term 1 : "):]
     path.write_text("".join(lines))
-    got = Engine(A2, str(cache)).kr_char_direct(1, 2)
-    assert got == fresh and got.certified
-    # the entry was recomputed and rewritten, and reads back certified
+    assert Engine(A2, str(cache)).kr_char_direct(1, 2) == fresh
+    # the entry was recomputed and rewritten, and reads back
     assert path.read_text() == sealed
-    again = Engine(A2, str(cache)).kr_char_direct(1, 2)
-    assert again == fresh and again.certified
-
-
-def test_only_engine_constructions_are_certified(A2, tmp_path):
-    cache = tmp_path / "qc"
-    eng = Engine(A2, str(cache))
-    ch = eng.kr_char_direct(1, 2)
-    two_class = DrinfeldPoly(((1, 0), (2, 0)))
-    assert len(_class_halves(A2, two_class)) == 2
-    # granted by a fixpoint run, strict or pinned, a shift, the product of
-    # two certified class halves and a cache read whose digest verifies
-    for marked in (
-        ch,
-        ch.shift(3),
-        _fixpoint(A2, ch.poly, {ch.highest: TPoly.ONE}),
-        eng.simple_char(two_class),
-        Engine(A2, str(cache)).kr_char_direct(1, 2),
-    ):
-        assert marked.certified
-    # never granted by parsing, the constructor or bar(), and equality
-    # ignores the mark
-    path = cache / "A2_kr_1_2.qtc"
-    built = QtCharacter(A2, ch.poly, ch.terms)
-    assert built == ch == read_qtc(path)
-    for other in (
-        loads_qtc(dumps_qtc(ch)),
-        loads_qtc(path.read_text()),
-        read_qtc(path),
-        built,
-        built.shift(2),
-        ch.bar(),
-    ):
-        assert not other.certified
-    # an entry without a digest reads back uncertified, and so does a class
-    # product with such a half
-    for stem in ("kr_1_2", "fund_1"):
-        entry = cache / f"A2_{stem}.qtc"
-        lines = entry.read_text().splitlines(keepends=True)
-        entry.write_text("".join(lines[:-1]) + lines[-1].rsplit(" ", 1)[0] + "\n")
-    old = Engine(A2, str(cache))
-    assert old.kr_char_direct(1, 2) == ch and not old.kr_char_direct(1, 2).certified
-    assert not old.fundamental_char(1).certified
-    assert old.simple_char(two_class) == eng.simple_char(two_class)
-    assert not old.simple_char(two_class).certified
+    assert Engine(A2, str(cache)).kr_char_direct(1, 2) == fresh
 
 
 def test_disk_cache_failed_write_leaves_no_temp_file(A2, tmp_path, monkeypatch):

@@ -15,11 +15,9 @@ from qtchar import (
     TPoly,
     VerifyReport,
     YMonomial,
-    dumps_qtc,
     epsilon,
     fermionic_rhs,
     irreducible_g_char,
-    loads_qtc,
     pairing_d,
     pairing_d_alt,
     parse_monomial,
@@ -33,7 +31,7 @@ from qtchar import (
     verify_t_system_t,
     verify_t_system_t1,
 )
-from qtchar import in_span_all_nodes, systems
+from qtchar import systems
 from qtchar.character import terms_scale
 from qtchar.monomial import v_factorization
 from qtchar.systems import (
@@ -120,11 +118,13 @@ DECISION_RANGES = [
 
 
 def _full_route(monkeypatch) -> None:
-    """Unmark every character and fail the membership gate, so that every
-    verifier decides on the full sides as it did before the dominant route
-    existed."""
-    monkeypatch.setattr(QtCharacter, "certified", property(lambda ch: False))
-    monkeypatch.setattr(systems, "in_span_all_nodes", lambda ch: False)
+    """Decide every verifier on its full sides, as it did before the
+    dominant route existed."""
+
+    def full_decide(claim, params, sides, dominant, full, ser):
+        return systems._report(claim, params, *sides(full), ser)
+
+    monkeypatch.setattr(systems, "_decide", full_decide)
 
 
 def _decision_cases(engines) -> list:
@@ -152,44 +152,40 @@ def test_dominant_decisions_match_full_route(engines, monkeypatch):
         assert rep.text() == full.text()
 
 
-# characters up to this many terms are run through the gate below: every
-# factor of the corpus except D5 KR(3,3) (80,218 terms), about 3 s in all
+# characters up to this many terms are run through the oracle below: every
+# factor of the corpus except D5 KR(3,3) (80,218 terms)
 GATE_TERM_BUDGET = 10_000
 
 
-def test_certified_factors_pass_the_gate(engines, monkeypatch):
-    # the mark stands in for the gate on every factor the engine built, so
-    # it must never pass a factor the gate would refuse
+def test_certified_factors_pass_the_gate(engines, in_span_all_nodes, monkeypatch):
+    # the dominant route rests on every factor lying in K_t because the
+    # engine built it: each one the verifiers hand to the dominant product
+    # must pass the membership oracle, and its copy with the last term
+    # dropped must fail it
     factors: dict = {}
-    real_decide = systems._decide
+    real_dominant = systems.dominant_product
 
-    def recording(claim, params, chars, *rest):
+    def recording(L, chars, *rest):
         for ch in chars:
-            factors.setdefault((str(ch.L), ch.poly), ch)
-        return real_decide(claim, params, chars, *rest)
+            lo = min((s for _, s in ch.poly.roots), default=0)
+            factors.setdefault((str(ch.L), ch.poly.shift(-lo)), ch.shift(-lo))
+        return real_dominant(L, chars, *rest)
 
-    monkeypatch.setattr(systems, "_decide", recording)
-    for verify, eng, i, k in _decision_cases(engines):
+    monkeypatch.setattr(systems, "dominant_product", recording)
+    cases = _decision_cases(engines)
+    # criterion 5 adds D5, whose factors the decision ranges above lack
+    d5 = engines[("D", 5)]
+    cases += [(verify_t_system_t, d5, i, k) for i in d5.L.nodes for k in (1, 2)]
+    for verify, eng, i, k in cases:
         assert verify(eng.L, i, k, eng).ok
     monkeypatch.undo()
-    # criterion 5 adds D5, whose factors the decision ranges above lack
-    eng = engines[("D", 5)]
-    for i in eng.L.nodes:
-        for k in (1, 2):
-            for ch in systems._t_system_factors(eng, i, k):
-                factors.setdefault((str(ch.L), ch.poly), ch)
-    # every factor but the unit (k = 0) comes marked from the engine
-    assert all(ch.certified == bool(ch.poly) for ch in factors.values())
     skipped = []
     for key, ch in factors.items():
         if len(ch) > GATE_TERM_BUDGET:
             skipped.append(key)
             continue
-        # parsing, the constructor and a perturbed copy never carry the mark
-        copies = [loads_qtc(dumps_qtc(ch)), QtCharacter(ch.L, ch.poly, ch.terms)]
         last = ch.items()[-1][0]
         dropped = QtCharacter(ch.L, ch.poly, {m: p for m, p in ch.terms.items() if m != last})
-        assert not any(c.certified for c in copies + [dropped])
         assert in_span_all_nodes(ch), key
         assert not in_span_all_nodes(dropped), key
     assert skipped == [("D5", DrinfeldPoly.kr(3, 3, 0))]
@@ -209,11 +205,7 @@ class _ScaledEngine(Engine):
 @pytest.mark.parametrize("verify", [verify_t_system_t, verify_t_system_t1])
 def test_perturbed_dominant_coefficient_fails_like_full_route(A2, verify, monkeypatch):
     eng = _ScaledEngine(A2)
-    gated = []
-    real_gate = systems.in_span_all_nodes
-    monkeypatch.setattr(systems, "in_span_all_nodes", lambda ch: gated.append(ch) or real_gate(ch))
     rep = verify(A2, 1, 2, eng)
-    assert gated and all(map(real_gate, gated))  # the gate passed every factor
     assert rep.status == "fail"
     _full_route(monkeypatch)
     full = verify(A2, 1, 2, eng)
@@ -222,78 +214,36 @@ def test_perturbed_dominant_coefficient_fails_like_full_route(A2, verify, monkey
     assert rep == full
 
 
-def test_perturbed_cache_entry_fails_membership_gate(A2, tmp_path, monkeypatch):
-    Engine(A2, str(tmp_path)).kr_char_direct(1, 2)
+@pytest.mark.parametrize("edit", ["count_only", "edited_coefficient", "stray_term"])
+def test_digest_less_cache_entry_is_recomputed(A2, tmp_path, edit):
+    # an A2 KR(1,2) entry without the digest trailer: one written with the
+    # count alone, one with a coefficient edited by hand, and one with a
+    # dominant term that is not below the top; none is read, each is
+    # recomputed and rewritten once, and the reports are a fresh cache's
+    verifiers = (verify_t_system_t, verify_t_system_t1)
+    fresh = Engine(A2, str(tmp_path))
+    expected = [verify(A2, 1, 2, fresh) for verify in verifiers]
     path = tmp_path / "A2_kr_1_2.qtc"
-    lines = path.read_text().splitlines()
-    # the last term line holds a monomial with a negative exponent; the
-    # edit also drops the trailer's digest, with which the entry would be
-    # refused at read and recomputed
-    assert lines[-2].startswith("term 1 : ") and "^-1" in lines[-2]
-    lines[-2] = "term 2 : " + lines[-2][len("term 1 : "):]
-    lines[-1] = "end 6"
+    sealed = path.read_text()
+    lines = sealed.splitlines()
+    assert lines[-1].startswith("end 6 ") and lines[-2].startswith("term 1 : ")
+    if edit == "count_only":
+        lines[-1] = "end 6"
+    elif edit == "edited_coefficient":
+        lines[-2:] = ["term 2 : " + lines[-2][len("term 1 : "):], "end 6"]
+    else:
+        lines[-1:] = ["term 1 : Y[1,6]", "end 7"]
     path.write_text("\n".join(lines) + "\n")
     eng = Engine(A2, str(tmp_path))
-    assert not eng.kr_char_direct(1, 2).certified
-    assert not in_span_all_nodes(eng.kr_char_direct(1, 2))
-
-    dominant_calls = []
-    real_dominant = systems.dominant_product
-    monkeypatch.setattr(
-        systems, "dominant_product", lambda *args: dominant_calls.append(args) or real_dominant(*args)
-    )
-    reports = [verify(A2, 1, 2, eng) for verify in (verify_t_system_t, verify_t_system_t1)]
-    assert not dominant_calls
-    _full_route(monkeypatch)
-    for rep, verify in zip(reports, (verify_t_system_t, verify_t_system_t1)):
-        full = verify(A2, 1, 2, eng)
-        assert rep.status == full.status == "fail"
-        assert rep.text() == full.text()
-        assert rep == full
-
-
-def test_cache_entry_with_stray_dominant_term_fails_like_full_route(A2, tmp_path, monkeypatch):
-    # a dominant term that is not below the top, in an entry edited by hand
-    # without a digest: the gate must refuse the factor without raising, and
-    # the full route reports the failure
-    Engine(A2, str(tmp_path)).kr_char_direct(1, 2)
-    path = tmp_path / "A2_kr_1_2.qtc"
-    lines = path.read_text().splitlines()
-    assert lines[-1].startswith("end 6 ")
-    lines[-1:] = ["term 1 : Y[1,6]", "end 7"]
-    path.write_text("\n".join(lines) + "\n")
-    eng = Engine(A2, str(tmp_path))
-    assert parse_monomial("Y[1,6]") in eng.kr_char_direct(1, 2).terms
-    assert not eng.kr_char_direct(1, 2).certified
-    assert not in_span_all_nodes(eng.kr_char_direct(1, 2))
-    reports = [verify(A2, 1, 2, eng) for verify in (verify_t_system_t, verify_t_system_t1)]
-    _full_route(monkeypatch)
-    for rep, verify in zip(reports, (verify_t_system_t, verify_t_system_t1)):
-        full = verify(A2, 1, 2, eng)
-        assert rep.status == full.status == "fail"
-        assert rep.text() == full.text()
-        assert rep == full
-
-
-def test_old_cache_entry_is_read_uncertified_and_gated(A2, tmp_path, monkeypatch):
-    fresh = Engine(A2, str(tmp_path)).kr_char_direct(1, 2)
-    path = tmp_path / "A2_kr_1_2.qtc"
-    # an entry written before the trailer carried a digest
-    lines = path.read_text().splitlines(keepends=True)
-    lines[-1] = f"end {len(fresh)}\n"
-    path.write_text("".join(lines))
-    before = (path.stat().st_ino, path.stat().st_mtime_ns, path.stat().st_size)
-    eng = Engine(A2, str(tmp_path))
-    got = eng.kr_char_direct(1, 2)
-    assert got == fresh and not got.certified
-    gated = []
-    real_gate = systems.in_span_all_nodes
-    monkeypatch.setattr(systems, "in_span_all_nodes", lambda ch: gated.append(ch) or real_gate(ch))
-    rep = verify_t_system_t(A2, 1, 2, eng)
-    assert rep.ok, rep.text()
-    # the gate checked that entry and no other factor, and it was not rewritten
-    assert len(gated) == 1 and gated[0] is got
-    assert (path.stat().st_ino, path.stat().st_mtime_ns, path.stat().st_size) == before
+    reports = [verify(A2, 1, 2, eng) for verify in verifiers]
+    assert path.read_text() == sealed
+    for rep, want in zip(reports, expected):
+        assert rep.ok, rep.text()
+        assert rep == want and rep.text() == want.text()
+    # the rewritten entry is read as it is
+    before = (path.stat().st_ino, path.stat().st_mtime_ns)
+    assert Engine(A2, str(tmp_path)).kr_char_direct(1, 2) == eng.kr_char_direct(1, 2)
+    assert (path.stat().st_ino, path.stat().st_mtime_ns) == before
 
 
 # -- specialized and refined string recursions ------------------------------------

@@ -174,12 +174,6 @@ def terms_add(a: dict, b: dict) -> dict:
     return out
 
 
-def terms_scale(a: dict, c: TPoly) -> dict:
-    if not c:
-        return {}
-    return {m: p * c for m, p in a.items()}
-
-
 # -- expansion at a node ------------------------------------------------------
 
 
@@ -438,20 +432,6 @@ def specialize_t1(ch) -> dict:
     return out
 
 
-def qchar_mul(d1: dict, d2: dict) -> dict:
-    """Plain commutative product of t=1 term dicts."""
-    out: dict = {}
-    for m1, c1 in d1.items():
-        for m2, c2 in d2.items():
-            key = m1 * m2
-            c = out.get(key, 0) + c1 * c2
-            if c:
-                out[key] = c
-            else:
-                out.pop(key, None)
-    return out
-
-
 class GCharacter:
     """Finite-type character: integer multiplicities on weight-lattice
     points written in fundamental-weight coordinates."""
@@ -465,18 +445,6 @@ class GCharacter:
     @classmethod
     def one(cls, lie_type: LieType) -> "GCharacter":
         return cls(lie_type, {(0,) * lie_type.rank: 1})
-
-    @classmethod
-    def from_qt(cls, ch: QtCharacter) -> "GCharacter":
-        terms: dict = {}
-        for m, p in ch.terms.items():
-            w = m.weight(ch.L)
-            c = terms.get(w, 0) + p.at_one()
-            if c:
-                terms[w] = c
-            else:
-                terms.pop(w, None)
-        return cls(ch.L, terms)
 
     def coeff(self, w) -> int:
         return self.terms.get(tuple(w), 0)
@@ -531,7 +499,15 @@ class GCharacter:
 
 def restrict_to_g(ch: QtCharacter) -> GCharacter:
     """Forget spectral parameters and set t=1."""
-    return GCharacter.from_qt(ch)
+    terms: dict = {}
+    for m, p in ch.terms.items():
+        w = m.weight(ch.L)
+        c = terms.get(w, 0) + p.at_one()
+        if c:
+            terms[w] = c
+        else:
+            terms.pop(w, None)
+    return GCharacter(ch.L, terms)
 
 
 def normalized_in_A(ch: QtCharacter, D: int) -> dict:
@@ -554,7 +530,7 @@ def normalized_in_A(ch: QtCharacter, D: int) -> dict:
 _QTC_HEADER = "# qtc v1"
 _TYPE_RE = re.compile(r"^type ([ADE]) (\d+)$")
 _P_RE = re.compile(r"^P (\d+):((?: -?\d+)*)$")
-_END_RE = re.compile(r"^end (\d+) ([0-9a-f]{64})$")
+_END_RE = re.compile(r"^end (\d+)(?: ([0-9a-f]{64}))?$")
 # Prefixed to the text a cache digest covers: a new tag invalidates every
 # digest written under the old one.
 _CACHE_TAG = b"qtchar cache 1\n"
@@ -582,8 +558,8 @@ def dumps_qtc(ch: QtCharacter) -> str:
 def loads_qtc(text: str) -> QtCharacter:
     """Parse qtc text, with or without the trailer `end <N> <digest>` that
     write_qtc adds.  A trailer must match the number of term lines, and
-    its digest the text above it; a count alone, `end <N>`, is no
-    trailer and is refused as an unknown line."""
+    its digest the text above it; a count alone, `end <N>`, lacks the
+    digest and is refused."""
     lines = [ln.rstrip("\n") for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != _QTC_HEADER:
         raise ParseError("missing qtc v1 header")
@@ -592,6 +568,8 @@ def loads_qtc(text: str) -> QtCharacter:
     end = _END_RE.match(lines[-1]) if len(lines) > 2 else None
     if end:
         lines.pop()
+        if end.group(2) is None:
+            raise ParseError(f"count-only trailer {end.group(0)!r} lacks its digest")
         if _cache_digest(text[: text.rstrip().rfind("\n") + 1].encode("utf-8")) != end.group(2):
             raise ParseError("the trailer's digest does not match the text above it")
     mt = _TYPE_RE.match(lines[1])
@@ -639,7 +617,7 @@ def write_qtc(path, ch: QtCharacter) -> None:
 
 def read_qtc(path) -> QtCharacter:
     """Inverse of write_qtc: the trailer is required, and its digest must
-    match."""
+    match; loads_qtc refuses a count-only one."""
     with open(path, "r", encoding="ascii") as fp:
         text = fp.read()
     if not _END_RE.match(text.rstrip().rpartition("\n")[2]):

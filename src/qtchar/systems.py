@@ -9,22 +9,26 @@ dicts.  A VerifyReport keeps both sides together with their canonical
 serializer and turns them into text only when they are read, so a failure
 can print the mismatching terms while a pass never pays for the strings.
 
-The T-system checks (t = 1 and t-refined) and the tensor split compare
-sums of twisted products of characters.  An element of K_t is fixed by
-its coefficients at l-dominant monomials (Frenkel-Mukhin at t = 1;
-Hernandez, "Algebraic approach to q,t-characters").  Every factor comes
-from the engine, which builds only members of K_t (engine.py): a KR
-module has a single dominant monomial, so its character is the fixpoint
-output, and the tensor split's simple is a pinned run or a product of
-two.  K_t is closed under the twisted product, so both sides lie in it, and those checks pass on equal dominant parts (dominant_product),
-building their full sides only if a report's sides are read.  Dominant
-parts that differ send the check through the full products, so every
-failing report is the one the full comparison gives.
+The T-system checks and the tensor split compare sums of twisted
+products of characters, each divided by its factors' twist.  The t = 1
+T-system is the specialization at t = 1 of the t-refined sides, built by
+the same code.  An element of K_t is fixed by its coefficients at
+l-dominant monomials (Frenkel-Mukhin at t = 1; Hernandez, "Algebraic
+approach to q,t-characters").  Every factor comes from the engine, which
+builds only members of K_t (engine.py): a KR module has a single
+dominant monomial, so its character is the fixpoint output, and the
+tensor split's simple is a pinned run or a product of two.  K_t is
+closed under the twisted product, so both sides lie in it, and those
+checks pass on equal dominant parts (dominant_product), building their
+full sides only if a report's sides are read.  Dominant parts that
+differ send the check through the full products, so every failing
+report is the one the full comparison gives.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from .character import (
     DrinfeldPoly,
@@ -32,21 +36,20 @@ from .character import (
     _star_fold,
     dominant_product,
     normalized_in_A,
-    qchar_mul,
     restrict_to_g,
     specialize_t1,
     terms_add,
 )
 from .engine import Engine, default_engine
 from .errors import DomainError, InternalError, NotInRootLattice
-from .monomial import ONE_MONO, EpsilonTable, YMonomial
+from .monomial import EpsilonTable
 from .roots import (
     LieType,
     positive_roots,
     weight_to_rational_root_coords,
     weight_to_root_coords,
 )
-from .tpoly import TPoly, gen_binomial
+from .tpoly import gen_binomial
 
 
 # NuConfig: finite-support map (node, string length k >= 1) -> nonneg count.
@@ -146,20 +149,26 @@ def _report(claim: str, params: dict, lhs: dict, rhs: dict, ser) -> VerifyReport
     return VerifyReport(claim, params, "pass" if lhs == rhs else "fail", lhs, rhs, ser)
 
 
-def _decide(claim: str, params: dict, sides, dominant, full, ser) -> VerifyReport:
+def _decide(claim: str, params: dict, L: LieType, sides, ser) -> VerifyReport:
     """Report on an identity whose sides are sums of twisted products of
     engine-built characters.  sides(product) builds both sides, given
-    product(list of characters) -> raw term dict.
+    product(list of characters) -> raw term dict: dominant_product first,
+    and the full fold (_star_fold) only when it is needed.
 
     Every such character lies in K_t, and so do both sides, which are
     therefore fixed by their l-dominant terms: equal sides under the
     dominant product pass, and the full sides are built only if the
     report's sides are read.  Any other case, each failure included, is
     decided on the full sides."""
-    lhs, rhs = sides(dominant)
+    table = EpsilonTable(L)
+    lhs, rhs = sides(lambda chars: dominant_product(L, chars, table))
+
+    def full() -> tuple:
+        return sides(lambda chars: _star_fold(L, chars, table))
+
     if lhs == rhs:
-        return VerifyReport.deferred(claim, params, "pass", lambda: sides(full), ser)
-    return _report(claim, params, *sides(full), ser)
+        return VerifyReport.deferred(claim, params, "pass", full, ser)
+    return _report(claim, params, *full(), ser)
 
 
 # -- serialization: canonical text keys so dict equality is symbolic equality
@@ -188,13 +197,6 @@ def _ser_vkeys(d: dict) -> dict:
     return out
 
 
-def _tshift(d: dict, n: int) -> dict:
-    """Multiply a raw character dict by t^n."""
-    if n == 0:
-        return dict(d)
-    return {m: p.shifted(n) for m, p in d.items()}
-
-
 # -- T-system ----------------------------------------------------------------
 
 
@@ -207,104 +209,81 @@ def _check_string(L: LieType, i: int, k: int) -> None:
         raise DomainError(f"node {i} out of range for {L}")
 
 
+def _twisted(product, chars: list, table: EpsilonTable, shift: int = 0) -> dict:
+    """product(chars) divided by the factors' twist and times t^shift.  The
+    twist is t to the sum of the commutation exponents of the factors'
+    highest monomials over the pairs in fold order, which is the top
+    coefficient of the twisted product of normalized characters."""
+    n = shift - sum(table.of(a.highest, b.highest) for a, b in combinations(chars, 2))
+    d = product(chars)
+    return {m: p.shifted(n) for m, p in d.items()} if n else d
+
+
+def _t_system_sides(L: LieType, i: int, k: int, engine: Engine | None):
+    """sides(product) of the t-refined recursion at node i and length k,
+    for _decide."""
+    _check_string(L, i, k)
+    kr = (engine or default_engine(L)).kr_char_direct
+    table = EpsilonTable(L)
+
+    def sides(product) -> tuple:
+        lhs = _twisted(product, [kr(i, k, 0), kr(i, k, 2)], table)
+        first = _twisted(product, [kr(i, k + 1, 0), kr(i, k - 1, 2)], table)
+        second = _twisted(product, [kr(j, k, 1) for j in L.neighbors(i)], table, -1)
+        return lhs, terms_add(first, second)
+
+    return sides
+
+
 def verify_t_system_t1(L: LieType, i: int, k: int, engine: Engine | None = None) -> VerifyReport:
     """Specialized recursion: the product of the length-k characters at
     shifts 0 and 2 equals the (k+1, k-1) product plus the product of the
     neighbors' length-k characters at shift 1.  Length 0 means the unit
-    character.  Decided on dominant parts as the module docstring says,
-    with t = 1 set in the twisted dominant products."""
-    _check_string(L, i, k)
-    eng = engine or default_engine(L)
-    table = EpsilonTable(L)
-    kr = eng.kr_char_direct
-
-    def dominant(chars) -> dict:
-        return specialize_t1(dominant_product(L, chars, table))
-
-    def full(chars) -> dict:
-        out = {ONE_MONO: 1}
-        for ch in chars:
-            out = qchar_mul(out, specialize_t1(ch))
-        return out
-
-    def sides(product) -> tuple:
-        lhs = product([kr(i, k, 0), kr(i, k, 2)])
-        first = product([kr(i, k + 1, 0), kr(i, k - 1, 2)])
-        second = product([kr(j, k, 1) for j in L.neighbors(i)])
-        return lhs, terms_add(first, second)
-
+    character.  Both sides are verify_t_system_t's at t = 1, where the
+    twisted product is the commutative one and the twists vanish; decided
+    on dominant parts as the module docstring says."""
+    sides = _t_system_sides(L, i, k, engine)
     params = {"type": str(L), "i": i, "k": k}
-    return _decide("t_system_t1", params, sides, dominant, full, _ser_int_terms)
+    return _decide(
+        "t_system_t1", params, L,
+        lambda product: tuple(specialize_t1(d) for d in sides(product)),
+        _ser_int_terms,
+    )
 
 
 def verify_t_system_t(L: LieType, i: int, k: int, engine: Engine | None = None) -> VerifyReport:
-    """t-refined recursion: both sides are tensor characters built from
-    the commutation-twisted product of simple characters, each side
-    prefixed by t to minus the commutation exponent of its pair of
-    highest monomials; the neighbor term carries t^(-1-N) where N sums
-    the pairwise commutation exponents in ascending node order.  Decided
-    on dominant parts as the module docstring says."""
-    _check_string(L, i, k)
-    eng = engine or default_engine(L)
-    table = EpsilonTable(L)
-    kr = eng.kr_char_direct
-
-    def eps(p1: DrinfeldPoly, p2: DrinfeldPoly) -> int:
-        return table.of(p1.monomial(), p2.monomial())
-
-    tw_lhs = eps(DrinfeldPoly.kr(i, k, 0), DrinfeldPoly.kr(i, k, 2))
-    tw_first = eps(DrinfeldPoly.kr(i, k + 1, 0), DrinfeldPoly.kr(i, k - 1, 2))
-    js = list(L.neighbors(i))
-    n_tw = 0
-    for a in range(len(js)):
-        for b in range(a + 1, len(js)):
-            n_tw += eps(DrinfeldPoly.kr(js[a], k, 1), DrinfeldPoly.kr(js[b], k, 1))
-
-    def sides(product) -> tuple:
-        lhs = _tshift(product([kr(i, k, 0), kr(i, k, 2)]), -tw_lhs)
-        first = _tshift(product([kr(i, k + 1, 0), kr(i, k - 1, 2)]), -tw_first)
-        second = _tshift(product([kr(j, k, 1) for j in js]), -1 - n_tw)
-        return lhs, terms_add(first, second)
-
+    """t-refined recursion: the same three products of length-k, (k+1,
+    k-1) and neighbor characters, each the twisted product of normalized
+    characters divided by its factors' twist (_twisted), so that every
+    top coefficient is 1; the neighbor product carries a further t^-1.
+    The neighbors are multiplied in ascending node order.  Decided on
+    dominant parts as the module docstring says."""
     params = {"type": str(L), "i": i, "k": k}
-    return _decide(
-        "t_system_t", params, sides,
-        lambda chars: dominant_product(L, chars, table),
-        lambda chars: _star_fold(L, chars, table),
-        _ser_int_terms,
-    )
+    return _decide("t_system_t", params, L, _t_system_sides(L, i, k, engine), _ser_int_terms)
 
 
 def verify_kr_tensor_split(L: LieType, i: int, k: int, engine: Engine | None = None) -> VerifyReport:
     """Tensoring the length-k string character with the single-root
     character at shift 2k splits into the length-(k+1) character plus
     t^-1 times one non-tensor simple character, the latter computed
-    through the triangular decomposition.  Decided on dominant parts as
-    the module docstring says."""
+    through the triangular decomposition.  Each product is divided by its
+    factors' twist (_twisted).  Decided on dominant parts as the module
+    docstring says."""
     _check_string(L, i, k)
     eng = engine or default_engine(L)
     table = EpsilonTable(L)
-
-    p1 = DrinfeldPoly.kr(i, k, 0)
-    p2 = DrinfeldPoly.fundamental(i, 2 * k)
-    tw_lhs = table.of(p1.monomial(), p2.monomial())
     q = DrinfeldPoly.kr(i, k - 1, 0)
     for j in L.neighbors(i):
         q = q * DrinfeldPoly.fundamental(j, 2 * k - 1)
     second = eng.simple_char(q)
 
     def sides(product) -> tuple:
-        lhs = product([eng.kr_char_direct(i, k, 0), eng.fundamental_char(i, 2 * k)])
-        rhs = terms_add(product([eng.kr_char_direct(i, k + 1, 0)]), _tshift(product([second]), -1))
-        return _tshift(lhs, -tw_lhs), rhs
+        lhs = _twisted(product, [eng.kr_char_direct(i, k, 0), eng.fundamental_char(i, 2 * k)], table)
+        first = _twisted(product, [eng.kr_char_direct(i, k + 1, 0)], table)
+        return lhs, terms_add(first, _twisted(product, [second], table, -1))
 
     params = {"type": str(L), "i": i, "k": k}
-    return _decide(
-        "kr_tensor_split", params, sides,
-        lambda chars: dominant_product(L, chars, table),
-        lambda chars: _star_fold(L, chars, table),
-        _ser_int_terms,
-    )
+    return _decide("kr_tensor_split", params, L, sides, _ser_int_terms)
 
 
 # -- convergence ---------------------------------------------------------------
@@ -489,58 +468,6 @@ def _nu_text(nu: NuConfig) -> str:
     if not nu:
         return "0"
     return ",".join(f"{i}:{k}={v}" for (i, k), v in sorted(nu.items()))
-
-
-# -- families of monomials used by the property checks ---------------------------
-
-
-def right_negative(m: YMonomial) -> bool:
-    """All factors at the maximal spectral exponent have negative power."""
-    if not m.data:
-        return False
-    top = m.max_s()
-    return all(e < 0 for _, s, e in m.data if s == top)
-
-
-def kr_right_negative_family(L: LieType, i: int, k: int) -> list:
-    """The k right-negative monomials of bounded spectral width in the
-    length-k string character at node i, shift 0: position s' keeps the
-    first s' string factors and flips the rest, picking up one neighbor
-    factor per flip."""
-    out = []
-    for sp in range(k):
-        data: dict = {}
-        for t in range(sp):
-            data[(i, 2 * t)] = data.get((i, 2 * t), 0) + 1
-        for t in range(sp, k):
-            data[(i, 2 * t + 2)] = data.get((i, 2 * t + 2), 0) - 1
-            for j in L.neighbors(i):
-                data[(j, 2 * t + 1)] = data.get((j, 2 * t + 1), 0) + 1
-        out.append(YMonomial._wrap(tuple(sorted((n, s, e) for (n, s), e in data.items() if e))))
-    return out
-
-
-def paired_string_dominants(L: LieType, i: int, k: int) -> list:
-    """For the product of the two length-k strings at shifts 0 and 2: the
-    l-dominant monomials strictly between the two string characters'
-    tops, indexed by the split point s = 1..k-1, with the coefficient
-    each carries in the standard character."""
-    out = []
-    for s in range(1, k):
-        data: dict = {}
-        data[(i, 0)] = 1
-        for t in range(1, s):
-            data[(i, 2 * t)] = 2
-        data[(i, 2 * s)] = data.get((i, 2 * s), 0) + 1
-        for j in L.neighbors(i):
-            for t in range(s, k):
-                data[(j, 2 * t + 1)] = 1
-        m = YMonomial._wrap(tuple(sorted((n, sp, e) for (n, sp), e in data.items() if e)))
-        coeff = TPoly.ONE
-        for _ in range(k - s):
-            coeff = coeff * TPoly({0: 1, 2: 1})
-        out.append((m, coeff.shifted(2 * (s - k))))
-    return out
 
 
 # -- finite-type decomposition by stripping ---------------------------------------

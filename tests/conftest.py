@@ -70,6 +70,107 @@ def engine_for(engines):
     return get
 
 
+def _terms_scale(a: dict, c: TPoly) -> dict:
+    """A raw term dict times the coefficient c."""
+    if not c:
+        return {}
+    return {m: p * c for m, p in a.items()}
+
+
+@pytest.fixture(scope="session")
+def terms_scale():
+    """The scalar product _terms_scale."""
+    return _terms_scale
+
+
+def _qchar_mul(d1: dict, d2: dict) -> dict:
+    """Reference product at t=1: the plain commutative product of t=1 term
+    dicts, independent of the library's twisted product."""
+    out: dict = {}
+    for m1, c1 in d1.items():
+        for m2, c2 in d2.items():
+            key = m1 * m2
+            c = out.get(key, 0) + c1 * c2
+            if c:
+                out[key] = c
+            else:
+                out.pop(key, None)
+    return out
+
+
+@pytest.fixture(scope="session")
+def qchar_mul():
+    """The reference product _qchar_mul."""
+    return _qchar_mul
+
+
+def _right_negative(m: YMonomial) -> bool:
+    """All factors at the maximal spectral exponent have negative power."""
+    if not m.data:
+        return False
+    top = m.max_s()
+    return all(e < 0 for _, s, e in m.data if s == top)
+
+
+@pytest.fixture(scope="session")
+def right_negative():
+    """The monomial flag _right_negative."""
+    return _right_negative
+
+
+def _kr_right_negative_family(L, i: int, k: int) -> list:
+    """The k right-negative monomials of bounded spectral width in the
+    length-k string character at node i, shift 0: position s' keeps the
+    first s' string factors and flips the rest, picking up one neighbor
+    factor per flip."""
+    out = []
+    for sp in range(k):
+        data: dict = {}
+        for t in range(sp):
+            data[(i, 2 * t)] = data.get((i, 2 * t), 0) + 1
+        for t in range(sp, k):
+            data[(i, 2 * t + 2)] = data.get((i, 2 * t + 2), 0) - 1
+            for j in L.neighbors(i):
+                data[(j, 2 * t + 1)] = data.get((j, 2 * t + 1), 0) + 1
+        out.append(YMonomial._wrap(tuple(sorted((n, s, e) for (n, s), e in data.items() if e))))
+    return out
+
+
+@pytest.fixture(scope="session")
+def kr_right_negative_family():
+    """The monomial family _kr_right_negative_family."""
+    return _kr_right_negative_family
+
+
+def _paired_string_dominants(L, i: int, k: int) -> list:
+    """For the product of the two length-k strings at shifts 0 and 2: the
+    l-dominant monomials strictly between the two string characters'
+    tops, indexed by the split point s = 1..k-1, with the coefficient
+    each carries in the standard character."""
+    out = []
+    for s in range(1, k):
+        data: dict = {}
+        data[(i, 0)] = 1
+        for t in range(1, s):
+            data[(i, 2 * t)] = 2
+        data[(i, 2 * s)] = data.get((i, 2 * s), 0) + 1
+        for j in L.neighbors(i):
+            for t in range(s, k):
+                data[(j, 2 * t + 1)] = 1
+        m = YMonomial._wrap(tuple(sorted((n, sp, e) for (n, sp), e in data.items() if e)))
+        coeff = TPoly.ONE
+        for _ in range(k - s):
+            coeff = coeff * TPoly({0: 1, 2: 1})
+        out.append((m, coeff.shifted(2 * (s - k))))
+    return out
+
+
+@pytest.fixture(scope="session")
+def paired_string_dominants():
+    """The monomial family _paired_string_dominants."""
+    return _paired_string_dominants
+
+
 def _multiply_standard(ch1, p1, ch2, p2) -> QtCharacter:
     """Reference product of two normalized characters of the root data p1
     and p2, normalized against p1 * p2, independent of the library's

@@ -31,7 +31,6 @@ from qtchar import (
     verify_t_system_t,
     verify_t_system_t1,
 )
-from qtchar.systems import kr_right_negative_family, paired_string_dominants, right_negative
 
 # (family, rank, nodes, max k) for the tensor-recursion corpus
 T_SYSTEM_RANGES = [
@@ -176,7 +175,7 @@ def test_criterion_06_tensor_split(engines):
     _conclude(6, failures)
 
 
-def test_criterion_07_string_character_shape(engines):
+def test_criterion_07_string_character_shape(engines, kr_right_negative_family, right_negative):
     failures = []
     for family, rank, nodes, kmax in T_SYSTEM_RANGES:
         eng = engines[(family, rank)]
@@ -199,7 +198,7 @@ def test_criterion_07_string_character_shape(engines):
     _conclude(7, failures)
 
 
-def test_criterion_08_paired_string_coefficients(engines):
+def test_criterion_08_paired_string_coefficients(engines, paired_string_dominants):
     failures = []
     eng = engines[("A", 2)]
     for k in (2, 3):

@@ -35,7 +35,7 @@ from qtchar import (
     write_qtc,
 )
 from qtchar import character, engine, kernels, monomial
-from qtchar.character import _expansion_tail, _node_simple, _star_fold, qchar_mul, terms_scale
+from qtchar.character import _expansion_tail, _node_simple, _star_fold
 from qtchar.engine import _fixpoint, _top_normalized, fundamental_char, kr_char_direct, standard_char
 from qtchar.errors import NotDominant
 
@@ -347,7 +347,7 @@ def test_standard_product_associative(A2, engine_for, multiply_standard):
     assert left == right
 
 
-def test_star_product_matches_normalized_product(A2, A3, engine_for, multiply_standard):
+def test_star_product_matches_normalized_product(A2, A3, engine_for, multiply_standard, terms_scale):
     # the top-normalized twisted product against the reference product; the
     # top coefficient it divides by is t^epsilon of the two tops
     cases = [
@@ -492,7 +492,7 @@ def test_standard_product_matches_unnormalized_route(A3, D4, engine_for, multipl
             assert got == _unnormalized_route(eng.L, ch1, p1, ch2, p2), (eng.L, p1, p2)
 
 
-def test_specialize_t1_is_multiplicative(A2, engine_for, multiply_standard):
+def test_specialize_t1_is_multiplicative(A2, engine_for, multiply_standard, qchar_mul):
     eng = engine_for(A2)
     p1 = DrinfeldPoly.fundamental(1, 0)
     p2 = DrinfeldPoly.fundamental(2, 1)
@@ -751,12 +751,13 @@ def test_qtc_trailer_counts_terms(A2, engine_for, tmp_path):
     path.write_text(dumps_qtc(ch))
     with pytest.raises(ParseError, match="trailer"):
         read_qtc(path)
-    # a count without a digest is no trailer, for either reader
+    # a count without a digest is refused by either reader, as such
     count_only = dumps_qtc(ch) + f"end {len(ch)}\n"
-    with pytest.raises(ParseError):
+    message = f"count-only trailer 'end {len(ch)}' lacks its digest"
+    with pytest.raises(ParseError, match=message):
         loads_qtc(count_only)
     path.write_text(count_only)
-    with pytest.raises(ParseError, match="trailer"):
+    with pytest.raises(ParseError, match=message):
         read_qtc(path)
     body = text.splitlines(keepends=True)[:-1]
     n = len(ch)

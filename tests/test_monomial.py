@@ -20,7 +20,6 @@ from qtchar import (
     tilde_u,
     v_factorization,
 )
-from qtchar.systems import right_negative
 
 Y = YMonomial.var
 
@@ -46,7 +45,7 @@ def test_parse_and_str_round_trip():
         parse_monomial("Z[1,0]")
 
 
-def test_dominance_flags():
+def test_dominance_flags(right_negative):
     m = parse_monomial("Y[1,0] Y[2,2]^-1")
     assert m.is_i_dominant(1)
     assert not m.is_i_dominant(2)

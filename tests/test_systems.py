@@ -15,12 +15,14 @@ from qtchar import (
     TPoly,
     VerifyReport,
     YMonomial,
+    build_lie_type,
     epsilon,
     fermionic_rhs,
     irreducible_g_char,
     pairing_d,
     pairing_d_alt,
     parse_monomial,
+    parse_tpoly,
     q_character_Q,
     star_product,
     strip_to_irreducibles,
@@ -32,14 +34,9 @@ from qtchar import (
     verify_t_system_t1,
 )
 from qtchar import systems
-from qtchar.character import terms_scale
+from qtchar.character import _star_fold
 from qtchar.monomial import v_factorization
-from qtchar.systems import (
-    check_nu,
-    kr_right_negative_family,
-    paired_string_dominants,
-    right_negative,
-)
+from qtchar.systems import check_nu
 
 
 # -- report plumbing -------------------------------------------------------------
@@ -121,8 +118,9 @@ def _full_route(monkeypatch) -> None:
     """Decide every verifier on its full sides, as it did before the
     dominant route existed."""
 
-    def full_decide(claim, params, sides, dominant, full, ser):
-        return systems._report(claim, params, *sides(full), ser)
+    def full_decide(claim, params, L, sides, ser):
+        table = EpsilonTable(L)
+        return systems._report(claim, params, *sides(lambda chars: _star_fold(L, chars, table)), ser)
 
     monkeypatch.setattr(systems, "_decide", full_decide)
 
@@ -202,16 +200,56 @@ class _ScaledEngine(Engine):
         return QtCharacter(ch.L, ch.poly, {m: p + p for m, p in ch.terms.items()})
 
 
-@pytest.mark.parametrize("verify", [verify_t_system_t, verify_t_system_t1])
-def test_perturbed_dominant_coefficient_fails_like_full_route(A2, verify, monkeypatch):
+@pytest.mark.parametrize(
+    "verify,i,k",
+    [
+        pytest.param(verify, i, k, id=verify.__name__)
+        for verify, i, k in ((verify_t_system_t, 1, 2), (verify_t_system_t1, 1, 2), (verify_kr_tensor_split, 2, 2))
+    ],
+)
+def test_perturbed_dominant_coefficient_fails_like_full_route(A2, verify, i, k, monkeypatch):
     eng = _ScaledEngine(A2)
-    rep = verify(A2, 1, 2, eng)
+    rep = verify(A2, i, k, eng)
     assert rep.status == "fail"
     _full_route(monkeypatch)
-    full = verify(A2, 1, 2, eng)
+    full = verify(A2, i, k, eng)
     assert full.status == "fail"
     assert rep.text() == full.text()
     assert rep == full
+
+
+class _TSquaredEngine(Engine):
+    """Engine whose node-1 string characters have every coefficient but the
+    top one multiplied by t^2: wrong as t-characters, right at t = 1."""
+
+    def kr_char_direct(self, i, k, s=0):
+        ch = super().kr_char_direct(i, k, s)
+        if i != 1 or k == 0:
+            return ch
+        top = ch.highest
+        return QtCharacter(ch.L, ch.poly, {m: p if m == top else p.shifted(2) for m, p in ch.terms.items()})
+
+
+@pytest.mark.parametrize("rank,k", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2)])
+def test_t1_check_specializes_the_refined_sides(rank, k):
+    # the t=1 check is the t-refined sides at t=1, not a copy of the
+    # t-refined decision: the refined check fails on these characters, the
+    # t=1 check passes as it does on the true ones, and its sides are the
+    # refined full sides at t=1
+    L = build_lie_type("A", rank)
+    eng = _TSquaredEngine(L)
+    refined = verify_t_system_t(L, 1, k, eng)
+    assert refined.status == "fail"
+    rep = verify_t_system_t1(L, 1, k, eng)
+    assert rep.ok, rep.text()
+    assert rep == verify_t_system_t1(L, 1, k, Engine(L))
+
+    def at_one(side: dict) -> dict:
+        values = {key: parse_tpoly(v).at_one() for key, v in side.items()}
+        return {key: str(c) for key, c in values.items() if c}
+
+    assert rep.lhs == at_one(refined.lhs)
+    assert rep.rhs == at_one(refined.rhs)
 
 
 @pytest.mark.parametrize("edit", ["count_only", "edited_coefficient", "stray_term"])
@@ -278,7 +316,7 @@ def test_string_checks_reject_out_of_range_nodes(A2, verify):
             verify(A2, i, 1, Engine(A2))
 
 
-def test_t1_system_restricts_to_q_system(A2, engine_for):
+def test_t1_system_restricts_to_q_system(A2, engine_for, qchar_mul):
     # collapsing the spectral data of both sides of the specialized string
     # recursion gives exactly the finite-type recursion sides
     eng = engine_for(A2)
@@ -293,7 +331,7 @@ def test_t1_system_restricts_to_q_system(A2, engine_for):
                 del out[w]
         return out
 
-    from qtchar.character import qchar_mul, specialize_t1, terms_add
+    from qtchar.character import specialize_t1, terms_add
 
     def q(ii, kk, ss):
         return specialize_t1(eng.kr_char_direct(ii, kk, ss))
@@ -321,7 +359,7 @@ def test_kr_tensor_split_passes(engines, family, rank, i, k):
     assert rep.ok, rep.text()
 
 
-def test_twisted_product_of_adjacent_strings_has_unit_dominants(A2, engine_for):
+def test_twisted_product_of_adjacent_strings_has_unit_dominants(A2, engine_for, terms_scale):
     # the two-sided product appearing on the recursion's right admits no
     # t-spread at its l-dominant monomials
     eng = engine_for(A2)
@@ -453,14 +491,14 @@ def test_kr_formula_passes(engines, family, rank, nu, D):
 # -- monomial families ------------------------------------------------------------------
 
 
-def test_right_negative_flag():
+def test_right_negative_flag(right_negative):
     assert not right_negative(YMonomial.one())
     assert not right_negative(parse_monomial("Y[1,0]"))
     assert right_negative(parse_monomial("Y[2,1] Y[1,2]^-1"))
     assert not right_negative(parse_monomial("Y[1,2]^-1 Y[2,2]"))
 
 
-def test_string_right_negative_family(A2, engine_for):
+def test_string_right_negative_family(A2, engine_for, kr_right_negative_family, right_negative):
     eng = engine_for(A2)
     for i, k in ((1, 2), (1, 3), (2, 2)):
         ch = eng.kr_char_direct(i, k)
@@ -476,7 +514,7 @@ def test_string_right_negative_family(A2, engine_for):
             assert ch.coeff(m) == TPoly.ONE
 
 
-def test_paired_string_dominant_coefficients(A2, engine_for):
+def test_paired_string_dominant_coefficients(A2, engine_for, paired_string_dominants):
     eng = engine_for(A2)
     for k in (2, 3):
         P = DrinfeldPoly.kr(1, k, 0) * DrinfeldPoly.kr(1, k, 2)

@@ -30,11 +30,7 @@ from .monomial import (
     EpsilonTable,
     YMonomial,
     a_monomial,
-    epsilon,
-    pairing_d,
-    pairing_d_alt,
     parse_monomial,
-    tilde_d,
     tilde_u,
     v_factorization,
 )

@@ -25,7 +25,7 @@ import hashlib
 import re
 
 from . import kernels
-from .errors import InternalError, NotDominant, ParseError
+from .errors import NotDominant, ParseError
 from .monomial import (
     EpsilonTable,
     ONE_MONO,
@@ -141,16 +141,6 @@ class QtCharacter:
 
     def bar(self) -> "QtCharacter":
         return QtCharacter(self.L, self.poly, {m: p.bar() for m, p in self.terms.items()})
-
-    def validate(self) -> None:
-        """Cheap structural sanity: the highest term is present, monic, and
-        truly highest (every other monomial factors below it)."""
-        top = self.highest
-        if self.terms.get(top) != TPoly.ONE:
-            raise InternalError("highest term missing or not monic")
-        for m in self.terms:
-            if m != top:
-                v_factorization(self.L, m, top)
 
     def __str__(self):
         lines = [f"{self.L.family}{self.L.rank} character, highest {self.poly}"]

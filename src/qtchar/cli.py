@@ -18,6 +18,7 @@ from .engine import Engine
 from .errors import DomainError, NotInRootLattice, ParseError, UnsupportedType
 from .monomial import a_monomial
 from .roots import build_lie_type
+from .tpoly import CONVENTIONS
 from . import kernels, systems
 
 _TYPE_RE = re.compile(r"^([ADE])(\d+)$")
@@ -129,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ferm.add_argument("--type", required=True)
     ferm.add_argument("--nu", action="append", metavar="i:k=v", help="string counts; repeatable")
     ferm.add_argument("--truncate", type=int, required=True, help="total degree bound D")
-    ferm.add_argument("--convention", choices=("gamma", "lusztig"), default="gamma")
+    ferm.add_argument("--convention", choices=CONVENTIONS, default=CONVENTIONS[0])
     ferm.add_argument("--verify", action="store_true", help="compare against the character product")
     ferm.add_argument("--cache-dir", default=None)
     ferm.add_argument("--out", default=None)

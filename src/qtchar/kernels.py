@@ -1,12 +1,10 @@
-"""Dict and tuple kernels behind monomials, Laurent polynomials and the
-twist exponents.
+"""Dict and tuple kernels behind monomials and Laurent polynomials.
 
 Data conventions:
 
 * a monomial is a tuple of (node, shift, exponent) triples sorted by
   (node, shift), with no zero exponents;
-* a coefficient polynomial is a dict {exponent: int} with no zero values;
-* sparse integer maps keyed by (node, shift) pairs are plain dicts.
+* a coefficient polynomial is a dict {exponent: int} with no zero values.
 
 Callers look these functions up as ``kernels.<name>`` at call time, so a
 profiler can count them by replacing the module attributes.
@@ -103,18 +101,3 @@ def poly_acc_mul(acc, p, q, shift):
             else:
                 del acc[k]
 
-
-def dot_shifted(a, b, shift):
-    """Sum of a[(i, s + shift)] * b[(i, s)] over the support of b."""
-    total = 0
-    if shift:
-        for (i, s), v in b.items():
-            w = a.get((i, s + shift))
-            if w is not None:
-                total += w * v
-    else:
-        for k, v in b.items():
-            w = a.get(k)
-            if w is not None:
-                total += w * v
-    return total

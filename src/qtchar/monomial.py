@@ -1,16 +1,16 @@
-"""Loop-weight monomials on a single spectral lattice, and the integer
-pairings between them that drive every twisted product.
+"""Loop-weight monomials on a single spectral lattice, and the commutation
+exponent that drives every twisted product.
 
 A monomial is a finite product of variables Y[i,s]^e with i a node and s an
 integer spectral exponent.  All modules here live on one lattice, so (i, s)
-pairs are the whole story.  The three pairings:
+pairs are the whole story.  Beside the monomial type:
 
 * v_factorization writes m = m_ref * prod A(i,s)^-v(i,s) when possible;
 * tilde_u solves the lattice recursion whose boundary data is the exponent
   map of a monomial (support can be infinite to the right, so a ceiling is
   always supplied);
-* pairing_d / tilde_d / epsilon are the sparse bilinear forms built from
-  those two, used for product twists and commutation exponents.
+* EpsilonTable is the commutation exponent epsilon(m1, m2), the library's
+  only one, read from tilde_u of single variables.
 """
 
 from __future__ import annotations
@@ -25,20 +25,17 @@ from .roots import LieType
 class YMonomial:
     """Immutable sparse monomial; factors sorted by (node, shift)."""
 
-    __slots__ = ("data", "_hash", "_umap")
+    __slots__ = ("data", "_hash")
 
     def __init__(self, data=()):
-        data = tuple(sorted((int(i), int(s), int(e)) for i, s, e in data if e))
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "_hash", hash(data))
-        object.__setattr__(self, "_umap", None)
+        self.data = tuple(sorted((int(i), int(s), int(e)) for i, s, e in data if e))
+        self._hash = hash(self.data)
 
     @classmethod
     def _wrap(cls, data: tuple) -> "YMonomial":
         m = object.__new__(cls)
-        object.__setattr__(m, "data", data)
-        object.__setattr__(m, "_hash", hash(data))
-        object.__setattr__(m, "_umap", None)
+        m.data = data
+        m._hash = hash(data)
         return m
 
     @classmethod
@@ -69,11 +66,7 @@ class YMonomial:
         return self.u_map().get((i, s), 0)
 
     def u_map(self) -> dict:
-        m = self._umap
-        if m is None:
-            m = {(i, s): e for i, s, e in self.data}
-            object.__setattr__(self, "_umap", m)
-        return m
+        return {(i, s): e for i, s, e in self.data}
 
     def is_one(self) -> bool:
         return not self.data
@@ -157,13 +150,7 @@ def v_factorization(L: LieType, m: YMonomial, m_ref: YMonomial) -> dict:
     Coxeter-number margin below the data and demanding the state die out is
     therefore a complete comparability test.
     """
-    delta: dict = dict(m.u_map())
-    for k, e in m_ref.u_map().items():
-        r = delta.get(k, 0) - e
-        if r:
-            delta[k] = r
-        else:
-            delta.pop(k, None)
+    delta = (m * m_ref**-1).u_map()
     if not delta:
         return {}
     levels = [s for (_, s) in delta]
@@ -214,42 +201,6 @@ def tilde_u(L: LieType, m: YMonomial, s_max: int) -> dict:
     return out
 
 
-def pairing_d(L, m1: YMonomial, mp1: YMonomial, m2: YMonomial, mp2: YMonomial) -> int:
-    """Product-twist pairing of (m1 below mp1) against (m2 below mp2):
-    v-exponents of the first pair against raw exponents of m2, plus raw
-    exponents of mp1 against v-exponents of the second pair, each with a
-    one-step spectral offset."""
-    v1 = v_factorization(L, m1, mp1)
-    v2 = v_factorization(L, m2, mp2)
-    return kernels.dot_shifted(v1, m2.u_map(), 1) + kernels.dot_shifted(
-        mp1.u_map(), v2, 1
-    )
-
-
-def pairing_d_alt(L, m1: YMonomial, mp1: YMonomial, m2: YMonomial, mp2: YMonomial) -> int:
-    """Rearrangement of pairing_d with the offset on the other side; agrees
-    with pairing_d identically (exercised by the property suite)."""
-    v1 = v_factorization(L, m1, mp1)
-    v2 = v_factorization(L, m2, mp2)
-    return kernels.dot_shifted(m1.u_map(), v2, 1) + kernels.dot_shifted(
-        v1, mp2.u_map(), 1
-    )
-
-
-def tilde_d(L: LieType, m1: YMonomial, m2: YMonomial) -> int:
-    """Bilinear form pairing the exponents of m1 against tilde_u of m2."""
-    top = m1.max_s()
-    if top is None:
-        return 0
-    ut2 = tilde_u(L, m2, top - 1)
-    return -kernels.dot_shifted(m1.u_map(), ut2, 1)
-
-
-def epsilon(L: LieType, m1: YMonomial, m2: YMonomial) -> int:
-    """Commutation exponent: antisymmetric, shift-invariant, biadditive."""
-    return tilde_d(L, m1, m2) - tilde_d(L, m2, m1)
-
-
 class EpsilonTable:
     """Commutation exponents evaluated through a cached table of
     variable-vs-variable values.
@@ -286,9 +237,8 @@ class EpsilonTable:
         val = self._gen.get(key)
         if val is None:
             upto = abs(delta) + 1
-            val = self._tilde(i, upto).get((j, delta - 1), 0) - self._tilde(
-                j, upto
-            ).get((i, -1 - delta), 0)
+            val = (self._tilde(i, upto).get((j, delta - 1), 0)
+                   - self._tilde(j, upto).get((i, -1 - delta), 0))
             self._gen[key] = val
         return val
 

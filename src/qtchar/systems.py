@@ -49,7 +49,7 @@ from .roots import (
     weight_to_rational_root_coords,
     weight_to_root_coords,
 )
-from .tpoly import gen_binomial
+from .tpoly import CONVENTIONS, gen_binomial
 
 
 # NuConfig: finite-support map (node, string length k >= 1) -> nonneg count.
@@ -372,6 +372,8 @@ def fermionic_rhs(L: LieType, nu: NuConfig, D: int, convention: str = "gamma") -
     cutoff is exact for the truncated series."""
     if D < 0:
         raise DomainError("D must be nonnegative")
+    if convention not in CONVENTIONS:
+        raise DomainError(f"unknown binomial convention {convention!r}")
     nu = check_nu(L, nu)
     n = L.rank
     slots = [(i, k) for i in L.nodes for k in range(1, D + 1)]

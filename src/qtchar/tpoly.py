@@ -11,6 +11,9 @@ import re
 from . import kernels
 from .errors import DomainError, ParseError
 
+# The extended-binomial conventions of gen_binomial, the default first.
+CONVENTIONS = ("gamma", "lusztig")
+
 
 class TPoly:
     """Immutable sparse Laurent polynomial in t with integer coefficients."""
@@ -35,7 +38,7 @@ class TPoly:
     @classmethod
     def _wrap(cls, terms: dict) -> "TPoly":
         p = object.__new__(cls)
-        object.__setattr__(p, "terms", terms)
+        p.terms = terms
         return p
 
     # -- ring operations -------------------------------------------------
@@ -210,7 +213,7 @@ def gen_binomial(a: int, b: int, convention: str = "gamma") -> int:
     Gamma-function limit and may be negative for a < 0.
     lusztig: zero unless 0 <= b <= a.
     """
-    if convention not in ("gamma", "lusztig"):
+    if convention not in CONVENTIONS:
         raise DomainError(f"unknown binomial convention {convention!r}")
     if b < 0:
         return 0

@@ -16,11 +16,12 @@ from qtchar import (
     build_lie_type,
     t_binomial,
     two_rho,
+    tilde_u,
     v_factorization,
 )
-from qtchar import kernels
+from qtchar import kernels, monomial
 from qtchar.engine import _fixpoint
-from qtchar.errors import InconsistentExpansion, NotComparable
+from qtchar.errors import InconsistentExpansion, InternalError, NotComparable
 
 
 @pytest.fixture(scope="session")
@@ -169,6 +170,95 @@ def _paired_string_dominants(L, i: int, k: int) -> list:
 def paired_string_dominants():
     """The monomial family _paired_string_dominants."""
     return _paired_string_dominants
+
+
+def _dot_shifted(a: dict, b: dict, shift: int) -> int:
+    """Sum of a[(i, s + shift)] * b[(i, s)] over the support of b."""
+    return sum(a.get((i, s + shift), 0) * v for (i, s), v in b.items())
+
+
+@pytest.fixture(scope="session")
+def dot_shifted():
+    """The shifted dot product _dot_shifted."""
+    return _dot_shifted
+
+
+# The single-pair definitions of the commutation exponent and of the
+# product-twist pairing of the unnormalized product, kept as references for
+# EpsilonTable.  v_factorization is looked up on its module at call time,
+# so a test may memoize it there.
+
+
+def _pairing_d(L, m1: YMonomial, mp1: YMonomial, m2: YMonomial, mp2: YMonomial) -> int:
+    """Product-twist pairing of (m1 below mp1) against (m2 below mp2):
+    v-exponents of the first pair against raw exponents of m2, plus raw
+    exponents of mp1 against v-exponents of the second pair, each with a
+    one-step spectral offset."""
+    v1 = monomial.v_factorization(L, m1, mp1)
+    v2 = monomial.v_factorization(L, m2, mp2)
+    return _dot_shifted(v1, m2.u_map(), 1) + _dot_shifted(mp1.u_map(), v2, 1)
+
+
+def _pairing_d_alt(L, m1: YMonomial, mp1: YMonomial, m2: YMonomial, mp2: YMonomial) -> int:
+    """Rearrangement of _pairing_d with the offset on the other side; agrees
+    with _pairing_d identically (criterion 13)."""
+    v1 = monomial.v_factorization(L, m1, mp1)
+    v2 = monomial.v_factorization(L, m2, mp2)
+    return _dot_shifted(m1.u_map(), v2, 1) + _dot_shifted(v1, mp2.u_map(), 1)
+
+
+def _tilde_d(L, m1: YMonomial, m2: YMonomial) -> int:
+    """Bilinear form pairing the exponents of m1 against tilde_u of m2."""
+    top = m1.max_s()
+    if top is None:
+        return 0
+    return -_dot_shifted(m1.u_map(), tilde_u(L, m2, top - 1), 1)
+
+
+def _epsilon(L, m1: YMonomial, m2: YMonomial) -> int:
+    """Commutation exponent: antisymmetric, shift-invariant, biadditive."""
+    return _tilde_d(L, m1, m2) - _tilde_d(L, m2, m1)
+
+
+@pytest.fixture(scope="session")
+def pairing_d():
+    """The product-twist pairing _pairing_d."""
+    return _pairing_d
+
+
+@pytest.fixture(scope="session")
+def pairing_d_alt():
+    """The rearranged pairing _pairing_d_alt."""
+    return _pairing_d_alt
+
+
+@pytest.fixture(scope="session")
+def tilde_d():
+    """The bilinear form _tilde_d."""
+    return _tilde_d
+
+
+@pytest.fixture(scope="session")
+def epsilon():
+    """The single-pair commutation exponent _epsilon."""
+    return _epsilon
+
+
+def _validate(ch: QtCharacter) -> None:
+    """Cheap structural sanity: the highest term is present, monic, and
+    truly highest (every other monomial factors below it)."""
+    top = ch.highest
+    if ch.terms.get(top) != TPoly.ONE:
+        raise InternalError("highest term missing or not monic")
+    for m in ch.terms:
+        if m != top:
+            v_factorization(ch.L, m, top)
+
+
+@pytest.fixture(scope="session")
+def validate():
+    """The structural check _validate."""
+    return _validate
 
 
 def _multiply_standard(ch1, p1, ch2, p2) -> QtCharacter:

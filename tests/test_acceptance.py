@@ -16,10 +16,7 @@ from qtchar import (
     Engine,
     TPoly,
     build_lie_type,
-    epsilon,
     irreducible_g_char,
-    pairing_d,
-    pairing_d_alt,
     parse_monomial,
     parse_tpoly,
     restrict_to_g,
@@ -301,7 +298,7 @@ def test_criterion_12_triangular_positivity(engines):
     _conclude(12, failures)
 
 
-def test_criterion_13_pairing_identities(engines):
+def test_criterion_13_pairing_identities(engines, pairing_d, pairing_d_alt, epsilon):
     failures = []
     a2 = engines[("A", 2)]
     a3 = engines[("A", 3)]

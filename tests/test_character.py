@@ -19,10 +19,8 @@ from qtchar import (
     build_lie_type,
     dominant_product,
     dumps_qtc,
-    epsilon,
     loads_qtc,
     normalized_in_A,
-    pairing_d,
     parse_monomial,
     parse_tpoly,
     read_qtc,
@@ -34,7 +32,7 @@ from qtchar import (
     v_factorization,
     write_qtc,
 )
-from qtchar import character, engine, kernels, monomial
+from qtchar import character, engine, monomial
 from qtchar.character import _expansion_tail, _node_simple, _star_fold
 from qtchar.engine import _fixpoint, _top_normalized, fundamental_char, kr_char_direct, standard_char
 from qtchar.errors import NotDominant
@@ -347,7 +345,9 @@ def test_standard_product_associative(A2, engine_for, multiply_standard):
     assert left == right
 
 
-def test_star_product_matches_normalized_product(A2, A3, engine_for, multiply_standard, terms_scale):
+def test_star_product_matches_normalized_product(
+    A2, A3, engine_for, multiply_standard, terms_scale, epsilon
+):
     # the top-normalized twisted product against the reference product; the
     # top coefficient it divides by is t^epsilon of the two tops
     cases = [
@@ -365,7 +365,7 @@ def test_star_product_matches_normalized_product(A2, A3, engine_for, multiply_st
         assert terms_scale(star, TPoly.t_power(tw)) == got
 
 
-def _naive_star(L, a: dict, b: dict) -> dict:
+def _naive_star(L, a: dict, b: dict, epsilon) -> dict:
     """Twisted product built pair by pair from the definition of epsilon."""
     out: dict = {}
     for m1, p1 in a.items():
@@ -375,7 +375,7 @@ def _naive_star(L, a: dict, b: dict) -> dict:
     return {m: p for m, p in out.items() if p}
 
 
-def test_star_product_matches_pairwise_definition(A2, A3, D4, engine_for):
+def test_star_product_matches_pairwise_definition(A2, A3, D4, engine_for, epsilon):
     cases = [
         (A2, [(1, 1, 0), (2, 1, 1)]),
         (A2, [(1, 2, 0), (2, 2, 1), (1, 1, 4)]),
@@ -392,7 +392,7 @@ def test_star_product_matches_pairwise_definition(A2, A3, D4, engine_for):
         slow = chs[0].terms
         for ch in chs[1:]:
             fast = star_product(L, fast, ch, table)
-            slow = _naive_star(L, slow, ch.terms)
+            slow = _naive_star(L, slow, ch.terms, epsilon)
             assert fast == slow, (L, factors)
 
 
@@ -440,7 +440,7 @@ def test_dominant_product_matches_filtered_star_product_d5_e6(family, rank, fact
     assert dom == _dominant_filter(_star_fold(L, chs, table))
 
 
-def _unnormalized_route(L, ch1, p1, ch2, p2) -> dict:
+def _unnormalized_route(L, ch1, p1, ch2, p2, pairing_d, dot_shifted) -> dict:
     """The standard product taken through unnormalized coefficients:
     multiply each factor's terms by t^tw, twist each pair by 2 * pairing_d,
     then divide by t^tw against p1 * p2.  For m = top * A^-v,
@@ -448,7 +448,7 @@ def _unnormalized_route(L, ch1, p1, ch2, p2) -> dict:
     and a product term's v is the sum of its factors' v."""
 
     def tw(v, m, top):
-        return kernels.dot_shifted(v, m.u_map(), 1) + kernels.dot_shifted(top.u_map(), v, 1)
+        return dot_shifted(v, m.u_map(), 1) + dot_shifted(top.u_map(), v, 1)
 
     mp1, mp2 = p1.monomial(), p2.monomial()
     top = (p1 * p2).monomial()
@@ -470,7 +470,9 @@ def _unnormalized_route(L, ch1, p1, ch2, p2) -> dict:
     return {m: p.shifted(-tw(v_of[m], m, top)) for m, p in out.items() if p}
 
 
-def test_standard_product_matches_unnormalized_route(A3, D4, engine_for, multiply_standard, monkeypatch):
+def test_standard_product_matches_unnormalized_route(
+    A3, D4, engine_for, multiply_standard, pairing_d, dot_shifted, monkeypatch
+):
     # the top-normalized twisted product against two oracles: the reference
     # product and the route through unnormalized coefficients
     # pairing_d factors both of its monomials on every call; memoize that
@@ -489,7 +491,9 @@ def test_standard_product_matches_unnormalized_route(A3, D4, engine_for, multipl
             ch1, ch2 = eng.kr_char_direct(*a), eng.kr_char_direct(*b)
             got = _top_normalized(star_product(eng.L, ch1, ch2), (p1 * p2).monomial())
             assert got == multiply_standard(ch1, p1, ch2, p2).terms, (eng.L, p1, p2)
-            assert got == _unnormalized_route(eng.L, ch1, p1, ch2, p2), (eng.L, p1, p2)
+            assert got == _unnormalized_route(
+                eng.L, ch1, p1, ch2, p2, pairing_d, dot_shifted
+            ), (eng.L, p1, p2)
 
 
 def test_specialize_t1_is_multiplicative(A2, engine_for, multiply_standard, qchar_mul):
@@ -779,11 +783,11 @@ def test_module_level_wrappers_share_default_engine(A2):
     assert standard_char(A2, DrinfeldPoly.fundamental(1, 0)) == a
 
 
-def test_character_shift_and_validate(A2, engine_for):
+def test_character_shift_and_validate(A2, engine_for, validate):
     ch = engine_for(A2).kr_char_direct(1, 2)
     sh = ch.shift(3)
     assert sh.poly == DrinfeldPoly.kr(1, 2, 3)
     assert sh.highest == ch.highest.shift(3)
-    sh.validate()
+    validate(sh)
     assert sh.shift(-3) == ch
     assert {m.shift(-3): p for m, p in sh.items()} == dict(ch.items())

@@ -45,6 +45,7 @@ def _ref_poly_mul(p, q, shift=0):
 
 
 def test_backend_tag():
+    # perfbench/run.py probes this attribute for every benchmark run
     assert kernels.BACKEND == "python"
 
 
@@ -94,7 +95,7 @@ def test_poly_acc_mul_deletes_cancelled_entries():
     assert acc == {}
 
 
-def test_dot_shifted_matches_reference():
+def test_dot_shifted_matches_reference(dot_shifted):
     rng = random.Random(37)
     for _ in range(300):
         a = _rand_map(rng, rng.randint(0, 8))
@@ -106,14 +107,14 @@ def test_dot_shifted_matches_reference():
                 for (j, t), w in a.items()
                 if j == i and t == s + shift
             )
-            assert kernels.dot_shifted(a, b, shift) == expected
+            assert dot_shifted(a, b, shift) == expected
 
 
-def test_dot_shifted_orientation():
+def test_dot_shifted_orientation(dot_shifted):
     # the shift is applied to the first argument's keys, summed over the
     # second argument's support
     a = {(1, 3): 5}
     b = {(1, 2): 7}
-    assert kernels.dot_shifted(a, b, 1) == 35
-    assert kernels.dot_shifted(a, b, -1) == 0
-    assert kernels.dot_shifted(b, a, 1) == 0
+    assert dot_shifted(a, b, 1) == 35
+    assert dot_shifted(a, b, -1) == 0
+    assert dot_shifted(b, a, 1) == 0

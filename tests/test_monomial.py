@@ -12,11 +12,7 @@ from qtchar import (
     YMonomial,
     a_monomial,
     build_lie_type,
-    epsilon,
-    pairing_d,
-    pairing_d_alt,
     parse_monomial,
-    tilde_d,
     tilde_u,
     v_factorization,
 )
@@ -138,7 +134,7 @@ def test_tilde_u_a1_values(A1):
     assert ut == {(1, 1): 1, (1, 3): -1, (1, 5): 1, (1, 7): -1}
 
 
-def test_pairing_d_known_values(A1):
+def test_pairing_d_known_values(A1, pairing_d, pairing_d_alt):
     m1 = parse_monomial("Y[1,2]^-1")
     p1 = parse_monomial("Y[1,0]")
     m2 = p2 = parse_monomial("Y[1,2]")
@@ -148,7 +144,7 @@ def test_pairing_d_known_values(A1):
     assert pairing_d_alt(A1, m2, p2, m1, p1) == 1
 
 
-def test_epsilon_known_values(A1, A2):
+def test_epsilon_known_values(A1, A2, epsilon):
     assert epsilon(A1, parse_monomial("Y[1,0]"), parse_monomial("Y[1,2]")) == 1
     assert epsilon(A1, parse_monomial("Y[1,2]"), parse_monomial("Y[1,0]")) == -1
     assert epsilon(A2, parse_monomial("Y[1,0]"), parse_monomial("Y[2,1]")) == 0
@@ -156,7 +152,7 @@ def test_epsilon_known_values(A1, A2):
     assert epsilon(A2, parse_monomial("Y[1,0]"), parse_monomial("Y[1,0]")) == 0
 
 
-def test_epsilon_shift_invariance_and_antisymmetry(A2):
+def test_epsilon_shift_invariance_and_antisymmetry(A2, epsilon):
     rng = random.Random(9)
     monos = [
         parse_monomial("Y[1,0]"),
@@ -172,7 +168,7 @@ def test_epsilon_shift_invariance_and_antisymmetry(A2):
         assert e == epsilon(A2, m1.shift(d), m2.shift(d))
 
 
-def test_epsilon_table_matches_direct(A2, A3):
+def test_epsilon_table_matches_direct(A2, A3, epsilon):
     monos = [
         parse_monomial("Y[1,0]"),
         parse_monomial("Y[2,3]^-1"),
@@ -207,7 +203,7 @@ def _functional_pools():
     return out
 
 
-def test_epsilon_functional_matches_definition():
+def test_epsilon_functional_matches_definition(epsilon):
     for L, pool in _functional_pools():
         table = EpsilonTable(L)
         keys = {(i, s) for m in pool for i, s, _ in m.data}
@@ -220,7 +216,7 @@ def test_epsilon_functional_matches_definition():
                 assert dot == table.of(m1, m2) == epsilon(L, m1, m2), (L, m1, m2)
 
 
-def test_tilde_d_empty_monomial(A2):
+def test_tilde_d_empty_monomial(A2, tilde_d):
     one = YMonomial.one()
     assert tilde_d(A2, one, parse_monomial("Y[1,0]")) == 0
     assert tilde_d(A2, parse_monomial("Y[1,0]"), one) == 0

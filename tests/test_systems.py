@@ -16,14 +16,12 @@ from qtchar import (
     VerifyReport,
     YMonomial,
     build_lie_type,
-    epsilon,
     fermionic_rhs,
     irreducible_g_char,
-    pairing_d,
-    pairing_d_alt,
     parse_monomial,
     parse_tpoly,
     q_character_Q,
+    restrict_to_g,
     star_product,
     strip_to_irreducibles,
     verify_convergence,
@@ -37,6 +35,7 @@ from qtchar import systems
 from qtchar.character import _star_fold
 from qtchar.monomial import v_factorization
 from qtchar.systems import check_nu
+from qtchar.tpoly import CONVENTIONS
 
 
 # -- report plumbing -------------------------------------------------------------
@@ -471,6 +470,15 @@ def test_fermionic_rejects_bad_input(A1):
         fermionic_rhs(A1, {(1, 1): 1}, 2, "weird")
 
 
+@pytest.mark.parametrize("D", [0, 1])
+def test_fermionic_checks_convention_at_every_depth(A1, D):
+    # at D=0 the sum has one empty count array and calls no binomial
+    for convention in CONVENTIONS:
+        assert fermionic_rhs(A1, {}, D, convention)[(0,)] == 1
+    with pytest.raises(DomainError, match="unknown binomial convention 'weird'"):
+        fermionic_rhs(A1, {}, D, "weird")
+
+
 @pytest.mark.parametrize(
     "family,rank,nu,D",
     [
@@ -530,7 +538,7 @@ def test_paired_string_dominant_coefficients(A2, engine_for, paired_string_domin
 # -- pairing identities sampled from computed characters ----------------------------
 
 
-def test_pairing_routes_and_transport(A2, engine_for):
+def test_pairing_routes_and_transport(A2, engine_for, pairing_d, pairing_d_alt, epsilon):
     eng = engine_for(A2)
     chars = [
         eng.fundamental_char(1, 0),
@@ -581,6 +589,40 @@ def test_strip_to_irreducibles_flags_non_characters(A2):
         strip_to_irreducibles(A2, GCharacter(A2, {(-1, 0): 1}))
     with pytest.raises(InternalError):
         strip_to_irreducibles(A2, GCharacter(A2, {(0, 0): -1}))
+
+
+def _omega(rank: int, nodes) -> tuple:
+    """The sum of the fundamental weights at nodes; no nodes give 0."""
+    return tuple(int(j in nodes) for j in range(1, rank + 1))
+
+
+# Fundamentals beyond D4 (criterion 14): the highest weights of the
+# irreducibles their restrictions strip into, as node lists.  The other
+# nodes of E6, E7 and E8 are left out for time: irreducible_g_char's
+# Freudenthal step takes seconds there.
+@pytest.mark.parametrize(
+    "family,rank,node,weights",
+    [
+        ("D", 5, 1, [[1]]),
+        ("D", 5, 2, [[2], []]),
+        ("D", 5, 3, [[3], [1]]),
+        ("D", 5, 4, [[4]]),
+        ("D", 5, 5, [[5]]),
+        ("E", 6, 1, [[1]]),
+        ("E", 6, 2, [[2], []]),
+        ("E", 6, 3, [[3], [6]]),
+        ("E", 6, 5, [[5], [1]]),
+        ("E", 6, 6, [[6]]),
+        ("E", 7, 1, [[1], []]),
+        ("E", 7, 7, [[7]]),
+        ("E", 8, 8, [[8], []]),
+    ],
+)
+def test_fundamental_restriction_strips(family, rank, node, weights):
+    L = build_lie_type(family, rank)
+    g = restrict_to_g(Engine(L).fundamental_char(node, 0))
+    # the strip ends on an empty remainder, so the dimensions match too
+    assert strip_to_irreducibles(L, g) == {_omega(rank, nodes): 1 for nodes in weights}
 
 
 def test_restricted_string_strips_to_one_irreducible(A2, engine_for):

@@ -169,6 +169,14 @@ def _emit_report(rep, args) -> int:
 
 def _dispatch(args) -> int:
     L = _lie_type(args.type)
+    if args.verb == "fermionic" and not args.verify:
+        # the configuration sum reads no character, so it needs no engine
+        rhs = systems.fermionic_rhs(L, _parse_nu(args.nu), args.truncate, args.convention)
+        by_degree = [0] * (args.truncate + 1)
+        for key, c in rhs.items():
+            by_degree[sum(key)] += c
+        _emit(" ".join(str(c) for c in by_degree) + "\n", args.out)
+        return 0
     eng = Engine(L, cache_dir=_resolve_cache_dir(args.cache_dir))
 
     if args.verb == "fund":
@@ -194,15 +202,8 @@ def _dispatch(args) -> int:
         rep = systems.verify_convergence(L, args.node, args.k, args.truncate, eng)
         return _emit_report(rep, args)
     if args.verb == "fermionic":
-        nu = _parse_nu(args.nu)
-        if args.verify:
-            return _emit_report(systems.verify_kr_formula(L, nu, args.truncate, eng), args)
-        rhs = systems.fermionic_rhs(L, nu, args.truncate, args.convention)
-        by_degree = [0] * (args.truncate + 1)
-        for key, c in rhs.items():
-            by_degree[sum(key)] += c
-        _emit(" ".join(str(c) for c in by_degree) + "\n", args.out)
-        return 0
+        rep = systems.verify_kr_formula(L, _parse_nu(args.nu), args.truncate, eng)
+        return _emit_report(rep, args)
     raise DomainError(f"unknown verb {args.verb!r}")
 
 

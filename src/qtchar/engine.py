@@ -34,8 +34,7 @@ node i, the coefficient is what the node-i expansions above it sent
 there, topped up by one rooted there where the monomial is i-dominant,
 so the output is a combination of node-i rows for every i.  That holds
 for strict and pinned runs alike, so every character the engine hands
-out is a member: a run, its shifts, the unit, a twisted product of
-members (a standard, or the product of two class halves; K_t is closed
+out is a member: a run, its shifts, the unit, a standard (K_t is closed
 under the twisted product), or a disk-cache entry whose digest shows it
 is a run's output as written (write_qtc).  The verifiers rely on this
 and check membership nowhere.
@@ -66,11 +65,10 @@ fundamentals gives each standard's dominant part
 (Engine._standard_dominant), and from those come the closure of root
 data and the matrices c, z and l.  Each simple is then built from its
 l-row.  A string's is its string character, and its row must be the
-diagonal, as the paper's theorem says.  A root datum of two bipartite
-classes is the product of its halves' simples.  Any other is one run
-pinned to the row.  Every term keeps its factors in the bipartite
-classes of the top (_colouring), so a run rejects a node-i level of
-another parity; a top of both classes keeps both parities.
+diagonal, as the paper's theorem says.  Any other is one run pinned to
+the row.  Every term keeps its factors in the bipartite classes of the
+top (_colouring), so a run rejects a node-i level of another parity; a
+top of both classes keeps both parities.
 """
 
 from __future__ import annotations
@@ -78,7 +76,6 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass
 import heapq
-import itertools
 import os
 
 from . import kernels
@@ -90,7 +87,6 @@ from .character import (
     _star_fold,
     dominant_product,
     read_qtc,
-    star_product,
     write_qtc,
 )
 from .errors import (
@@ -192,8 +188,7 @@ def _fixpoint(L: LieType, poly: DrinfeldPoly, pins: dict | None = None) -> QtCha
     expected = {i: {} for i in nodes}
     depth: dict = {}
     # contributions only flow to deeper monomials, so the order within one
-    # depth is free and an insertion counter breaks ties
-    tick = itertools.count()
+    # depth is free; each key is pushed once, so it breaks ties
     heap = []
     # each pinned monomial waits in the heap at its depth, whether or not an
     # expansion reaches it
@@ -211,11 +206,11 @@ def _fixpoint(L: LieType, poly: DrinfeldPoly, pins: dict | None = None) -> QtCha
         pinned[k] = dict(p.terms)
         mono[k] = m
         depth[k] = d
-        heapq.heappush(heap, (d, next(tick), k))
+        heapq.heappush(heap, (d, k))
     coeffs: dict = {}
     memo: dict = {}  # node-i expansion rows per (i, node-i exponents), this run only
     while heap:
-        d, _, k = heapq.heappop(heap)
+        d, k = heapq.heappop(heap)
         m = mono[k]
         # colors for which m is not dominant
         neg = {j for j, _, e in m.data if e < 0}
@@ -255,7 +250,7 @@ def _fixpoint(L: LieType, poly: DrinfeldPoly, pins: dict | None = None) -> QtCha
                 if seen is None:
                     depth[kk] = dd
                     mono[kk] = YMonomial._wrap(kernels.mono_mul(m.data, q))
-                    heapq.heappush(heap, (dd, next(tick), kk))
+                    heapq.heappush(heap, (dd, kk))
                 elif seen != dd:
                     raise InternalError(f"depth mismatch at {mono[kk]}: {seen} vs {dd}")
                 slot = expected[i].get(kk)
@@ -327,17 +322,6 @@ def _string_of(poly: DrinfeldPoly):
     i, s = poly.roots[0]
     k = len(poly.roots)
     return (i, k, s) if poly == DrinfeldPoly.kr(i, k, s) else None
-
-
-def _class_halves(L: LieType, poly: DrinfeldPoly) -> list:
-    """The nonempty parts of poly by bipartite class: the root (i, s) lies
-    in class s + colour(i) mod 2 (_colouring).  Characters of the two classes live on disjoint
-    variables, and the commutation exponent between them vanishes."""
-    colour = _colouring(L)
-    halves: tuple = ([], [])
-    for i, s in poly.roots:
-        halves[(s + colour[i]) % 2].append((i, s))
-    return [DrinfeldPoly(h) for h in halves if h]
 
 
 def _mono_poly(m: YMonomial) -> DrinfeldPoly:
@@ -505,26 +489,18 @@ class Engine:
                     lbc = lw.get((bi, ci))
                     if zab and lbc:
                         f = f - zab * lbc
+                # l is bar-symmetric and z lies in t^-1 Z[t^-1]: l takes f's
+                # terms at t^e, e >= 0, mirrored to t^-e, and z the rest
                 sym = {}
-                zz = {}
-                if 0 in f.terms:
-                    sym[0] = f.terms[0]
-                for lev in {abs(e) for e in f.terms if e != 0}:
-                    fp = f.terms.get(lev, 0)
-                    fm = f.terms.get(-lev, 0)
-                    if fp:
-                        sym[lev] = fp
-                        sym[-lev] = fp
-                    if fm != fp:
-                        zz[-lev] = fm - fp
-                lpoly = TPoly._wrap({e: cf for e, cf in sym.items() if cf})
-                zpoly = TPoly._wrap(zz)
+                for e, cf in f.terms.items():
+                    if e >= 0:
+                        sym[e] = sym[-e] = cf
+                lpoly = TPoly._wrap(sym)
+                zpoly = f - lpoly
                 if not zpoly.has_nonneg_coeffs() or not lpoly.has_nonneg_coeffs():
                     raise InternalError(
                         f"negative multiplicity between {order[ai]} and {order[ci]}"
                     )
-                if f != lpoly + zpoly:
-                    raise InternalError("triangular split failed")
                 if zpoly:
                     z[(ai, ci)] = zpoly
                 if lpoly:
@@ -537,28 +513,18 @@ class Engine:
         """The simple character of poly from its l-row, {dominant monomial:
         l(poly, m)}; memoized.  A string takes its character from the
         engine, and its row must hold the diagonal alone (the paper's
-        theorem).  A root datum of two bipartite classes is the product of
-        its halves' simples, which must match the row.  Any other root
-        datum is one fixpoint run pinned to the row."""
+        theorem).  Any other root datum is one fixpoint run pinned to the
+        row."""
         got = self._simples.get(poly.roots)
         if got is not None:
             return got
-        L = self.L
-        top = poly.monomial()
         string = _string_of(poly)
-        halves = _class_halves(L, poly)
         if string:
-            if row != {top: TPoly.ONE}:
+            if row != {poly.monomial(): TPoly.ONE}:
                 raise InternalError(f"the l-row of the string {poly} holds more than its diagonal")
             ch = self.kr_char_direct(*string)
-        elif len(halves) == 2:
-            parts = [self.simple_char(h) for h in halves]
-            terms = _top_normalized(star_product(L, *parts, self._table), top)
-            if {m: p for m, p in terms.items() if m.is_l_dominant()} != row:
-                raise InternalError(f"the product of the classes of {poly} differs from its l-row")
-            ch = QtCharacter(L, poly, terms)
         else:
-            ch = _fixpoint(L, poly, row)
+            ch = _fixpoint(self.L, poly, row)
         self._simples[poly.roots] = ch
         return ch
 

@@ -17,12 +17,12 @@ l-dominant monomials (Frenkel-Mukhin at t = 1; Hernandez, "Algebraic
 approach to q,t-characters").  Every factor comes from the engine, which
 builds only members of K_t (engine.py): a KR module has a single
 dominant monomial, so its character is the fixpoint output, and the
-tensor split's simple is a pinned run or a product of two.  K_t is
-closed under the twisted product, so both sides lie in it, and those
-checks pass on equal dominant parts (dominant_product), building their
-full sides only if a report's sides are read.  Dominant parts that
-differ send the check through the full products, so every failing
-report is the one the full comparison gives.
+tensor split's simple is one pinned run.  K_t is closed under the
+twisted product, so both sides lie in it, and those checks pass on
+equal dominant parts (dominant_product), building their full sides only
+if a report's sides are read.  Dominant parts that differ send the
+check through the full products, so every failing report is the one
+the full comparison gives.
 """
 
 from __future__ import annotations

@@ -214,6 +214,24 @@ def test_fermionic_prints_degree_row(capsys, tmp_path):
     assert out == "1 0 0\n"
 
 
+def test_fermionic_sum_ignores_cache_dir(capsys, tmp_path, monkeypatch):
+    # the configuration sum reads no character: it neither creates the
+    # default cache directory nor minds an unusable one
+    monkeypatch.chdir(tmp_path)
+    plain = tmp_path / "plain-file"
+    plain.write_text("")
+    rc, out, err = run_cli(
+        capsys,
+        *("fermionic", "--type", "A1", "--nu", "1:1=1", "--truncate", "3"),
+        "--cache-dir",
+        str(plain),
+    )
+    assert (rc, out, err) == (0, "1 0 -1 0\n", "")
+    rc, out, err = run_cli(capsys, "fermionic", "--type", "A1", "--nu", "1:1=1", "--truncate", "3")
+    assert (rc, out, err) == (0, "1 0 -1 0\n", "")
+    assert not (tmp_path / "qtc-cache").exists()
+
+
 def test_failing_report_exits_one(capsys, tmp_path, monkeypatch):
     import qtchar.cli as cli
 

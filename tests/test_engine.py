@@ -18,6 +18,7 @@ from qtchar import (
     parse_monomial,
     parse_tpoly,
     read_qtc,
+    star_product,
 )
 import qtchar.engine
 from qtchar.engine import _fixpoint, _level_key
@@ -245,9 +246,26 @@ def test_kl_decompose_a1(engine_for, A1):
     assert got == {"P(1: 0 2)": "1", "P()": "t^-1"}
 
 
-def test_kl_matrix_identity(engine_for, A2):
+SUBTRACTION_CASES = [
+    ("A", 3, DrinfeldPoly.kr(2, 4, 0)),
+    ("D", 4, DrinfeldPoly.kr(2, 3, 0)),
+    ("D", 4, DrinfeldPoly.kr(1, 4, 0)),
+    ("D", 5, DrinfeldPoly.kr(3, 2, 0)),
+    ("E", 6, DrinfeldPoly.kr(1, 2, 0)),
+    ("A", 3, DrinfeldPoly(((2, 0), (2, 1), (2, 2)))),
+    ("A", 2, DrinfeldPoly(((1, 0), (1, 1), (1, 2), (2, 1), (2, 3)))),
+]
+
+
+@pytest.mark.parametrize(
+    "family, rank, poly",
+    [("A", 2, DrinfeldPoly.kr(1, 3, 0)), *SUBTRACTION_CASES],
+    ids=lambda x: str(x),
+)
+def test_kl_matrix_identity(family, rank, poly, engines):
     # c = z * l entrywise over the whole closure
-    res = engine_for(A2).kl_decompose(DrinfeldPoly.kr(1, 3, 0))
+    eng = engines.get((family, rank)) or Engine(build_lie_type(family, rank))
+    res = eng.kl_decompose(poly)
     n = len(res.order)
     for ai in range(n):
         for ci in range(n):
@@ -287,21 +305,10 @@ def test_simple_char_route_matches_direct(engine_for, A2, A3, subtraction_simple
         assert eng.simple_char(P) == eng.kr_char_direct(i, k) == reference
 
 
-SUBTRACTION_CASES = [
-    ("A", 3, DrinfeldPoly.kr(2, 4, 0)),
-    ("D", 4, DrinfeldPoly.kr(2, 3, 0)),
-    ("D", 4, DrinfeldPoly.kr(1, 4, 0)),
-    ("D", 5, DrinfeldPoly.kr(3, 2, 0)),
-    ("E", 6, DrinfeldPoly.kr(1, 2, 0)),
-    ("A", 3, DrinfeldPoly(((2, 0), (2, 1), (2, 2)))),
-    ("A", 2, DrinfeldPoly(((1, 0), (1, 1), (1, 2), (2, 1), (2, 3)))),
-]
-
-
 @pytest.mark.parametrize("family, rank, poly", SUBTRACTION_CASES, ids=lambda x: str(x))
 def test_simples_match_subtraction_route(family, rank, poly, engines, subtraction_simples):
-    # every simple of the closure (fixpoints pinned to l-rows, strings and
-    # class products) against standard minus z-weighted simples below it
+    # every simple of the closure (strings and fixpoints pinned to l-rows)
+    # against standard minus z-weighted simples below it
     L = build_lie_type(family, rank)
     eng = engines.get((family, rank)) or Engine(L)
     res = eng.kl_decompose(poly)
@@ -392,21 +399,33 @@ def test_kr_row_with_off_diagonal_entry_raises(A2, D4):
             Engine(L)._simple(P, row)
 
 
-def test_class_product_must_match_its_row(A2, A3):
-    # roots of two bipartite classes: the simple is the product of the
-    # halves' simples, and a row it does not match is an error
-    for L, P in (
-        (A3, DrinfeldPoly(((2, 0), (2, 1), (2, 2)))),
-        (A2, DrinfeldPoly(((1, 0), (1, 1), (1, 2), (2, 1), (2, 3)))),
-    ):
+def _two_class_root_data(L, sizes, levels):
+    """Every root datum of the given sizes over the given levels whose roots
+    fall in both bipartite classes, with its two halves."""
+    colour = qtchar.engine._colouring(L)
+    roots = [(i, s) for i in L.nodes for s in levels]
+    for n in sizes:
+        for combo in itertools.combinations_with_replacement(roots, n):
+            halves: tuple = ([], [])
+            for i, s in combo:
+                halves[(s + colour[i]) % 2].append((i, s))
+            if all(halves):
+                yield DrinfeldPoly(combo), [DrinfeldPoly(h) for h in halves]
+
+
+def test_two_class_simple_is_product_of_halves(A2, A3, D4):
+    # characters of the two bipartite classes live on disjoint variables, so
+    # the simple of a root datum of both classes is the twisted product of
+    # its halves' simples; the engine builds it as one pinned run instead
+    cases = 0
+    for L, sizes, levels in ((A2, (2, 3), range(4)), (A3, (2,), range(3)), (D4, (2,), range(2))):
         eng = Engine(L)
-        order, _, _, l = eng._triangle(P)
-        row = qtchar.engine._l_row(order, l, 0)
-        wrong = dict(row)
-        wrong[order[1].monomial()] = TPoly.ONE
-        with pytest.raises(InternalError, match="differs from its l-row"):
-            Engine(L)._simple(P, wrong)
-        assert eng._simple(P, row) == eng.simple_char(P)
+        for P, halves in _two_class_root_data(L, sizes, levels):
+            product = star_product(L, *(eng.simple_char(h) for h in halves))
+            want = qtchar.engine._top_normalized(product, P.monomial())
+            assert eng.simple_char(P).terms == want, P
+            cases += 1
+    assert cases == 132
 
 
 def test_fundamental_dimensions_a3_d4(engine_for, A3, D4):

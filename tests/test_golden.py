@@ -64,6 +64,19 @@ STANDARDS = [
     ("A3", ((1, 0), (2, 5), (3, 1)), "436e22ddc04b885c7678f3cf86993507c065714ac91e28f097f282feddee8e2d"),
 ]
 
+# (type, roots, digest): simples of root data in both bipartite classes,
+# computed while they were built as the product of their halves' simples
+SIMPLES = [
+    ("A3", ((2, 0), (2, 1), (2, 2)), "551290727499c0fb3f73723c34f3a57a59e72134f8d278e40451e31a74847b11"),
+    (
+        "A2",
+        ((1, 0), (1, 1), (1, 2), (2, 1), (2, 3)),
+        "c3725a19e31783f175df603a6c9ed4caf692009e24c2c52409fcb60e05732a38",
+    ),
+    ("D4", ((1, 0), (2, 0)), "7856ede226aa672cfa58b090524f51d494f5ad1e60896ede2a2bb21668d1082e"),
+    ("D4", ((2, 0), (2, 1), (2, 2)), "99981162396e6adfb2453d011862e3eb0534cf60c994608b99c51ab0ba6d6f6d"),
+]
+
 # every simple of the D4 KR(2,3) decomposition in order, then the factors:
 # perfbench's decompose reference
 D4_KR_2_3_DECOMPOSITION = "dbc63b123c4cc3df4f1739427ca16f02e9ef99de0bbcdfef5531dea1bc9018ce"
@@ -103,6 +116,11 @@ def test_d4_string_standard_and_simple_digests(subtraction_simples):
 @pytest.mark.parametrize("type_name, roots, digest", STANDARDS)
 def test_standard_text_digest(type_name, roots, digest):
     assert _digest(_engine(type_name).standard_char(DrinfeldPoly(roots))) == digest
+
+
+@pytest.mark.parametrize("type_name, roots, digest", SIMPLES)
+def test_simple_text_digest(type_name, roots, digest):
+    assert _digest(_engine(type_name).simple_char(DrinfeldPoly(roots))) == digest
 
 
 def test_d4_decomposition_digest():

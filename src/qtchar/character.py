@@ -39,6 +39,7 @@ from .tpoly import TPoly, parse_tpoly
 
 _ONE = {0: 1}
 _SL2 = build_lie_type("A", 1)  # the rank-one type of the node-i simple
+_SL2_TABLE = EpsilonTable(_SL2)  # values depend on (node, node, level difference) alone
 
 
 class DrinfeldPoly:
@@ -207,7 +208,6 @@ def _node_simple(L: LieType, i: int, ui: tuple) -> list:
     vanishes, so a pattern that mixes them gets the product of its even
     and odd parts' rows."""
     mono_mul = kernels.mono_mul
-    sl2 = EpsilonTable(_SL2)
     # sl2 terms by data: (raw coefficient, A(1,s) exponents as (1, s, count) data)
     acc = {(): ({0: 1}, ())}
     for a, k in _q_strings(ui):
@@ -226,7 +226,7 @@ def _node_simple(L: LieType, i: int, ui: tuple) -> list:
                 slot = nxt.get(d)
                 if slot is None:
                     slot = nxt[d] = ({}, mono_mul(v1, v2))
-                kernels.poly_acc_mul(slot[0], c1, _ONE, sl2.of(m1, m2))
+                kernels.poly_acc_mul(slot[0], c1, _ONE, _SL2_TABLE.of(m1, m2))
         acc = nxt
     # the product of the tops comes first and carries a single power of t
     (lead,) = acc[tuple((1, s, u) for s, u in ui)][0]

@@ -130,7 +130,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ferm.add_argument("--type", required=True)
     ferm.add_argument("--nu", action="append", metavar="i:k=v", help="string counts; repeatable")
     ferm.add_argument("--truncate", type=int, required=True, help="total degree bound D")
-    ferm.add_argument("--convention", choices=CONVENTIONS, default=CONVENTIONS[0])
+    conv_help = f"binomial convention (default {CONVENTIONS[0]}, the only one --verify checks)"
+    ferm.add_argument("--convention", choices=CONVENTIONS, default=CONVENTIONS[0], help=conv_help)
     ferm.add_argument("--verify", action="store_true", help="compare against the character product")
     ferm.add_argument("--cache-dir", default=None)
     ferm.add_argument("--out", default=None)
@@ -169,6 +170,9 @@ def _emit_report(rep, args) -> int:
 
 def _dispatch(args) -> int:
     L = _lie_type(args.type)
+    if args.verb == "fermionic" and args.verify and args.convention != CONVENTIONS[0]:
+        # verify_kr_formula checks the default convention's sum alone
+        raise DomainError(f"--verify checks the {CONVENTIONS[0]} convention only, not {args.convention}")
     if args.verb == "fermionic" and not args.verify:
         # the configuration sum reads no character, so it needs no engine
         rhs = systems.fermionic_rhs(L, _parse_nu(args.nu), args.truncate, args.convention)

@@ -2,30 +2,30 @@
 decomposition.
 
 The core routine grows a character downward from its highest monomial,
-one monomial per heap pop in order of affinization depth.  At each
-monomial the coefficient is pinned by the colors for which the monomial
-is not dominant (they admit no expansion rooted there, so the already
-accumulated contributions must be the whole coefficient); every color
-for which it is dominant then gets a correcting expansion whose tail is
-pushed further down.  Contributions only ever flow to strictly deeper
-monomials, so a single sweep is a fixpoint.  Expansions carry normalized
-coefficients, so the pinned values are the character's final ones.
+one level of affinization depth at a time.  At each monomial the
+coefficient is fixed by the colors for which the monomial is not
+dominant (they admit no expansion rooted there, so the accumulated
+contributions must be the whole coefficient); every color for which it
+is dominant then gets a correcting expansion whose tail lands deeper.
+Contributions only ever flow to strictly deeper monomials, so one list
+per level is a complete schedule and a single sweep is a fixpoint.
+Expansions carry normalized coefficients, so the fixed values are final.
 
 Each expansion at node i is the sl2 simple character of m's node-i roots
 (_node_simple), as in the Frenkel-Mukhin algorithm (arXiv math/9911112;
 t-version in Hernandez, arXiv math/0212257).  The restriction of a
 module to node i decomposes over those simples with nonnegative
-coefficients, so nothing the run visits cancels: it pops exactly the
+coefficients, so nothing the run visits cancels: it visits exactly the
 terms of the character (9,885 for D4 KR(2,4)).  The sl2 standard rows
 span the same space but carry signs, and would visit four times as many
 monomials there.
 
 An element of K_t is fixed by its coefficients at its dominant
 monomials (Hernandez, math/0212257), and the run builds it from them:
-each pinned monomial waits in the heap at its depth, and when popped, an
-interior monomial dominant for every color takes its pin.  One that has
-no pin but has accumulated a nonzero coefficient raises
-InconsistentExpansion.  By default the top alone is pinned, to 1, so a
+each pin seeds its coefficient and waits in the level of its depth, and
+an interior monomial dominant for every color keeps its pin.  One that
+has no pin but has accumulated a nonzero coefficient raises
+InconsistentExpansion.  By default the top alone has a pin, 1, so a
 module with one dominant monomial (every KR module, by the paper's
 theorem) is built exactly and a second dominant monomial fails loudly.
 
@@ -33,7 +33,7 @@ A completed run lies in K_t by construction: at each monomial and each
 node i, the coefficient is what the node-i expansions above it sent
 there, topped up by one rooted there where the monomial is i-dominant,
 so the output is a combination of node-i rows for every i.  That holds
-for strict and pinned runs alike, so every character the engine hands
+for runs with one pin or many alike, so every character the engine hands
 out is a member: a run, its shifts, the unit, a standard (K_t is closed
 under the twisted product), or a disk-cache entry whose digest shows it
 is a run's output as written (write_qtc).  The verifiers rely on this
@@ -46,18 +46,21 @@ by (i, node-i exponents); it lives as long as the run.  The run keys its
 monomials by one packed integer (_level_key), additive under products,
 and each memoized row carries the key of its offset, so applying a row
 costs one integer add (39,540 rows for D4 KR(2,4)).  A monomial's factor
-tuple is merged once, when it is first pushed (9,885 times), for its
+tuple is merged once, when it is first reached (9,885 times), for its
 negative colors, its node-i exponents and the output.  The key is exact
 because every term lies in a fixed level window, [min_s, max_s + h] of
 the top (h the Coxeter number), and its exponents are bounded by its
 depth, which the guard below bounds; a row that leaves the window raises
 InternalError.
 
-Every visited weight lies in the convex hull of the Weyl orbit of the
-top weight, and the lowest weight w0 wt occurs in every module, so a
-genuine run reaches depth height(wt - w0 wt) exactly.  A run deeper than
-twice that (plus slack), or one that stops short of it, can only come
-from a wrong expansion, and raises InternalError.
+A monomial's depth is half the drop of the two_rho form (roots.two_rho),
+so a row's step count is checked against its form once, when it is
+built, and every path then reaches a monomial at one depth.  Every
+visited weight lies in the convex hull of the Weyl orbit of the top
+weight, and the lowest weight w0 wt occurs in every module, so a genuine
+run reaches depth height(wt - w0 wt) exactly.  A run deeper than twice
+that (plus slack), or one that stops short of it, can only come from a
+wrong expansion, and raises InternalError.
 
 The triangular decomposition reads standards only at their dominant
 monomials, so it never builds them: dominant_product over the
@@ -65,17 +68,16 @@ fundamentals gives each standard's dominant part
 (Engine._standard_dominant), and from those come the closure of root
 data and the matrices c, z and l.  Each simple is then built from its
 l-row.  A string's is its string character, and its row must be the
-diagonal, as the paper's theorem says.  Any other is one run pinned to
-the row.  Every term keeps its factors in the bipartite classes of the
-top (_colouring), so a run rejects a node-i level of another parity; a
-top of both classes keeps both parities.
+diagonal, as the paper's theorem says.  Any other is one run with the
+row as its pins.  Every term keeps its factors in the bipartite classes
+of the top (_colouring), so a run rejects a node-i level of another
+parity; a top of both classes keeps both parities.
 """
 
 from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-import heapq
 import os
 
 from . import kernels
@@ -101,9 +103,9 @@ from .roots import LieType, two_rho
 from .tpoly import TPoly
 
 
-def _form(rho2: tuple, m: YMonomial) -> int:
-    """The two_rho form on m's weight: twice its height."""
-    return sum(rho2[i - 1] * e for i, _, e in m.data)
+def _form(rho2: tuple, data: tuple) -> int:
+    """The two_rho form on the weight of factor tuple data: twice its height."""
+    return sum(rho2[i - 1] * e for i, _, e in data)
 
 
 def _colouring(L: LieType) -> dict:
@@ -146,19 +148,20 @@ def _level_key(lo: int, hi: int, limit: int):
 def _fixpoint(L: LieType, poly: DrinfeldPoly, pins: dict | None = None) -> QtCharacter:
     """The element of K_t with highest monomial poly.monomial() whose
     l-dominant coefficients are pins ({monomial: TPoly}); by default the
-    top alone, with coefficient 1.  The top may be pinned to any nonzero
+    top alone, with coefficient 1.  The top's pin may be any nonzero
     coefficient."""
     top = poly.monomial()
     if pins is None:
         pins = {top: TPoly.ONE}
     if not pins.get(top):
-        raise InternalError(f"the top {top} must be pinned to a nonzero coefficient")
+        raise InternalError(f"the top {top} needs a pin with a nonzero coefficient")
     nodes = list(L.nodes)
     # every visited weight lies in the convex hull of the top weight's Weyl
     # orbit, so no genuine run goes deeper than height(wt - w0 wt), where the
     # lowest weight sits; twice that plus slack stops a wrong expansion
     # before it fills memory
-    lowest = _form(two_rho(L), top)
+    rho2 = two_rho(L)
+    lowest = _form(rho2, top.data)
     bound = 2 * lowest + 4 * L.coxeter_number + 16
     # Monomials are keyed by _level_key.  Every term of the module is top
     # times A(i,a)^-1 factors with min_s < a < max_s + h, so its levels lie
@@ -167,10 +170,10 @@ def _fixpoint(L: LieType, poly: DrinfeldPoly, pins: dict | None = None) -> QtCha
     # most 1, so a monomial at depth d <= bound has exponents within
     # max|u_top| + bound: the key is exact as long as the depth is checked
     # before the key is looked up.
-    levels = [s for _, s, _ in top.data] or [0]
+    top_levels = [s for _, s, _ in top.data] or [0]
     key = _level_key(
-        min(levels),
-        max(levels) + L.coxeter_number,
+        min(top_levels),
+        max(top_levels) + L.coxeter_number,
         max((abs(e) for _, _, e in top.data), default=0) + bound,
     )
 
@@ -182,17 +185,20 @@ def _fixpoint(L: LieType, poly: DrinfeldPoly, pins: dict | None = None) -> QtCha
         # node-i level of another parity can only come from a wrong expansion
         if any((s + colour[i]) % 2 not in classes for s, _ in ui):
             raise InternalError(f"node-{i} exponents {ui} leave the level parities of the top's classes")
-        return [(q, key(q), p, deg) for q, p, deg in _node_simple(L, i, ui)]
+        rows = _node_simple(L, i, ui)
+        # the form falls by twice a row's depth, so every path reaches a
+        # monomial at one depth
+        for q, _, deg in rows:
+            if _form(rho2, q) != -2 * deg:
+                raise InternalError(f"node-{i} row {q} has step count {deg}, not half its form drop")
+        return [(q, key(q), p, deg) for q, p, deg in rows]
 
     mono: dict = {}
     expected = {i: {} for i in nodes}
-    depth: dict = {}
-    # contributions only flow to deeper monomials, so the order within one
-    # depth is free; each key is pushed once, so it breaks ties
-    heap = []
-    # each pinned monomial waits in the heap at its depth, whether or not an
-    # expansion reaches it
-    pinned: dict = {}
+    # contributions only flow to deeper monomials, so one list of keys per
+    # depth is a complete schedule; a key joins its level when first reached
+    levels = [[] for _ in range(bound + 1)]
+    coeffs: dict = {}  # each pin seeds its coefficient and waits at its depth
     for m, p in pins.items():
         if not m.is_l_dominant():
             raise InternalError(f"pin at {m}, which is not dominant")
@@ -203,62 +209,56 @@ def _fixpoint(L: LieType, poly: DrinfeldPoly, pins: dict | None = None) -> QtCha
         if d > bound:
             raise InternalError(f"pin at {m}, at depth {d} past the bound {bound}")
         k = key(m.data)
-        pinned[k] = dict(p.terms)
+        coeffs[k] = dict(p.terms)
         mono[k] = m
-        depth[k] = d
-        heapq.heappush(heap, (d, k))
-    coeffs: dict = {}
+        levels[d].append(k)
     memo: dict = {}  # node-i expansion rows per (i, node-i exponents), this run only
-    while heap:
-        d, k = heapq.heappop(heap)
-        m = mono[k]
-        # colors for which m is not dominant
-        neg = {j for j, _, e in m.data if e < 0}
-        a = None
-        for i in nodes:
-            if i not in neg:
-                continue
-            val = expected[i].get(k, {})
-            if a is None:
-                a = val
-            elif val != a:
-                raise InconsistentExpansion(f"colors disagree at {m}: {val} vs {a}")
-        if a is None:
-            # dominant for every color: the top or an interior monomial,
-            # which must be pinned once anything has reached it
-            a = pinned.get(k)
-            if a is None:
-                if any(expected[i].get(k) for i in nodes):
-                    raise InconsistentExpansion(f"interior dominant monomial {m} reached")
-                a = {}
-        if a:
-            coeffs[k] = a
-        for i in nodes:
-            if i in neg:
-                continue
-            combo = kernels.poly_sub(a, expected[i].pop(k, {}))
-            if not combo:
-                continue
-            for q, kq, p, deg in _expansion_tail(L, i, m, memo, rows=keyed_rows):
-                if deg == 0:
+    for d, level in enumerate(levels):
+        for k in level:
+            m = mono[k]
+            # colors for which m is not dominant
+            neg = {j for j, _, e in m.data if e < 0}
+            a = None
+            for i in nodes:
+                if i not in neg:
                     continue
-                dd = d + deg
-                if dd > bound:
-                    raise InternalError(f"expansion reached depth {dd} past the bound {bound}")
-                kk = k + kq
-                seen = depth.get(kk)
-                if seen is None:
-                    depth[kk] = dd
-                    mono[kk] = YMonomial._wrap(kernels.mono_mul(m.data, q))
-                    heapq.heappush(heap, (dd, kk))
-                elif seen != dd:
-                    raise InternalError(f"depth mismatch at {mono[kk]}: {seen} vs {dd}")
-                slot = expected[i].get(kk)
-                if slot is None:
-                    expected[i][kk] = slot = {}
-                kernels.poly_acc_mul(slot, combo, p.terms, 0)
+                val = expected[i].pop(k, {})
+                if a is None:
+                    a = val
+                elif val != a:
+                    raise InconsistentExpansion(f"colors disagree at {m}: {val} vs {a}")
+            if a is None:
+                # dominant for every color: the top or an interior monomial,
+                # which needs a pin once anything has reached it
+                a = coeffs.get(k)
+                if a is None:
+                    if any(expected[i].get(k) for i in nodes):
+                        raise InconsistentExpansion(f"interior dominant monomial {m} reached")
+                    a = {}
+            elif a:
+                coeffs[k] = a
+            for i in nodes:
+                if i in neg:
+                    continue
+                combo = kernels.poly_sub(a, expected[i].pop(k, {}))
+                if not combo:
+                    continue
+                for q, kq, p, deg in _expansion_tail(L, i, m, memo, rows=keyed_rows):
+                    if deg == 0:
+                        continue
+                    dd = d + deg
+                    if dd > bound:
+                        raise InternalError(f"expansion reached depth {dd} past the bound {bound}")
+                    kk = k + kq
+                    if kk not in mono:
+                        mono[kk] = YMonomial._wrap(kernels.mono_mul(m.data, q))
+                        levels[dd].append(kk)
+                    slot = expected[i].get(kk)
+                    if slot is None:
+                        expected[i][kk] = slot = {}
+                    kernels.poly_acc_mul(slot, combo, p.terms, 0)
     # a run that stops above the lowest weight lost a branch of expansions
-    deepest = max(depth.values())
+    deepest = max(d for d, level in enumerate(levels) if level)
     if deepest != lowest:
         raise InternalError(
             f"expansion stopped at depth {deepest}, but the lowest weight sits at depth {lowest}"
@@ -463,7 +463,7 @@ class Engine:
 
         # the two_rho form falls by twice the depth below the top
         rho2 = two_rho(self.L)
-        order = tuple(sorted(seen, key=lambda q: (-_form(rho2, q.monomial()), q.roots)))
+        order = tuple(sorted(seen, key=lambda q: (-_form(rho2, q.monomial().data), q.roots)))
         n = len(order)
         monos = [q.monomial() for q in order]
 
@@ -513,8 +513,8 @@ class Engine:
         """The simple character of poly from its l-row, {dominant monomial:
         l(poly, m)}; memoized.  A string takes its character from the
         engine, and its row must hold the diagonal alone (the paper's
-        theorem).  Any other root datum is one fixpoint run pinned to the
-        row."""
+        theorem).  Any other root datum is one fixpoint run whose pins are
+        the row."""
         got = self._simples.get(poly.roots)
         if got is not None:
             return got

@@ -143,14 +143,10 @@ def weight_to_rational_root_coords(L: LieType, w) -> tuple:
 
 def weight_to_root_coords(L: LieType, w: Weight) -> RootVector:
     """Solve w = C c exactly; NotInRootLattice when c is not integral."""
-    inv = _inverse_cartan(L)
-    coords = []
-    for row in inv:
-        x = sum(f * wi for f, wi in zip(row, w))
-        if x.denominator != 1:
-            raise NotInRootLattice(f"weight {w} is not in the root lattice of {L}")
-        coords.append(int(x))
-    return tuple(coords)
+    coords = weight_to_rational_root_coords(L, w)
+    if any(x.denominator != 1 for x in coords):
+        raise NotInRootLattice(f"weight {w} is not in the root lattice of {L}")
+    return tuple(int(x) for x in coords)
 
 
 @lru_cache(maxsize=None)

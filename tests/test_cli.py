@@ -232,6 +232,20 @@ def test_fermionic_sum_ignores_cache_dir(capsys, tmp_path, monkeypatch):
     assert not (tmp_path / "qtc-cache").exists()
 
 
+def test_fermionic_verify_rejects_other_convention(capsys, tmp_path, monkeypatch):
+    # the check compares the gamma sum alone, so a pass under --convention
+    # lusztig would speak for a sum it never read; no engine is built
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run_cli(
+        capsys,
+        *("fermionic", "--type", "A2", "--nu", "1:2=1", "--truncate", "4"),
+        *("--convention", "lusztig", "--verify"),
+    )
+    assert rc == 2 and not out
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert not (tmp_path / "qtc-cache").exists()
+
+
 def test_failing_report_exits_one(capsys, tmp_path, monkeypatch):
     import qtchar.cli as cli
 

@@ -173,6 +173,24 @@ def test_fixpoint_rejects_rows_past_the_level_window(D4, monkeypatch):
         _fixpoint(D4, DrinfeldPoly.kr(2, 2, 0))
 
 
+def test_fixpoint_rejects_rows_with_wrong_step_count(A2, A3, D4, monkeypatch):
+    # a row whose step count is not half its two_rho form drop would put
+    # one monomial at two depths; the run stops at the first such row
+    inner = qtchar.engine._node_simple
+
+    def miscounted_rows(L, i, ui):
+        return [(q, p, deg + 1 if deg >= 2 else deg) for q, p, deg in inner(L, i, ui)]
+
+    monkeypatch.setattr(qtchar.engine, "_node_simple", miscounted_rows)
+    for L, poly in (
+        (A2, DrinfeldPoly.kr(1, 2, 0)),
+        (D4, DrinfeldPoly.kr(2, 2, 0)),
+        (A3, DrinfeldPoly.kr(2, 3, 0)),
+    ):
+        with pytest.raises(InternalError, match="step count"):
+            _fixpoint(L, poly)
+
+
 def test_standard_empty_and_single(engine_for, A2):
     eng = engine_for(A2)
     one = eng.standard_char(DrinfeldPoly())

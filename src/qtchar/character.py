@@ -16,6 +16,9 @@ star_product twists each term pair by the commutation exponent, so the
 product of two normalized characters has a single power of t as its top
 coefficient.  A standard character is the star_product fold of its
 fundamentals (_star_fold) divided by that top coefficient.
+dominant_product gives the l-dominant terms of such a fold from the
+factor terms with no level above the highest level of the product's top,
+since no other factor term lies under a dominant term of the product.
 """
 
 from __future__ import annotations
@@ -265,29 +268,6 @@ def _expansion_tail(L: LieType, i: int, m: YMonomial, memo: dict, rows) -> list:
 # -- products -----------------------------------------------------------------
 
 
-def _pair_loop(groups) -> dict:
-    """Sum of c1 * c2 * t^tw over the term pairs of each (left row, right
-    rows) group, keyed by the product monomial's data.  Left rows are
-    (data, coefficient, sparse vector as ((node, level), value) pairs);
-    right rows are (data, coefficient, functional), and the pair's
-    exponent tw is the functional applied to the vector."""
-    mono_mul = kernels.mono_mul
-    acc_mul = kernels.poly_acc_mul
-    acc: dict = {}
-    for (d1, c1, vec), right in groups:
-        for d2, c2, phi in right:
-            tw = 0
-            get = phi.get
-            for k, x in vec:
-                tw += x * get(k, 0)
-            key = mono_mul(d1, d2)
-            slot = acc.get(key)
-            if slot is None:
-                slot = acc[key] = {}
-            acc_mul(slot, c1, c2, tw)
-    return acc
-
-
 def star_product(L: LieType, a, b, table: EpsilonTable | None = None) -> dict:
     """Term-by-term twisted product; returns a raw term dict.  The result of
     multiplying two normalized characters this way is NOT normalized: its
@@ -303,14 +283,27 @@ def star_product(L: LieType, a, b, table: EpsilonTable | None = None) -> dict:
     ]
     keys = {k for _, _, vec in left for k, _ in vec}
     right = [(m.data, p.terms, tab.functional(m, keys)) for m, p in d2.items()]
-    acc = _pair_loop((row, right) for row in left)
+    mono_mul = kernels.mono_mul
+    acc_mul = kernels.poly_acc_mul
+    acc: dict = {}
+    for dl, cl, vec in left:
+        for dr, cr, phi in right:
+            tw = 0
+            get = phi.get
+            for k, x in vec:
+                tw += x * get(k, 0)
+            key = mono_mul(dl, dr)
+            slot = acc.get(key)
+            if slot is None:
+                slot = acc[key] = {}
+            acc_mul(slot, cl, cr, tw)
     return {YMonomial._wrap(k): TPoly._wrap(p) for k, p in acc.items() if p}
 
 
 def _star_fold(L: LieType, chars, table: EpsilonTable) -> dict:
     """The twisted product of chars folded left to right from the unit with
-    star_product, a raw term dict: the full counterpart of
-    dominant_product."""
+    star_product, a raw term dict.  dominant_product keeps the l-dominant
+    terms of the same fold."""
     out = {ONE_MONO: TPoly.ONE}
     for ch in chars:
         out = star_product(L, out, ch, table)
@@ -318,93 +311,25 @@ def _star_fold(L: LieType, chars, table: EpsilonTable) -> dict:
 
 
 def dominant_product(L: LieType, factors, table: EpsilonTable | None = None) -> dict:
-    """The l-dominant terms of the twisted product of factors (characters
-    or raw term dicts), folded left to right from the unit as repeated
-    star_product calls fold them, with the same coefficients; a raw term
-    dict.  No factors give the unit.
+    """The l-dominant terms of _star_fold(L, factors), with the same
+    coefficients; a raw term dict.  The factors are characters, since
+    each one's top is read.  No factors give the unit.
 
-    A term of the product is dominant only if every partial product along
-    the way has each negative exponent within reach of the largest
-    positive exponents the remaining factors hold at that (node, level).
-    Partial terms out of reach are dropped at each step, and the
-    right-hand partners of a left term are looked up through an index of
-    the right factor's terms by their positive factors, so no step visits
-    every pair."""
+    Let H be the highest level of the product's top, the largest level
+    among the factors' tops.  A term top * prod A(i,a)^-v whose highest
+    A-level a is H or more carries Y[i,a+1]^-v(i,a), which no other A
+    factor at a level of at most a touches, so it is not dominant.  A
+    product's A-exponents are the sums of its factors' exponents, so a
+    dominant term is reached only through factor terms whose A-levels are
+    all below H, which are the factor terms with no level above H.  The
+    others are dropped before the fold."""
     tab = table if table is not None else EpsilonTable(L)
-    dicts = [f.terms if isinstance(f, QtCharacter) else f for f in factors]
-    # reach[r]: largest total exponent the factors after r can add per (node, level)
-    reach = []
-    total: dict = {}
-    for d in reversed(dicts):
-        reach.append(dict(total))
-        best: dict = {}
-        for m in d:
-            for i, s, e in m.data:
-                if e > best.get((i, s), 0):
-                    best[(i, s)] = e
-        for k, e in best.items():
-            total[k] = total.get(k, 0) + e
-    partial = {(): {0: 1}}
-    for d, after in zip(dicts, reversed(reach)):
-        partial = _dominant_step(partial, d, after, tab)
-    return {YMonomial._wrap(k): TPoly._wrap(p) for k, p in partial.items()}
-
-
-def _dominant_step(left: dict, right: dict, after: dict, tab: EpsilonTable) -> dict:
-    """One fold step of dominant_product: left maps partial products' data
-    to raw coefficients.  Keeps the pairs whose product has each negative
-    exponent e at (i, s) with after[(i, s)] >= -e, twisted as star_product
-    twists them; returns the nonzero sums by data.
-
-    Sets of right terms are bitmasks over their positions.  A partner of a
-    left term m1 must be positive wherever m1 falls short, and m1 must be
-    positive at the first place where the partner falls short, if any; the
-    two masks narrow the candidates, and each candidate is then checked
-    exactly."""
-    rows = list(right.items())
-    positive: dict = {}  # (node, level) -> right terms with a positive exponent there
-    free = 0  # right terms that fall short nowhere
-    lacking: dict = {}  # (node, level) -> right terms that first fall short there
-    for n, (m, _) in enumerate(rows):
-        bit = 1 << n
-        short = None
-        for i, s, e in m.data:
-            if e > 0:
-                positive[(i, s)] = positive.get((i, s), 0) | bit
-            elif short is None and e + after.get((i, s), 0) < 0:
-                short = (i, s)
-        if short is None:
-            free |= bit
-        else:
-            lacking[short] = lacking.get(short, 0) | bit
-
-    keys = {(i, s) for d1 in left for i, s, _ in d1}
-    built: dict = {}
-    mono_mul = kernels.mono_mul
-    everyone = (1 << len(rows)) - 1
-    groups = []
-    for d1, c1 in left.items():
-        need, cover = everyone, free
-        for i, s, e in d1:
-            if e > 0:
-                cover |= lacking.get((i, s), 0)
-            elif e + after.get((i, s), 0) < 0:
-                need &= positive.get((i, s), 0)
-        cands = need & cover
-        fits = []
-        while cands:
-            low = cands & -cands
-            cands ^= low
-            n = low.bit_length() - 1
-            m, p = rows[n]
-            if all(e >= 0 or e + after.get((i, s), 0) >= 0 for i, s, e in mono_mul(d1, m.data)):
-                row = built.get(n)
-                if row is None:
-                    row = built[n] = (m.data, p.terms, tab.functional(m, keys))
-                fits.append(row)
-        if fits:
-            groups.append(((d1, c1, tuple(((i, s), e) for i, s, e in d1)), fits))
-    return {k: p for k, p in _pair_loop(groups).items() if p}
+    H = max((s for f in factors for _, s, _ in f.highest.data), default=0)
+    window = [
+        {m: p for m, p in f.terms.items() if all(s <= H for _, s, _ in m.data)}
+        for f in factors
+    ]
+    return {m: p for m, p in _star_fold(L, window, tab).items() if m.is_l_dominant()}
 
 
 # -- specializations ----------------------------------------------------------

@@ -63,15 +63,16 @@ that (plus slack), or one that stops short of it, can only come from a
 wrong expansion, and raises InternalError.
 
 The triangular decomposition reads standards only at their dominant
-monomials, so it never builds them: dominant_product over the
-fundamentals gives each standard's dominant part
-(Engine._standard_dominant), and from those come the closure of root
-data and the matrices c, z and l.  Each simple is then built from its
-l-row.  A string's is its string character, and its row must be the
-diagonal, as the paper's theorem says.  Any other is one run with the
-row as its pins.  Every term keeps its factors in the bipartite classes
-of the top (_colouring), so a run rejects a node-i level of another
-parity; a top of both classes keeps both parities.
+monomials, so it never builds them: dominant_product folds the
+fundamentals' terms with no level above the standard's highest level,
+which gives each standard's dominant part (Engine._standard_dominant),
+and from those come the closure of root data and the matrices c, z and
+l.  Each simple is then built from its l-row.  A string's is its string
+character, and its row must be the diagonal, as the paper's theorem
+says.  Any other is one run with the row as its pins.  Every term keeps
+its factors in the bipartite classes of the top (_colouring), so a run
+rejects a node-i level of another parity; a top of both classes keeps
+both parities.
 """
 
 from __future__ import annotations

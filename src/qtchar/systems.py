@@ -19,10 +19,11 @@ builds only members of K_t (engine.py): a KR module has a single
 dominant monomial, so its character is the fixpoint output, and the
 tensor split's simple is one pinned run.  K_t is closed under the
 twisted product, so both sides lie in it, and those checks pass on
-equal dominant parts (dominant_product), building their full sides only
-if a report's sides are read.  Dominant parts that differ send the
-check through the full products, so every failing report is the one
-the full comparison gives.
+equal dominant parts, building their full sides only if a report's sides
+are read.  A product's dominant part (dominant_product) is the fold of
+its factors' terms with no level above the highest level of its top.
+Dominant parts that differ send the check through the full products, so
+every failing report is the one the full comparison gives.
 """
 
 from __future__ import annotations
@@ -153,7 +154,8 @@ def _decide(claim: str, params: dict, L: LieType, sides, ser) -> VerifyReport:
     """Report on an identity whose sides are sums of twisted products of
     engine-built characters.  sides(product) builds both sides, given
     product(list of characters) -> raw term dict: dominant_product first,
-    and the full fold (_star_fold) only when it is needed.
+    which folds only the factor terms with no level above the product's
+    top, and the full fold (_star_fold) only when it is needed.
 
     Every such character lies in K_t, and so do both sides, which are
     therefore fixed by their l-dominant terms: equal sides under the

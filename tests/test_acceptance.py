@@ -119,7 +119,7 @@ def test_criterion_03_triangular_factors_and_simple(subtraction_simples):
 def test_criterion_04_t_system_specialized(engines):
     t0 = time.perf_counter()
     failures = []
-    for family, rank, nodes, kmax in T_SYSTEM_RANGES:
+    for family, rank, nodes, kmax in T_SYSTEM_RANGES + [("D", 5, (1, 2, 3, 4, 5), 2)]:
         eng = engines[(family, rank)]
         for i in nodes:
             for k in range(1, kmax + 1):
@@ -158,7 +158,13 @@ def test_criterion_05_t_system_refined(engines):
 def test_criterion_06_tensor_split(engines):
     t0 = time.perf_counter()
     failures = []
-    ranges = [("A", 1, (1,), 4), ("A", 2, (1, 2), 3), ("D", 4, (1, 2, 3, 4), 2)]
+    ranges = [
+        ("A", 1, (1,), 4),
+        ("A", 2, (1, 2), 3),
+        ("A", 3, (1, 2, 3), 2),
+        ("D", 4, (1, 2, 3, 4), 2),
+        ("D", 5, (1, 2, 3, 4, 5), 1),
+    ]
     for family, rank, nodes, kmax in ranges:
         eng = engines[(family, rank)]
         for i in nodes:
@@ -231,9 +237,16 @@ def test_criterion_09_convergence(engines):
 
 def test_criterion_10_q_system(engines):
     failures = []
-    ranges = [("A", 1, (1,), 6), ("A", 2, (1, 2), 4), ("A", 3, (1, 2, 3), 3)]
+    ranges = [
+        ("A", 1, (1,), 6),
+        ("A", 2, (1, 2), 4),
+        ("A", 3, (1, 2, 3), 3),
+        ("D", 4, (1, 2, 3, 4), 2),
+        ("D", 5, (1, 2, 3, 4, 5), 1),
+        ("E", 6, (1, 2, 6), 1),
+    ]
     for family, rank, nodes, kmax in ranges:
-        eng = engines[(family, rank)]
+        eng = engines.get((family, rank)) or Engine(build_lie_type(family, rank))
         for i in nodes:
             for k in range(1, kmax + 1):
                 rep = verify_q_system(eng.L, i, k, eng)

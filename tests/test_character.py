@@ -428,6 +428,9 @@ def test_dominant_product_matches_filtered_star_product(D4, engine_for):
         ("E", 6, [(1, 1, 0), (1, 1, 2)]),
         ("E", 6, [(1, 2, 0), (6, 1, 3)]),
         ("E", 6, [(6, 1, 2), (1, 1, 0), (1, 1, 4)]),
+        ("E", 7, [(7, 1, 0), (7, 1, 2)]),
+        ("E", 7, [(1, 1, 0), (7, 1, 3)]),
+        ("E", 8, [(8, 1, 0), (8, 1, 2)]),
     ],
 )
 def test_dominant_product_matches_filtered_star_product_d5_e6(family, rank, factors):

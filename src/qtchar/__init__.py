@@ -48,16 +48,7 @@ from .character import (
     star_product,
     write_qtc,
 )
-from .engine import (
-    Engine,
-    KLResult,
-    default_engine,
-    fundamental_char,
-    kl_decompose,
-    kr_char_direct,
-    simple_char,
-    standard_char,
-)
+from .engine import Engine, KLResult
 from .systems import (
     VerifyReport,
     fermionic_rhs,

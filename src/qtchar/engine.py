@@ -340,7 +340,8 @@ class Engine:
 
     Base characters are computed at spectral shift 0 and translated on
     request.  If cache_dir is set, base characters are also stored as qtc
-    files (written atomically, re-read on later runs)."""
+    files (written atomically, re-read on later runs).  table holds the
+    type's commutation exponents, read by the engine and its verifiers."""
 
     def __init__(self, L: LieType, cache_dir: str | None = None):
         self.L = L
@@ -351,7 +352,7 @@ class Engine:
         self._dominant: dict = {}
         self._triangles: dict = {}
         self._simples: dict = {}
-        self._table = EpsilonTable(L)
+        self.table = EpsilonTable(L)
         if cache_dir:
             os.makedirs(cache_dir, exist_ok=True)
 
@@ -428,7 +429,7 @@ class Engine:
         got = self._standard.get(poly.roots)
         if got is None:
             factors = [self.fundamental_char(i, s) for i, s in _fold_order(poly)]
-            terms = _top_normalized(_star_fold(self.L, factors, self._table), poly.monomial())
+            terms = _top_normalized(_star_fold(self.L, factors, self.table), poly.monomial())
             got = self._standard[poly.roots] = QtCharacter(self.L, poly, terms)
         return got
 
@@ -441,7 +442,7 @@ class Engine:
         got = self._dominant.get(poly.roots)
         if got is None:
             factors = [self.fundamental_char(i, s) for i, s in _fold_order(poly)]
-            raw = dominant_product(self.L, factors, self._table)
+            raw = dominant_product(self.L, factors, self.table)
             got = self._dominant[poly.roots] = _top_normalized(raw, poly.monomial())
         return got
 
@@ -547,35 +548,3 @@ class Engine:
             order, _, _, l = self._triangle(poly)
             got = self._simple(poly, _l_row(order, l, 0))
         return got
-
-
-_DEFAULT_ENGINES: dict = {}
-
-
-def default_engine(L: LieType) -> Engine:
-    """Shared per-type memory-only engine behind the module-level helpers."""
-    key = (L.family, L.rank)
-    eng = _DEFAULT_ENGINES.get(key)
-    if eng is None:
-        eng = _DEFAULT_ENGINES[key] = Engine(L)
-    return eng
-
-
-def fundamental_char(L: LieType, i: int, s: int = 0, engine: Engine | None = None) -> QtCharacter:
-    return (engine or default_engine(L)).fundamental_char(i, s)
-
-
-def kr_char_direct(L: LieType, i: int, k: int, s: int = 0, engine: Engine | None = None) -> QtCharacter:
-    return (engine or default_engine(L)).kr_char_direct(i, k, s)
-
-
-def standard_char(L: LieType, poly: DrinfeldPoly, engine: Engine | None = None) -> QtCharacter:
-    return (engine or default_engine(L)).standard_char(poly)
-
-
-def kl_decompose(L: LieType, poly: DrinfeldPoly, engine: Engine | None = None) -> KLResult:
-    return (engine or default_engine(L)).kl_decompose(poly)
-
-
-def simple_char(L: LieType, poly: DrinfeldPoly, engine: Engine | None = None) -> QtCharacter:
-    return (engine or default_engine(L)).simple_char(poly)

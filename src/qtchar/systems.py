@@ -24,6 +24,11 @@ are read.  A product's dominant part (dominant_product) is the fold of
 its factors' terms with no level above the highest level of its top.
 Dominant parts that differ send the check through the full products, so
 every failing report is the one the full comparison gives.
+
+Every verifier reads its characters and commutation table (Engine.table)
+from the engine it is handed, a required argument; there is no default
+engine.  An engine of another type raises DomainError before any
+character is read.
 """
 
 from __future__ import annotations
@@ -41,9 +46,8 @@ from .character import (
     specialize_t1,
     terms_add,
 )
-from .engine import Engine, default_engine
+from .engine import Engine
 from .errors import DomainError, InternalError, NotInRootLattice
-from .monomial import EpsilonTable
 from .roots import (
     LieType,
     positive_roots,
@@ -69,6 +73,12 @@ def check_nu(L: LieType, nu: NuConfig) -> dict:
         if v:
             out[(i, k)] = int(v)
     return out
+
+
+def _check_engine(L: LieType, engine: Engine) -> None:
+    """Refuse an engine of another type before any character is read."""
+    if engine.L != L:
+        raise DomainError(f"engine computes {engine.L} characters, not {L}")
 
 
 class VerifyReport:
@@ -150,7 +160,7 @@ def _report(claim: str, params: dict, lhs: dict, rhs: dict, ser) -> VerifyReport
     return VerifyReport(claim, params, "pass" if lhs == rhs else "fail", lhs, rhs, ser)
 
 
-def _decide(claim: str, params: dict, L: LieType, sides, ser) -> VerifyReport:
+def _decide(claim: str, params: dict, engine: Engine, sides, ser) -> VerifyReport:
     """Report on an identity whose sides are sums of twisted products of
     engine-built characters.  sides(product) builds both sides, given
     product(list of characters) -> raw term dict: dominant_product first,
@@ -161,8 +171,9 @@ def _decide(claim: str, params: dict, L: LieType, sides, ser) -> VerifyReport:
     therefore fixed by their l-dominant terms: equal sides under the
     dominant product pass, and the full sides are built only if the
     report's sides are read.  Any other case, each failure included, is
-    decided on the full sides."""
-    table = EpsilonTable(L)
+    decided on the full sides.  Both folds read the engine's commutation
+    table."""
+    L, table = engine.L, engine.table
     lhs, rhs = sides(lambda chars: dominant_product(L, chars, table))
 
     def full() -> tuple:
@@ -211,7 +222,7 @@ def _check_string(L: LieType, i: int, k: int) -> None:
         raise DomainError(f"node {i} out of range for {L}")
 
 
-def _twisted(product, chars: list, table: EpsilonTable, shift: int = 0) -> dict:
+def _twisted(product, chars: list, table, shift: int = 0) -> dict:
     """product(chars) divided by the factors' twist and times t^shift.  The
     twist is t to the sum of the commutation exponents of the factors'
     highest monomials over the pairs in fold order, which is the top
@@ -221,12 +232,12 @@ def _twisted(product, chars: list, table: EpsilonTable, shift: int = 0) -> dict:
     return {m: p.shifted(n) for m, p in d.items()} if n else d
 
 
-def _t_system_sides(L: LieType, i: int, k: int, engine: Engine | None):
+def _t_system_sides(L: LieType, i: int, k: int, engine: Engine):
     """sides(product) of the t-refined recursion at node i and length k,
     for _decide."""
+    _check_engine(L, engine)
     _check_string(L, i, k)
-    kr = (engine or default_engine(L)).kr_char_direct
-    table = EpsilonTable(L)
+    kr, table = engine.kr_char_direct, engine.table
 
     def sides(product) -> tuple:
         lhs = _twisted(product, [kr(i, k, 0), kr(i, k, 2)], table)
@@ -237,7 +248,7 @@ def _t_system_sides(L: LieType, i: int, k: int, engine: Engine | None):
     return sides
 
 
-def verify_t_system_t1(L: LieType, i: int, k: int, engine: Engine | None = None) -> VerifyReport:
+def verify_t_system_t1(L: LieType, i: int, k: int, engine: Engine) -> VerifyReport:
     """Specialized recursion: the product of the length-k characters at
     shifts 0 and 2 equals the (k+1, k-1) product plus the product of the
     neighbors' length-k characters at shift 1.  Length 0 means the unit
@@ -247,13 +258,13 @@ def verify_t_system_t1(L: LieType, i: int, k: int, engine: Engine | None = None)
     sides = _t_system_sides(L, i, k, engine)
     params = {"type": str(L), "i": i, "k": k}
     return _decide(
-        "t_system_t1", params, L,
+        "t_system_t1", params, engine,
         lambda product: tuple(specialize_t1(d) for d in sides(product)),
         _ser_int_terms,
     )
 
 
-def verify_t_system_t(L: LieType, i: int, k: int, engine: Engine | None = None) -> VerifyReport:
+def verify_t_system_t(L: LieType, i: int, k: int, engine: Engine) -> VerifyReport:
     """t-refined recursion: the same three products of length-k, (k+1,
     k-1) and neighbor characters, each the twisted product of normalized
     characters divided by its factors' twist (_twisted), so that every
@@ -261,47 +272,47 @@ def verify_t_system_t(L: LieType, i: int, k: int, engine: Engine | None = None) 
     The neighbors are multiplied in ascending node order.  Decided on
     dominant parts as the module docstring says."""
     params = {"type": str(L), "i": i, "k": k}
-    return _decide("t_system_t", params, L, _t_system_sides(L, i, k, engine), _ser_int_terms)
+    return _decide("t_system_t", params, engine, _t_system_sides(L, i, k, engine), _ser_int_terms)
 
 
-def verify_kr_tensor_split(L: LieType, i: int, k: int, engine: Engine | None = None) -> VerifyReport:
+def verify_kr_tensor_split(L: LieType, i: int, k: int, engine: Engine) -> VerifyReport:
     """Tensoring the length-k string character with the single-root
     character at shift 2k splits into the length-(k+1) character plus
     t^-1 times one non-tensor simple character, the latter computed
     through the triangular decomposition.  Each product is divided by its
     factors' twist (_twisted).  Decided on dominant parts as the module
     docstring says."""
+    _check_engine(L, engine)
     _check_string(L, i, k)
-    eng = engine or default_engine(L)
-    table = EpsilonTable(L)
+    kr, table = engine.kr_char_direct, engine.table
     q = DrinfeldPoly.kr(i, k - 1, 0)
     for j in L.neighbors(i):
         q = q * DrinfeldPoly.fundamental(j, 2 * k - 1)
-    second = eng.simple_char(q)
+    second = engine.simple_char(q)
 
     def sides(product) -> tuple:
-        lhs = _twisted(product, [eng.kr_char_direct(i, k, 0), eng.fundamental_char(i, 2 * k)], table)
-        first = _twisted(product, [eng.kr_char_direct(i, k + 1, 0)], table)
+        lhs = _twisted(product, [kr(i, k, 0), engine.fundamental_char(i, 2 * k)], table)
+        first = _twisted(product, [kr(i, k + 1, 0)], table)
         return lhs, terms_add(first, _twisted(product, [second], table, -1))
 
     params = {"type": str(L), "i": i, "k": k}
-    return _decide("kr_tensor_split", params, L, sides, _ser_int_terms)
+    return _decide("kr_tensor_split", params, engine, sides, _ser_int_terms)
 
 
 # -- convergence ---------------------------------------------------------------
 
 
-def verify_convergence(L: LieType, i: int, k_max: int, D: int, engine: Engine | None = None) -> VerifyReport:
+def verify_convergence(L: LieType, i: int, k_max: int, D: int, engine: Engine) -> VerifyReport:
     """Stabilization of the truncated normalized string characters: after
     re-keying each character's v-exponents to its own right end (spectral
     positions shifted down by 2k), the depth <= D truncations agree for
     every k from D through k_max."""
+    _check_engine(L, engine)
     if D < 0 or k_max < D:
         raise DomainError("need k_max >= D >= 0")
-    eng = engine or default_engine(L)
 
     def keyed(k: int) -> dict:
-        nm = normalized_in_A(eng.kr_char_direct(i, k, 0), D)
+        nm = normalized_in_A(engine.kr_char_direct(i, k, 0), D)
         out = {}
         for key, p in nm.items():
             out[tuple(sorted((((n, s - 2 * k), v) for (n, s), v in key)))] = p
@@ -319,25 +330,24 @@ def verify_convergence(L: LieType, i: int, k_max: int, D: int, engine: Engine | 
 # -- restriction and the finite-type recursion ---------------------------------
 
 
-def q_character_Q(L: LieType, i: int, k: int, engine: Engine | None = None) -> GCharacter:
+def q_character_Q(L: LieType, i: int, k: int, engine: Engine) -> GCharacter:
     """Finite-type character of the length-k string module at node i."""
+    _check_engine(L, engine)
     if k < 0:
         raise DomainError("k must be nonnegative")
-    eng = engine or default_engine(L)
-    return restrict_to_g(eng.kr_char_direct(i, k, 0))
+    return restrict_to_g(engine.kr_char_direct(i, k, 0))
 
 
-def verify_q_system(L: LieType, i: int, k: int, engine: Engine | None = None) -> VerifyReport:
+def verify_q_system(L: LieType, i: int, k: int, engine: Engine) -> VerifyReport:
     """Finite-type recursion: Q(i,k)^2 = Q(i,k+1) Q(i,k-1) + prod over
     neighbors j of Q(j,k)."""
     if k < 1:
         raise DomainError("k must be positive")
-    eng = engine or default_engine(L)
-    lhs = q_character_Q(L, i, k, eng) * q_character_Q(L, i, k, eng)
-    rhs = q_character_Q(L, i, k + 1, eng) * q_character_Q(L, i, k - 1, eng)
+    lhs = q_character_Q(L, i, k, engine) * q_character_Q(L, i, k, engine)
+    rhs = q_character_Q(L, i, k + 1, engine) * q_character_Q(L, i, k - 1, engine)
     prod = GCharacter.one(L)
     for j in L.neighbors(i):
-        prod = prod * q_character_Q(L, j, k, eng)
+        prod = prod * q_character_Q(L, j, k, engine)
     rhs = rhs + prod
     params = {"type": str(L), "i": i, "k": k}
     return _report("q_system", params, lhs.terms, rhs.terms, _ser_weights)
@@ -428,21 +438,21 @@ def fermionic_rhs(L: LieType, nu: NuConfig, D: int, convention: str = "gamma") -
     return out
 
 
-def verify_kr_formula(L: LieType, nu: NuConfig, D: int, engine: Engine | None = None) -> VerifyReport:
+def verify_kr_formula(L: LieType, nu: NuConfig, D: int, engine: Engine) -> VerifyReport:
     """The product of normalized restricted string characters times the
     Weyl-denominator factors, expanded in root coordinates and truncated
     to total degree <= D, equals the configuration sum (gamma
     convention)."""
+    _check_engine(L, engine)
     if D < 0:
         raise DomainError("D must be nonnegative")
     nu = check_nu(L, nu)
-    eng = engine or default_engine(L)
     n = L.rank
     zero = (0,) * n
 
     lhs = {zero: 1}
     for (i, k), mult in sorted(nu.items()):
-        g = q_character_Q(L, i, k, eng)
+        g = q_character_Q(L, i, k, engine)
         factor: dict = {}
         for w, c in g.terms.items():
             mu = tuple(w[a] - (k if a == i - 1 else 0) for a in range(n))

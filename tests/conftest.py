@@ -14,6 +14,7 @@ from qtchar import (
     YMonomial,
     a_monomial,
     build_lie_type,
+    positive_roots,
     t_binomial,
     two_rho,
     tilde_u,
@@ -103,6 +104,25 @@ def _qchar_mul(d1: dict, d2: dict) -> dict:
 def qchar_mul():
     """The reference product _qchar_mul."""
     return _qchar_mul
+
+
+def _weyl_dimension(L, hw) -> int:
+    """Weyl's dimension formula: the product over the positive roots alpha
+    of (hw + rho, alpha) / (rho, alpha).  The type is simply laced, so with
+    hw in fundamental and alpha in root coordinates (hw + rho, alpha) is
+    sum_j (hw_j + 1) alpha_j and (rho, alpha) is the height of alpha."""
+    num = den = 1
+    for alpha in positive_roots(L):
+        num *= sum((h + 1) * a for h, a in zip(hw, alpha))
+        den *= sum(alpha)
+    assert num % den == 0, (L, hw)
+    return num // den
+
+
+@pytest.fixture(scope="session")
+def weyl_dimension():
+    """The dimension oracle _weyl_dimension."""
+    return _weyl_dimension
 
 
 def _right_negative(m: YMonomial) -> bool:

@@ -16,7 +16,6 @@ from qtchar import (
     Engine,
     TPoly,
     build_lie_type,
-    irreducible_g_char,
     parse_monomial,
     parse_tpoly,
     restrict_to_g,
@@ -308,6 +307,13 @@ def test_criterion_12_triangular_positivity(engines):
                     failures.append(f"{tag}: l entry not bar-symmetric")
                 if any(not p.has_nonneg_coeffs() for p in res.l.values()):
                     failures.append(f"{tag}: negative l entry")
+                # every coefficient of every simple is bar-symmetric with
+                # nonnegative coefficients (Nakajima, arXiv math/0105173)
+                for q, ch in res.simples.items():
+                    if any(not p.is_bar_symmetric() for p in ch.terms.values()):
+                        failures.append(f"{tag}: simple {q} coefficient not bar-symmetric")
+                    if any(not p.has_nonneg_coeffs() for p in ch.terms.values()):
+                        failures.append(f"{tag}: negative coefficient in simple {q}")
     _conclude(12, failures)
 
 
@@ -343,7 +349,7 @@ def test_criterion_13_pairing_identities(engines, pairing_d, pairing_d_alt, epsi
     _conclude(13, failures)
 
 
-def test_criterion_14_d4_restriction_strips(engines):
+def test_criterion_14_d4_restriction_strips(engines, weyl_dimension):
     failures = []
     eng = engines[("D", 4)]
     L = eng.L
@@ -357,7 +363,7 @@ def test_criterion_14_d4_restriction_strips(engines):
         if not parts or any(c <= 0 for c in parts.values()):
             failures.append(f"node {i}: bad multiplicities {parts}")
             continue
-        total = sum(c * irreducible_g_char(L, hw).dimension() for hw, c in parts.items())
+        total = sum(c * weyl_dimension(L, hw) for hw, c in parts.items())
         if total != g.dimension():
             failures.append(f"node {i}: dimensions {total} != {g.dimension()}")
     _conclude(14, failures)

@@ -34,7 +34,7 @@ from qtchar import (
 )
 from qtchar import character, engine, monomial
 from qtchar.character import _expansion_tail, _node_simple, _star_fold
-from qtchar.engine import _fixpoint, _top_normalized, fundamental_char, kr_char_direct, standard_char
+from qtchar.engine import _fixpoint, _top_normalized
 from qtchar.errors import NotDominant
 
 
@@ -773,17 +773,6 @@ def test_qtc_trailer_counts_terms(A2, engine_for, tmp_path):
     for bad in (sealed("".join(body), n - 1), sealed("".join(body[:-1]), n)):
         with pytest.raises(ParseError, match="trailer"):
             loads_qtc(bad)
-
-
-# -- module-level convenience wrappers -------------------------------------------
-
-
-def test_module_level_wrappers_share_default_engine(A2):
-    a = fundamental_char(A2, 1, 0)
-    b = fundamental_char(A2, 1, 0)
-    assert a == b
-    assert kr_char_direct(A2, 1, 1) == a
-    assert standard_char(A2, DrinfeldPoly.fundamental(1, 0)) == a
 
 
 def test_character_shift_and_validate(A2, engine_for, validate):

@@ -249,7 +249,7 @@ def test_fermionic_verify_rejects_other_convention(capsys, tmp_path, monkeypatch
 def test_failing_report_exits_one(capsys, tmp_path, monkeypatch):
     import qtchar.cli as cli
 
-    def fake(L, i, k, engine=None):
+    def fake(L, i, k, engine):
         return VerifyReport("q_system", {"i": i, "k": k}, "fail", {"w": "1"}, {"w": "2"})
 
     monkeypatch.setattr(cli.systems, "verify_q_system", fake)

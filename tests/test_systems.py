@@ -117,9 +117,9 @@ def _full_route(monkeypatch) -> None:
     """Decide every verifier on its full sides, as it did before the
     dominant route existed."""
 
-    def full_decide(claim, params, L, sides, ser):
-        table = EpsilonTable(L)
-        return systems._report(claim, params, *sides(lambda chars: _star_fold(L, chars, table)), ser)
+    def full_decide(claim, params, engine, sides, ser):
+        lhs, rhs = sides(lambda chars: _star_fold(engine.L, chars, engine.table))
+        return systems._report(claim, params, lhs, rhs, ser)
 
     monkeypatch.setattr(systems, "_decide", full_decide)
 
@@ -302,9 +302,9 @@ def test_t_system_t_passes(engines, family, rank, i, k):
 
 def test_t_system_rejects_bad_k(A2):
     with pytest.raises(DomainError):
-        verify_t_system_t1(A2, 1, 0)
+        verify_t_system_t1(A2, 1, 0, Engine(A2))
     with pytest.raises(DomainError):
-        verify_t_system_t(A2, 1, -2)
+        verify_t_system_t(A2, 1, -2, Engine(A2))
 
 
 @pytest.mark.parametrize("verify", [verify_t_system_t1, verify_t_system_t, verify_kr_tensor_split])
@@ -313,6 +313,34 @@ def test_string_checks_reject_out_of_range_nodes(A2, verify):
     for i in (0, 3, 5):
         with pytest.raises(DomainError, match=f"node {i} out of range for A2"):
             verify(A2, i, 1, Engine(A2))
+
+
+class _UnreadEngine(Engine):
+    """Engine whose every character read fails the test."""
+
+    def _read(self, *args):
+        raise AssertionError("character read from a mismatched engine")
+
+    fundamental_char = kr_char_direct = standard_char = simple_char = kl_decompose = _read
+
+
+MISMATCH_CALLS = {
+    "verify_t_system_t1": lambda L, eng: verify_t_system_t1(L, 1, 1, eng),
+    "verify_t_system_t": lambda L, eng: verify_t_system_t(L, 1, 1, eng),
+    "verify_kr_tensor_split": lambda L, eng: verify_kr_tensor_split(L, 1, 1, eng),
+    "verify_convergence": lambda L, eng: verify_convergence(L, 1, 2, 1, eng),
+    "q_character_Q": lambda L, eng: q_character_Q(L, 1, 1, eng),
+    "verify_q_system": lambda L, eng: verify_q_system(L, 1, 1, eng),
+    "verify_kr_formula": lambda L, eng: verify_kr_formula(L, {(1, 1): 1}, 2, eng),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISMATCH_CALLS))
+def test_mismatched_engine_is_refused(A2, D4, name):
+    # a D4 engine handed to an A2 check is refused before any character is
+    # read, instead of answering about D4 characters under an A2 label
+    with pytest.raises(DomainError, match="engine computes D4 characters, not A2"):
+        MISMATCH_CALLS[name](A2, _UnreadEngine(D4))
 
 
 def test_t1_system_restricts_to_q_system(A2, engine_for, qchar_mul):
@@ -389,9 +417,9 @@ def test_convergence_vacuous_and_bad_args(A1, engine_for):
     rep = verify_convergence(A1, 1, 2, 2, engine_for(A1))
     assert rep.ok
     with pytest.raises(DomainError):
-        verify_convergence(A1, 1, 1, 2)
+        verify_convergence(A1, 1, 1, 2, engine_for(A1))
     with pytest.raises(DomainError):
-        verify_convergence(A1, 1, 2, -1)
+        verify_convergence(A1, 1, 2, -1, engine_for(A1))
 
 
 def test_string_grows_by_prefix_factor(A1, A2, engine_for):
@@ -569,6 +597,26 @@ def test_irreducible_g_char_dimensions(A1, A2, D4):
     adj = irreducible_g_char(A2, (1, 1))
     assert adj.coeff((0, 0)) == 2
     assert irreducible_g_char(D4, (0, 1, 0, 0)).dimension() == 28
+
+
+def test_weyl_dimension_oracle(weyl_dimension):
+    # the oracle's own values on the fundamentals, then the multiplicity
+    # recursion of irreducible_g_char against it on every fundamental of
+    # A3, D4 and D5 and on E6 nodes 1, 2 and 6
+    want = {
+        ("A", 3): [4, 6, 4],
+        ("D", 4): [8, 28, 8, 8],
+        ("D", 5): [10, 45, 120, 16, 16],
+        ("E", 6): [27, 78, 351, 2925, 351, 27],
+    }
+    for (family, rank), dims in want.items():
+        L = build_lie_type(family, rank)
+        assert [weyl_dimension(L, _omega(rank, [i])) for i in L.nodes] == dims
+        assert weyl_dimension(L, _omega(rank, [])) == 1
+        nodes = (1, 2, 6) if family == "E" else L.nodes
+        for i in nodes:
+            hw = _omega(rank, [i])
+            assert irreducible_g_char(L, hw).dimension() == weyl_dimension(L, hw), (L, i)
 
 
 def test_irreducible_g_char_rejects_bad_weights(A2):

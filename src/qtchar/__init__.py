@@ -20,6 +20,7 @@ from .errors import (
 from .roots import (
     LieType,
     build_lie_type,
+    diagram_automorphisms,
     positive_roots,
     root_to_weight,
     two_rho,

@@ -28,7 +28,7 @@ import hashlib
 import re
 
 from . import kernels
-from .errors import NotDominant, ParseError
+from .errors import DomainError, NotDominant, ParseError
 from .monomial import (
     EpsilonTable,
     ONE_MONO,
@@ -37,7 +37,7 @@ from .monomial import (
     parse_monomial,
     v_factorization,
 )
-from .roots import LieType, build_lie_type
+from .roots import LieType, build_lie_type, diagram_automorphisms
 from .tpoly import TPoly, parse_tpoly
 
 _ONE = {0: 1}
@@ -68,6 +68,10 @@ class DrinfeldPoly:
 
     def shift(self, d: int) -> "DrinfeldPoly":
         return DrinfeldPoly((i, s + d) for i, s in self.roots)
+
+    def relabel(self, p: tuple) -> "DrinfeldPoly":
+        """Send every root (i, s) to (p[i-1], s); p permutes the nodes."""
+        return DrinfeldPoly((p[i - 1], s) for i, s in self.roots)
 
     def __mul__(self, other: "DrinfeldPoly") -> "DrinfeldPoly":
         return DrinfeldPoly(self.roots + other.roots)
@@ -142,6 +146,17 @@ class QtCharacter:
             self.poly.shift(d),
             {m.shift(d): p for m, p in self.terms.items()},
         )
+
+    def relabel(self, p: tuple) -> "QtCharacter":
+        """The character with every node i renamed p[i-1], term by term.
+        p must be a diagram automorphism of the type (diagram_automorphisms):
+        they preserve the Cartan matrix, which alone fixes the q,t-character,
+        so the image of L(P)'s character is L(p(P))'s."""
+        if p not in diagram_automorphisms(self.L):
+            raise DomainError(f"{p} is not a diagram automorphism of {self.L}")
+        if p == diagram_automorphisms(self.L)[0]:
+            return self
+        return QtCharacter(self.L, self.poly.relabel(p), {m.relabel(p): c for m, c in self.terms.items()})
 
     def bar(self) -> "QtCharacter":
         return QtCharacter(self.L, self.poly, {m: p.bar() for m, p in self.terms.items()})
@@ -268,15 +283,26 @@ def _expansion_tail(L: LieType, i: int, m: YMonomial, memo: dict, rows) -> list:
 # -- products -----------------------------------------------------------------
 
 
+def _table_of(L: LieType, table: EpsilonTable | None) -> EpsilonTable:
+    """table, or a new one for L when it is None.  A table of another type
+    would twist by that type's exponents, so it raises DomainError."""
+    if table is None:
+        return EpsilonTable(L)
+    if table.L != L:
+        raise DomainError(f"commutation table of {table.L}, not {L}")
+    return table
+
+
 def star_product(L: LieType, a, b, table: EpsilonTable | None = None) -> dict:
     """Term-by-term twisted product; returns a raw term dict.  The result of
     multiplying two normalized characters this way is NOT normalized: its
     top coefficient is a power of t, not 1.  Each pair is twisted by the
     commutation exponent epsilon(m1, m2), applied as the right-hand term's
-    functional to the left-hand term's exponent vector."""
+    functional to the left-hand term's exponent vector.  A table, when
+    given, must be of type L."""
     d1 = a.terms if isinstance(a, QtCharacter) else a
     d2 = b.terms if isinstance(b, QtCharacter) else b
-    tab = table if table is not None else EpsilonTable(L)
+    tab = _table_of(L, table)
     left = [
         (m.data, p.terms, tuple(((i, s), e) for i, s, e in m.data))
         for m, p in d1.items()
@@ -323,7 +349,7 @@ def dominant_product(L: LieType, factors, table: EpsilonTable | None = None) -> 
     dominant term is reached only through factor terms whose A-levels are
     all below H, which are the factor terms with no level above H.  The
     others are dropped before the fold."""
-    tab = table if table is not None else EpsilonTable(L)
+    tab = _table_of(L, table)
     H = max((s for f in factors for _, s, _ in f.highest.data), default=0)
     window = [
         {m: p for m, p in f.terms.items() if all(s <= H for _, s, _ in m.data)}

@@ -73,6 +73,17 @@ says.  Any other is one run with the row as its pins.  Every term keeps
 its factors in the bipartite classes of the top (_colouring), so a run
 rejects a node-i level of another parity; a top of both classes keeps
 both parities.
+
+A diagram automorphism p (roots.diagram_automorphisms) preserves the
+Cartan matrix, and the Cartan matrix alone fixes the node rows, the
+commutation exponents and so every character: p sends the character of
+L(P) term by term to that of L(p(P)), coefficients included.  So the
+engine runs a root datum only at its canonical image, the
+lexicographically least p(P) (_canonical), and relabels on request, as it
+runs strings at shift 0 and translates.  A fundamental or string is run,
+read and stored once per orbit of its node (fund_1 serves D4 nodes 1, 3
+and 4), and a non-string simple is one run at its canonical image with
+its pins relabelled alike.  _fixpoint knows nothing of this.
 """
 
 from __future__ import annotations
@@ -100,7 +111,7 @@ from .errors import (
     QtcharError,
 )
 from .monomial import ONE_MONO, EpsilonTable, YMonomial, v_factorization
-from .roots import LieType, two_rho
+from .roots import LieType, diagram_automorphisms, two_rho
 from .tpoly import TPoly
 
 
@@ -330,6 +341,17 @@ def _mono_poly(m: YMonomial) -> DrinfeldPoly:
     return DrinfeldPoly((i, s) for i, s, e in m.data for _ in range(e))
 
 
+def _canonical(L: LieType, poly: DrinfeldPoly) -> tuple:
+    """(canon, to, back): canon the lexicographically least image of poly's
+    roots under the diagram automorphisms, to an automorphism sending poly
+    to canon and back its inverse.  The Cartan matrix alone fixes a
+    q,t-character, so poly's is canon's relabelled by back.  A canonical
+    poly gets the identity both ways."""
+    canon, to = min(((poly.relabel(p), p) for p in diagram_automorphisms(L)), key=lambda x: x[0].roots)
+    back = tuple(to.index(j) + 1 for j in L.nodes)
+    return canon, to, back
+
+
 def _l_row(order: tuple, l: dict, ai: int) -> dict:
     """Row ai of l as {dominant monomial: coefficient}."""
     return {order[ci].monomial(): p for (a, ci), p in l.items() if a == ai}
@@ -338,10 +360,13 @@ def _l_row(order: tuple, l: dict, ai: int) -> dict:
 class Engine:
     """Computes and caches characters for one type.
 
-    Base characters are computed at spectral shift 0 and translated on
-    request.  If cache_dir is set, base characters are also stored as qtc
-    files (written atomically, re-read on later runs).  table holds the
-    type's commutation exponents, read by the engine and its verifiers."""
+    Base characters are computed at spectral shift 0 and at the canonical
+    node of their orbit under the diagram automorphisms, then translated
+    and relabelled on request; non-string simples run at their canonical
+    image likewise.  If cache_dir is set, base characters are also stored
+    as qtc files under the canonical node's name (written atomically,
+    re-read on later runs).  table holds the type's commutation exponents,
+    read by the engine and its verifiers."""
 
     def __init__(self, L: LieType, cache_dir: str | None = None):
         self.L = L
@@ -362,27 +387,36 @@ class Engine:
         name = f"{self.L.family}{self.L.rank}_{stem}.qtc"
         return os.path.join(self.cache_dir, name)
 
-    def _cached(self, stem: str, poly: DrinfeldPoly):
-        """Base character of poly, from memory, the disk cache or a fixpoint
-        run.  A disk entry counts only if it holds this type and root datum;
-        anything else is recomputed and rewritten, an entry without the
-        digest trailer (read_qtc) included, since only the digest shows the
-        entry is a run's output as written."""
-        ch = self._base.get(stem)
+    def _cached(self, i: int, k: int) -> QtCharacter:
+        """The string character KR(i, k) at shift 0, k >= 1 (the fundamental
+        at k = 1), from memory, the disk cache or a fixpoint run.  Only the
+        canonical node of i's orbit under the diagram automorphisms is read,
+        run or stored (stem fund_c or kr_c_k); any other node's character is
+        the canonical one relabelled.  A disk entry counts only if it holds
+        this type and root datum; anything else is recomputed and rewritten,
+        an entry without the digest trailer (read_qtc) included, since only
+        the digest shows the entry is a run's output as written."""
+        ch = self._base.get((i, k))
         if ch is not None:
             return ch
+        poly = DrinfeldPoly.kr(i, k, 0)
+        canon, _, back = _canonical(self.L, poly)
+        if canon != poly:
+            ch = self._base[(i, k)] = self._cached(canon.roots[0][0], k).relabel(back)
+            return ch
+        stem = f"fund_{i}" if k == 1 else f"kr_{i}_{k}"
         if self.cache_dir:
             path = self._cache_path(stem)
             if os.path.exists(path):
                 try:
                     ch = read_qtc(path)
                     if ch.L == self.L and ch.poly == poly:
-                        self._base[stem] = ch
+                        self._base[(i, k)] = ch
                         return ch
                 except (OSError, UnicodeDecodeError, QtcharError):
                     pass  # unreadable cache entry: recompute and rewrite
         ch = _fixpoint(self.L, poly)
-        self._base[stem] = ch
+        self._base[(i, k)] = ch
         if self.cache_dir:
             path = self._cache_path(stem)
             tmp = f"{path}.tmp.{os.getpid()}"
@@ -404,8 +438,7 @@ class Engine:
 
     def fundamental_char(self, i: int, s: int = 0) -> QtCharacter:
         self._check_node(i)
-        base = self._cached(f"fund_{i}", DrinfeldPoly.fundamental(i, 0))
-        return base.shift(s)
+        return self._cached(i, 1).shift(s)
 
     def kr_char_direct(self, i: int, k: int, s: int = 0) -> QtCharacter:
         """Character of the length-k string module at node i starting at s,
@@ -416,10 +449,7 @@ class Engine:
             raise DomainError("string length must be nonnegative")
         if k == 0:
             return QtCharacter(self.L, DrinfeldPoly(), {ONE_MONO: TPoly.ONE})
-        if k == 1:
-            return self.fundamental_char(i, s)
-        base = self._cached(f"kr_{i}_{k}", DrinfeldPoly.kr(i, k, 0))
-        return base.shift(s)
+        return self._cached(i, k).shift(s)
 
     def standard_char(self, poly: DrinfeldPoly) -> QtCharacter:
         """Character of the product module: the twisted product of its
@@ -516,7 +546,8 @@ class Engine:
         l(poly, m)}; memoized.  A string takes its character from the
         engine, and its row must hold the diagonal alone (the paper's
         theorem).  Any other root datum is one fixpoint run whose pins are
-        the row."""
+        the row, taken at its canonical image (_canonical) with the row
+        relabelled alike, and relabelled back."""
         got = self._simples.get(poly.roots)
         if got is not None:
             return got
@@ -526,7 +557,11 @@ class Engine:
                 raise InternalError(f"the l-row of the string {poly} holds more than its diagonal")
             ch = self.kr_char_direct(*string)
         else:
-            ch = _fixpoint(self.L, poly, row)
+            canon, to, back = _canonical(self.L, poly)
+            if canon == poly:
+                ch = _fixpoint(self.L, poly, row)
+            else:
+                ch = self._simple(canon, {m.relabel(to): p for m, p in row.items()}).relabel(back)
         self._simples[poly.roots] = ch
         return ch
 

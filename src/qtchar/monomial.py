@@ -60,6 +60,10 @@ class YMonomial:
             return self
         return YMonomial._wrap(tuple((i, s + d, e) for i, s, e in self.data))
 
+    def relabel(self, p: tuple) -> "YMonomial":
+        """Send every factor Y[i,s] to Y[p[i-1],s]; p permutes the nodes."""
+        return YMonomial._wrap(tuple(sorted((p[i - 1], s, e) for i, s, e in self.data)))
+
     # -- queries -----------------------------------------------------------
 
     def u(self, i: int, s: int) -> int:

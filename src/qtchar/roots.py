@@ -183,6 +183,34 @@ def positive_roots(L: LieType) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def diagram_automorphisms(L: LieType) -> tuple:
+    """The node permutations that preserve the Cartan matrix, each a tuple
+    p with p[i - 1] the image of node i, in lexicographic order, so the
+    identity comes first.
+
+    A backtracking search sends node 1, 2, ... in turn to an unused node
+    whose Cartan entries against the nodes already placed match.  The group
+    has 6 elements on D4, 2 on A_n (n >= 2), D_n (n >= 5) and E6, and 1
+    on A1, E7 and E8."""
+    n = L.rank
+    out = []
+    image: list = []
+
+    def place(i: int) -> None:
+        if i == n:
+            out.append(tuple(x + 1 for x in image))
+            return
+        for x in range(n):
+            if x not in image and all(L.cartan[i][j] == L.cartan[x][y] for j, y in enumerate(image)):
+                image.append(x)
+                place(i + 1)
+                image.pop()
+
+    place(0)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def two_rho(L: LieType) -> RootVector:
     """2 rho in root coordinates: the sum of the positive roots.
 

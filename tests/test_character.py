@@ -8,6 +8,7 @@ import random
 import pytest
 
 from qtchar import (
+    DomainError,
     DrinfeldPoly,
     Engine,
     EpsilonTable,
@@ -443,6 +444,21 @@ def test_dominant_product_matches_filtered_star_product_d5_e6(family, rank, fact
     assert dom == _dominant_filter(_star_fold(L, chs, table))
 
 
+def test_products_refuse_a_table_of_another_type(A2, A3, engine_for):
+    # an A3 table twists by A3's exponents: on this A2 pair it changes 2 of
+    # the 9 terms, so it must be refused rather than used
+    eng = engine_for(A2)
+    a, b = eng.fundamental_char(1, 0), eng.fundamental_char(1, 2)
+    assert len(star_product(A2, a, b)) == 9
+    foreign = EpsilonTable(A3)
+    with pytest.raises(DomainError, match="table of A3, not A2"):
+        star_product(A2, a, b, foreign)
+    for factors in ([a, b], []):
+        with pytest.raises(DomainError, match="table of A3, not A2"):
+            dominant_product(A2, factors, foreign)
+    assert star_product(A2, a, b, EpsilonTable(A2)) == star_product(A2, a, b)
+
+
 def _unnormalized_route(L, ch1, p1, ch2, p2, pairing_d, dot_shifted) -> dict:
     """The standard product taken through unnormalized coefficients:
     multiply each factor's terms by t^tw, twist each pair by 2 * pairing_d,
@@ -773,6 +789,23 @@ def test_qtc_trailer_counts_terms(A2, engine_for, tmp_path):
     for bad in (sealed("".join(body), n - 1), sealed("".join(body[:-1]), n)):
         with pytest.raises(ParseError, match="trailer"):
             loads_qtc(bad)
+
+
+def test_character_relabel(A3, D4, engine_for):
+    ch = engine_for(A3).kr_char_direct(1, 2, 1)
+    flip = (3, 2, 1)
+    image = ch.relabel(flip)
+    assert image.poly == DrinfeldPoly.kr(3, 2, 1)
+    assert image.highest == ch.highest.relabel(flip) == parse_monomial("Y[3,1] Y[3,3]")
+    assert image.relabel(flip) == ch
+    assert {m.relabel(flip): p for m, p in ch.items()} == image.terms
+    assert ch.relabel((1, 2, 3)) is ch
+    # only a diagram automorphism of the character's own type relabels it
+    for p in ((2, 1, 3), (1, 2, 3, 4)):
+        with pytest.raises(DomainError, match="not a diagram automorphism of A3"):
+            ch.relabel(p)
+    fund = engine_for(D4).fundamental_char(1)
+    assert fund.relabel((4, 2, 1, 3)).poly == DrinfeldPoly.fundamental(4, 0)
 
 
 def test_character_shift_and_validate(A2, engine_for, validate):

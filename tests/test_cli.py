@@ -187,7 +187,9 @@ def test_tsys_warm_run_repeats_cold_run(capsys, tmp_path):
     cold = run_cli(capsys, *argv)
     assert cold[0] == 0 and "STATUS pass" in cold[1]
     state = cache_state()
-    assert len(state) == 5  # KR(2,1..3) and the neighbours' KR(1,2), KR(3,2)
+    # KR(2,1..3) and the neighbours' KR(1,2), KR(3,2); the diagram
+    # automorphism 1 <-> 3 serves KR(3,2) from KR(1,2)'s entry
+    assert sorted(state) == ["A3_fund_2.qtc", "A3_kr_1_2.qtc", "A3_kr_2_2.qtc", "A3_kr_2_3.qtc"]
     warm = run_cli(capsys, *argv)
     # same stdout, stderr and exit code; every entry's digest verified, so
     # no entry was rewritten

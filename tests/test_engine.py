@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
 import time
 
@@ -12,16 +13,19 @@ from qtchar import (
     Engine,
     InconsistentExpansion,
     InternalError,
+    QtCharacter,
     TPoly,
     YMonomial,
     build_lie_type,
+    diagram_automorphisms,
     parse_monomial,
     parse_tpoly,
     read_qtc,
     star_product,
+    write_qtc,
 )
 import qtchar.engine
-from qtchar.engine import _fixpoint, _level_key
+from qtchar.engine import _fixpoint, _l_row, _level_key
 
 
 def test_fundamental_a2_exact(engine_for, A2):
@@ -355,7 +359,21 @@ def test_kr_rows_hold_only_the_diagonal():
 
 def test_simple_char_runs_only_its_own_fixpoint(D4, monkeypatch):
     # D4 KR(2,4) has 48 root data in its closure; its simple needs the
-    # fundamentals (for the dominant data) and its own fixpoint, no other
+    # fundamentals (for the dominant data) and its own fixpoint, no other.
+    # Triality sends node 1 to nodes 3 and 4, so fundamentals 3 and 4 are
+    # fundamental 1 relabelled and take no run of their own
+    runs = _counting_fixpoint(monkeypatch)
+    P = DrinfeldPoly.kr(2, 4, 0)
+    eng = Engine(D4)
+    simple = eng.simple_char(P)
+    assert len(eng._triangle(P)[0]) == 48
+    want = [DrinfeldPoly.fundamental(i, 0) for i in (1, 2)] + [P]
+    assert sorted(runs, key=lambda q: q.roots) == sorted(want, key=lambda q: q.roots)
+    assert simple is eng.kr_char_direct(2, 4)
+
+
+def _counting_fixpoint(monkeypatch) -> list:
+    """Patch engine._fixpoint to record the root datum of every run."""
     runs = []
     inner = qtchar.engine._fixpoint
 
@@ -364,13 +382,67 @@ def test_simple_char_runs_only_its_own_fixpoint(D4, monkeypatch):
         return inner(L, poly, pins)
 
     monkeypatch.setattr(qtchar.engine, "_fixpoint", counting)
-    P = DrinfeldPoly.kr(2, 4, 0)
-    eng = Engine(D4)
-    simple = eng.simple_char(P)
-    assert len(eng._triangle(P)[0]) == 48
-    want = [DrinfeldPoly.fundamental(i, 0) for i in (1, 2, 3, 4)] + [P]
+    return runs
+
+
+def test_kr_decomposition_runs_each_orbit_once(D4, monkeypatch):
+    # the 10 simples of D4 KR(2,3) and the 4 fundamentals took 14 runs;
+    # triality serves fundamentals 3 and 4 from fundamental 1, and
+    # P(1: 1 3; 4: 1 3), P(3: 1 3; 4: 1 3) from P(1: 1 3; 3: 1 3), and
+    # P(2: 2; 3: 1 3), P(2: 2; 4: 1 3) from P(1: 1 3; 2: 2)
+    runs = _counting_fixpoint(monkeypatch)
+    res = Engine(D4).kl_decompose(DrinfeldPoly.kr(2, 3, 0))
+    assert len(res.order) == 10
+    want = [
+        DrinfeldPoly.fundamental(1, 0),
+        DrinfeldPoly.fundamental(2, 0),
+        DrinfeldPoly.kr(2, 3, 0),
+        DrinfeldPoly(((1, 1), (2, 4), (3, 1), (4, 1))),
+        DrinfeldPoly(((1, 3), (2, 0), (3, 3), (4, 3))),
+        DrinfeldPoly(((1, 1), (1, 3), (3, 1), (3, 3))),
+        DrinfeldPoly(((1, 1), (1, 3), (2, 2))),
+        DrinfeldPoly(((2, 2), (2, 2))),
+    ]
     assert sorted(runs, key=lambda q: q.roots) == sorted(want, key=lambda q: q.roots)
-    assert simple is eng.kr_char_direct(2, 4)
+
+
+def _keyed_triangle(triangle, p=None):
+    """(set of root data, c, z, l keyed by pairs of root data), every datum
+    relabelled by p when it is given."""
+    order, *mats = triangle
+    name = [q if p is None else q.relabel(p) for q in order]
+    return set(name), [{(name[a], name[b]): v for (a, b), v in m.items()} for m in mats]
+
+
+@pytest.mark.parametrize(
+    "family,rank,roots",
+    [
+        ("A", 3, ((1, 0), (2, 3))),
+        ("D", 4, ((1, 1), (1, 3), (4, 1), (4, 3))),
+        ("D", 5, ((4, 0), (5, 4))),
+        ("E", 6, ((1, 0), (6, 6))),
+    ],
+)
+def test_characters_are_equivariant_under_diagram_automorphisms(family, rank, roots):
+    # _fixpoint run on the requested datum is the independent route: the
+    # engine runs each orbit once, at its canonical image, and relabels
+    L = build_lie_type(family, rank)
+    eng = Engine(L)
+    for i in L.nodes:
+        assert eng.fundamental_char(i, 1) == _fixpoint(L, DrinfeldPoly.fundamental(i, 1)), i
+    # E6 KR(3,2) and KR(5,2) have 35,644 terms and KR(4,2) 1,530,916
+    for i in (1, 2, 6) if family == "E" else L.nodes:
+        assert eng.kr_char_direct(i, 2, 1) == _fixpoint(L, DrinfeldPoly.kr(i, 2, 1)), i
+    P = DrinfeldPoly(roots)
+    simple = eng.simple_char(P)
+    triangle = _keyed_triangle(eng._triangle(P))
+    assert len(triangle[0]) > 1
+    for p in diagram_automorphisms(L):
+        Q = P.relabel(p)
+        fresh = Engine(L)
+        assert _keyed_triangle(fresh._triangle(Q)) == _keyed_triangle(eng._triangle(P), p), p
+        order, _, _, l = fresh._triangle(Q)
+        assert fresh.simple_char(Q) == _fixpoint(L, Q, _l_row(order, l, 0)) == simple.relabel(p), p
 
 
 def test_pinned_fixpoint_needs_every_dominant_pin(D4):
@@ -547,6 +619,30 @@ def test_disk_cache_rejects_edited_sealed_entry(A2, tmp_path):
     # the entry was recomputed and rewritten, and reads back
     assert path.read_text() == sealed
     assert Engine(A2, str(cache)).kr_char_direct(1, 2) == fresh
+
+
+def test_disk_cache_never_reads_a_non_canonical_entry(D4, tmp_path, monkeypatch):
+    # only the canonical node of an orbit has an entry: KR(3,2) is served
+    # from KR(1,2)'s, and a node-3 entry, as older versions wrote it, is
+    # never read, even a sealed one of the right datum with a term dropped
+    cache = tmp_path / "qc"
+    fresh = Engine(D4, str(cache)).kr_char_direct(3, 2)
+    assert fresh == _fixpoint(D4, DrinfeldPoly.kr(3, 2, 0))
+    assert [p.name for p in cache.iterdir()] == ["D4_kr_1_2.qtc"]
+    wrong = QtCharacter(D4, fresh.poly, dict(fresh.items()[:-1]))
+    planted = cache / "D4_kr_3_2.qtc"
+    write_qtc(planted, wrong)
+    reads = []
+    inner = qtchar.engine.read_qtc
+
+    def spy(path):
+        reads.append(os.path.basename(path))
+        return inner(path)
+
+    monkeypatch.setattr(qtchar.engine, "read_qtc", spy)
+    assert Engine(D4, str(cache)).kr_char_direct(3, 2) == fresh
+    assert reads == ["D4_kr_1_2.qtc"]
+    assert read_qtc(planted) == wrong
 
 
 def test_disk_cache_failed_write_leaves_no_temp_file(A2, tmp_path, monkeypatch):

@@ -8,6 +8,7 @@ from qtchar import (
     NotInRootLattice,
     UnsupportedType,
     build_lie_type,
+    diagram_automorphisms,
     positive_roots,
     root_to_weight,
     two_rho,
@@ -96,3 +97,24 @@ def test_two_rho_form_is_twice_the_height(family, rank):
     for k in range(rank):
         omega = tuple(1 if j == k else 0 for j in range(rank))
         assert rho2[k] == 2 * sum(weight_to_rational_root_coords(L, omega))
+
+
+@pytest.mark.parametrize(
+    "family,rank,order",
+    [("A", 1, 1), ("A", 3, 2), ("A", 4, 2), ("D", 4, 6), ("D", 5, 2), ("E", 6, 2), ("E", 7, 1), ("E", 8, 1)],
+)
+def test_diagram_automorphisms(family, rank, order):
+    L = build_lie_type(family, rank)
+    group = diagram_automorphisms(L)
+    assert len(group) == order == len(set(group))
+    assert group[0] == tuple(L.nodes)
+    for p in group:
+        assert sorted(p) == list(L.nodes)
+        assert all(L.a(p[i - 1], p[j - 1]) == L.a(i, j) for i in L.nodes for j in L.nodes)
+
+
+def test_diagram_automorphisms_of_a3_d4_e6(A3, D4):
+    assert diagram_automorphisms(A3) == ((1, 2, 3), (3, 2, 1))
+    # triality permutes the legs 1, 3, 4 of D4 and fixes the branch node 2
+    assert {p[1] for p in diagram_automorphisms(D4)} == {2}
+    assert diagram_automorphisms(build_lie_type("E", 6))[1] == (6, 2, 5, 4, 3, 1)

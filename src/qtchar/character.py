@@ -519,6 +519,7 @@ def loads_qtc(text: str) -> QtCharacter:
     L = build_lie_type(mt.group(1), int(mt.group(2)))
     roots = []
     terms: dict = {}
+    coeffs: dict = {}  # one TPoly per distinct coefficient text
     for ln in lines[2:]:
         if ln.startswith("P "):
             mp = _P_RE.match(ln)
@@ -534,11 +535,12 @@ def loads_qtc(text: str) -> QtCharacter:
                 raise ParseError(f"bad term line {ln!r}")
             ptxt, mtxt = body.split(" : ", 1)
             mono = parse_monomial(mtxt)
-            if any(i not in L.nodes for i, _, _ in mono.data):
+            # factors are sorted by node, and parse_monomial refuses nodes below 1
+            if mono.data and mono.data[-1][0] > L.rank:
                 raise ParseError(f"node out of range in {ln!r}")
             if mono in terms:
                 raise ParseError(f"duplicate monomial in {ln!r}")
-            terms[mono] = parse_tpoly(ptxt)
+            terms[mono] = coeffs[ptxt] if ptxt in coeffs else coeffs.setdefault(ptxt, parse_tpoly(ptxt))
         else:
             raise ParseError(f"unrecognized line {ln!r}")
     if end and int(end.group(1)) != len(terms):

@@ -15,6 +15,7 @@ pairs are the whole story.  Beside the monomial type:
 
 from __future__ import annotations
 
+from functools import lru_cache
 import re
 
 from . import kernels
@@ -103,12 +104,7 @@ class YMonomial:
         return self._hash
 
     def __str__(self):
-        if not self.data:
-            return "1"
-        parts = []
-        for i, s, e in self.data:
-            parts.append(f"Y[{i},{s}]" if e == 1 else f"Y[{i},{s}]^{e}")
-        return " ".join(parts)
+        return " ".join(map(_format_factor, self.data)) if self.data else "1"
 
     __repr__ = __str__
 
@@ -118,21 +114,33 @@ ONE_MONO = YMonomial(())
 _FACTOR_RE = re.compile(r"^Y\[(-?\d+),(-?\d+)\](?:\^(-?\d+))?$")
 
 
+# Few distinct factors recur thousands of times in a file: each is formatted and parsed once.
+@lru_cache(maxsize=4096)
+def _format_factor(f: tuple) -> str:
+    i, s, e = f
+    return f"Y[{i},{s}]" if e == 1 else f"Y[{i},{s}]^{e}"
+
+
+@lru_cache(maxsize=4096)
+def _parse_factor(tok: str) -> tuple:
+    m = _FACTOR_RE.match(tok)
+    if not m:
+        raise ParseError(f"bad monomial factor {tok!r}")
+    i = int(m.group(1))
+    if i < 1:
+        raise ParseError(f"node index must be positive in {tok!r}")
+    return (i, int(m.group(2))), int(m.group(3) or 1)
+
+
 def parse_monomial(text: str) -> YMonomial:
     s = text.strip()
     if s == "1":
         return ONE_MONO
     exps: dict = {}
     for tok in s.split():
-        m = _FACTOR_RE.match(tok)
-        if not m:
-            raise ParseError(f"bad monomial factor {tok!r}")
-        i, sh = int(m.group(1)), int(m.group(2))
-        e = int(m.group(3)) if m.group(3) else 1
-        if i < 1:
-            raise ParseError(f"node index must be positive in {tok!r}")
-        exps[(i, sh)] = exps.get((i, sh), 0) + e
-    return YMonomial((i, sh, e) for (i, sh), e in exps.items())
+        key, e = _parse_factor(tok)
+        exps[key] = exps.get(key, 0) + e
+    return YMonomial._wrap(tuple(sorted([(i, sh, e) for (i, sh), e in exps.items() if e])))
 
 
 def a_monomial(L: LieType, i: int, s: int) -> YMonomial:

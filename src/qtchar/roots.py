@@ -30,6 +30,9 @@ _POSITIVE_ROOT_COUNT = {
 }
 
 _COXETER = {("E", 6): 12, ("E", 7): 18, ("E", 8): 30}
+# Far above any rank this package can compute with; build_lie_type refuses a
+# larger one before it allocates the dense rank x rank Cartan matrix.
+MAX_RANK = 1000
 
 Weight = tuple
 RootVector = tuple
@@ -90,8 +93,10 @@ def _edges(family: str, rank: int):
 
 
 def build_lie_type(family: str, rank: int) -> LieType:
-    """Construct a LieType, rejecting anything outside A(n>=1), D(n>=4), E(6..8)."""
+    """Construct a LieType, rejecting anything outside A(n>=1), D(n>=4), E(6..8) or above MAX_RANK."""
     family = family.upper()
+    if rank > MAX_RANK:
+        raise UnsupportedType(f"{family}{rank}: rank above the bound {MAX_RANK}")
     if family == "A" and rank >= 1:
         pass
     elif family == "D" and rank >= 4:

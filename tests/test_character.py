@@ -4,6 +4,7 @@ import hashlib
 from collections import Counter
 from functools import lru_cache
 import random
+import re
 
 import pytest
 
@@ -16,6 +17,7 @@ from qtchar import (
     ParseError,
     QtCharacter,
     TPoly,
+    UnsupportedType,
     YMonomial,
     build_lie_type,
     dominant_product,
@@ -31,6 +33,7 @@ from qtchar import (
     t_binomial,
     two_rho,
     v_factorization,
+    verify_t_system_t,
     write_qtc,
 )
 from qtchar import character, engine, monomial
@@ -741,6 +744,96 @@ def test_qtc_rejects_malformed_input():
     ):
         with pytest.raises(ParseError):
             loads_qtc(bad)
+
+
+def _reference_monomial(text: str) -> YMonomial:
+    """The factor text as specified, one regex match per token: factors in
+    any order, a repeated (node, level) adds its exponents, a zero drops."""
+    if text.strip() == "1":
+        return YMonomial()
+    exps: Counter = Counter()
+    for tok in text.split():
+        i, s, e = re.fullmatch(r"Y\[(-?\d+),(-?\d+)\](?:\^(-?\d+))?", tok).groups()
+        exps[int(i), int(s)] += int(e or 1)
+    return YMonomial((i, s, e) for (i, s), e in exps.items())
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "Y[2,1] Y[1,0]",
+        "Y[1,0] Y[2,1] Y[1,0]^2",
+        "Y[1,0]^-1 Y[2,3] Y[1,0]",
+        "Y[1,2]^0 Y[2,1]",
+        "Y[1,3]^1",
+        "1",
+        "  Y[2,-1]^-2    Y[1,4]   Y[2,-1] ",
+    ],
+)
+def test_reader_takes_non_canonical_factor_text(text):
+    expected = _reference_monomial(text)
+    assert parse_monomial(text) == expected
+    ch = loads_qtc(f"# qtc v1\ntype A 2\nP 1: 0\nterm 2+t^-1 : {text}\n")
+    assert ch.terms == {expected: parse_tpoly("2+t^-1")}
+
+
+def test_reader_errors_keep_their_messages():
+    line = "term 1 : Y[1,0] Y[2,0]"
+    for _ in range(2):  # a refused factor is refused again, not remembered
+        with pytest.raises(ParseError, match=r"^node index must be positive in 'Y\[0,1\]'$"):
+            parse_monomial("Y[0,1]")
+        with pytest.raises(ParseError, match=r"^bad monomial factor 'Z\[1,0\]'$"):
+            loads_qtc("# qtc v1\ntype A 1\nterm 1 : Y[1,0] Z[1,0]\n")
+        with pytest.raises(ParseError, match=f"^node out of range in {re.escape(repr(line))}$"):
+            loads_qtc(f"# qtc v1\ntype A 1\nP 1: 0\n{line}\n")
+
+
+def test_cache_entry_reads_as_fixpoint_and_writes_back(D4, tmp_path):
+    Engine(D4, str(tmp_path)).kr_char_direct(2, 3)
+    (path,) = tmp_path.glob("*.qtc")
+    text = path.read_text()
+    back = read_qtc(path)
+    assert back == _fixpoint(D4, DrinfeldPoly.kr(2, 3, 0))
+    write_qtc(path, back)
+    assert path.read_text() == text
+
+
+def test_warm_t_system_parses_each_distinct_factor_once(D4, tmp_path):
+    fill = Engine(D4, str(tmp_path))
+    chars = [fill.kr_char_direct(i, k) for i, k in ((2, 1), (2, 2), (2, 3), (1, 2))]
+    tokens = [
+        tok
+        for path in tmp_path.glob("*.qtc")
+        for ln in path.read_text().splitlines()
+        if ln.startswith("term ")
+        for tok in ln.split(" : ", 1)[1].split()
+    ]
+    # the four entries hold 20,552 factors, but only 74 distinct ones
+    assert (len(tokens), len(set(tokens))) == (20552, 74)
+    monomial._parse_factor.cache_clear()
+    assert verify_t_system_t(D4, 2, 2, Engine(D4, str(tmp_path))).ok
+    info = monomial._parse_factor.cache_info()
+    assert (info.misses, info.hits + info.misses) == (74, 20552)
+    monomial._format_factor.cache_clear()
+    for ch in chars:
+        dumps_qtc(ch)
+    assert monomial._format_factor.cache_info().misses == 74
+
+
+def test_qtc_refuses_a_rank_past_the_bound(A1, engine_for, tmp_path):
+    body = "# qtc v1\ntype A 99999999\nterm 1 : 1\n"
+    with pytest.raises(UnsupportedType):
+        loads_qtc(body)
+    # a sealed entry is refused too, since the digest does not say who wrote
+    # it; the engine recomputes and rewrites it
+    eng = Engine(A1, str(tmp_path))
+    path = eng._cache_path("fund_1")
+    with open(path, "w") as fp:
+        fp.write(body + f"end 1 {character._cache_digest(body.encode())}\n")
+    with pytest.raises(UnsupportedType):
+        read_qtc(path)
+    assert eng.kr_char_direct(1, 1) == engine_for(A1).kr_char_direct(1, 1)
+    assert read_qtc(path).L == A1
 
 
 def test_qtc_trailer_counts_terms(A2, engine_for, tmp_path):

@@ -280,6 +280,8 @@ def test_failing_report_exits_one(capsys, tmp_path, monkeypatch):
         ("fund", "--type", "A1", "--node", "1", "--cache-dir", "{file}"),
         # a node above the rank is a usage error, not a failed check
         ("tsys", "--type", "A2", "--node", "5", "--k", "1", "--t-analog"),
+        # a rank past the bound is refused before any matrix is allocated
+        ("fund", "--type", "A99999999", "--node", "1"),
     ],
 )
 def test_usage_errors_exit_two(capsys, tmp_path, argv):

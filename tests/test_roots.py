@@ -14,7 +14,7 @@ from qtchar import (
     two_rho,
     weight_to_root_coords,
 )
-from qtchar.roots import weight_to_rational_root_coords
+from qtchar.roots import MAX_RANK, weight_to_rational_root_coords
 
 
 def test_cartan_matrices(A1, A2, D4):
@@ -60,6 +60,14 @@ def test_positive_roots_a2(A2):
 def test_unsupported_types_rejected(family, rank):
     with pytest.raises(UnsupportedType):
         build_lie_type(family, rank)
+
+
+def test_rank_past_the_bound_rejected():
+    # the dense Cartan matrix is never allocated for a rank past MAX_RANK
+    assert build_lie_type("A", MAX_RANK).rank == MAX_RANK
+    for family in "AD":
+        with pytest.raises(UnsupportedType, match="rank"):
+            build_lie_type(family, MAX_RANK + 1)
 
 
 def test_root_weight_round_trip(A3, D4):

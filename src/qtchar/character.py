@@ -13,9 +13,10 @@ with nonnegative coefficients.  The fixpoint (engine.py) builds
 characters from it, so nothing it visits cancels.
 
 star_product twists each term pair by the commutation exponent, so the
-product of two normalized characters has a single power of t as its top
-coefficient.  A standard character is the star_product fold of its
-fundamentals (_star_fold) divided by that top coefficient.
+raw product of normalized characters has top coefficient t^tw, where tw,
+the factors' twist, sums epsilon(top_a, top_b) over the factor pairs in
+fold order.  _star_fold alone divides by it: a standard character is the
+_star_fold of its fundamentals, with top coefficient 1.
 dominant_product gives the l-dominant terms of such a fold from the
 factor terms with no level above the highest level of the product's top,
 since no other factor term lies under a dominant term of the product.
@@ -25,10 +26,11 @@ from __future__ import annotations
 
 from collections import Counter
 import hashlib
+from itertools import combinations
 import re
 
 from . import kernels
-from .errors import DomainError, NotDominant, ParseError
+from .errors import DomainError, NotDominant, ParseError, _parse_int
 from .monomial import (
     EpsilonTable,
     ONE_MONO,
@@ -283,23 +285,21 @@ def _expansion_tail(L: LieType, i: int, m: YMonomial, memo: dict, rows) -> list:
 # -- products -----------------------------------------------------------------
 
 
-def _table_of(L: LieType, table: EpsilonTable | None) -> EpsilonTable:
-    """table, or a new one for L when it is None.  A table of another type
-    would twist by that type's exponents, so it raises DomainError."""
-    if table is None:
-        return EpsilonTable(L)
+def _table_of(L: LieType, table: EpsilonTable) -> EpsilonTable:
+    """table, checked to be of type L: a table of another type would twist
+    by that type's exponents, so it raises DomainError."""
     if table.L != L:
         raise DomainError(f"commutation table of {table.L}, not {L}")
     return table
 
 
-def star_product(L: LieType, a, b, table: EpsilonTable | None = None) -> dict:
+def star_product(L: LieType, a, b, table: EpsilonTable) -> dict:
     """Term-by-term twisted product; returns a raw term dict.  The result of
     multiplying two normalized characters this way is NOT normalized: its
-    top coefficient is a power of t, not 1.  Each pair is twisted by the
-    commutation exponent epsilon(m1, m2), applied as the right-hand term's
-    functional to the left-hand term's exponent vector.  A table, when
-    given, must be of type L."""
+    top coefficient is t to the commutation exponent of the two tops, not
+    1.  Each pair is twisted by the commutation exponent epsilon(m1, m2),
+    applied as the right-hand term's functional to the left-hand term's
+    exponent vector.  The table must be of type L."""
     d1 = a.terms if isinstance(a, QtCharacter) else a
     d2 = b.terms if isinstance(b, QtCharacter) else b
     tab = _table_of(L, table)
@@ -327,19 +327,23 @@ def star_product(L: LieType, a, b, table: EpsilonTable | None = None) -> dict:
 
 
 def _star_fold(L: LieType, chars, table: EpsilonTable) -> dict:
-    """The twisted product of chars folded left to right from the unit with
-    star_product, a raw term dict.  dominant_product keeps the l-dominant
-    terms of the same fold."""
-    out = {ONE_MONO: TPoly.ONE}
+    """The twisted product of the list of characters chars, folded left to
+    right with star_product from t^-tw instead of the unit, tw the factors'
+    twist (epsilon(a.highest, b.highest) summed over the pairs a before b),
+    so that the product of normalized characters has top coefficient 1.
+    A raw term dict; no chars give the unit."""
+    tab = _table_of(L, table)
+    tw = sum(tab.of(a.highest, b.highest) for a, b in combinations(chars, 2))
+    out = {ONE_MONO: TPoly.t_power(-tw)}
     for ch in chars:
-        out = star_product(L, out, ch, table)
+        out = star_product(L, out, ch, tab)
     return out
 
 
-def dominant_product(L: LieType, factors, table: EpsilonTable | None = None) -> dict:
-    """The l-dominant terms of _star_fold(L, factors), with the same
-    coefficients; a raw term dict.  The factors are characters, since
-    each one's top is read.  No factors give the unit.
+def dominant_product(L: LieType, factors, table: EpsilonTable) -> dict:
+    """The l-dominant terms of _star_fold(L, factors, table), with the same
+    coefficients, so normalized like it; a raw term dict.  No factors give
+    the unit.
 
     Let H be the highest level of the product's top, the largest level
     among the factors' tops.  A term top * prod A(i,a)^-v whose highest
@@ -348,14 +352,14 @@ def dominant_product(L: LieType, factors, table: EpsilonTable | None = None) -> 
     product's A-exponents are the sums of its factors' exponents, so a
     dominant term is reached only through factor terms whose A-levels are
     all below H, which are the factor terms with no level above H.  The
-    others are dropped before the fold."""
-    tab = _table_of(L, table)
+    others are dropped before the fold; each window keeps its factor's
+    top, and so its twist."""
     H = max((s for f in factors for _, s, _ in f.highest.data), default=0)
     window = [
-        {m: p for m, p in f.terms.items() if all(s <= H for _, s, _ in m.data)}
+        QtCharacter(L, f.poly, {m: p for m, p in f.terms.items() if all(s <= H for _, s, _ in m.data)})
         for f in factors
     ]
-    return {m: p for m, p in _star_fold(L, window, tab).items() if m.is_l_dominant()}
+    return {m: p for m, p in _star_fold(L, window, table).items() if m.is_l_dominant()}
 
 
 # -- specializations ----------------------------------------------------------
@@ -516,7 +520,7 @@ def loads_qtc(text: str) -> QtCharacter:
     mt = _TYPE_RE.match(lines[1])
     if not mt:
         raise ParseError(f"bad type line {lines[1]!r}")
-    L = build_lie_type(mt.group(1), int(mt.group(2)))
+    L = build_lie_type(mt.group(1), _parse_int(mt.group(2)))
     roots = []
     terms: dict = {}
     coeffs: dict = {}  # one TPoly per distinct coefficient text
@@ -525,10 +529,10 @@ def loads_qtc(text: str) -> QtCharacter:
             mp = _P_RE.match(ln)
             if not mp:
                 raise ParseError(f"bad root line {ln!r}")
-            i = int(mp.group(1))
+            i = _parse_int(mp.group(1))
             if i not in L.nodes:
                 raise ParseError(f"node {i} out of range in {ln!r}")
-            roots.extend((i, int(s)) for s in mp.group(2).split())
+            roots.extend((i, _parse_int(s)) for s in mp.group(2).split())
         elif ln.startswith("term "):
             body = ln[5:]
             if " : " not in body:
@@ -543,7 +547,7 @@ def loads_qtc(text: str) -> QtCharacter:
             terms[mono] = coeffs[ptxt] if ptxt in coeffs else coeffs.setdefault(ptxt, parse_tpoly(ptxt))
         else:
             raise ParseError(f"unrecognized line {ln!r}")
-    if end and int(end.group(1)) != len(terms):
+    if end and _parse_int(end.group(1)) != len(terms):
         raise ParseError(f"{len(terms)} term lines, but the trailer says {end.group(1)}")
     return QtCharacter(L, DrinfeldPoly(roots), terms)
 

@@ -15,7 +15,7 @@ import sys
 
 from .character import DrinfeldPoly, QtCharacter, dumps_qtc
 from .engine import Engine
-from .errors import DomainError, NotInRootLattice, ParseError, UnsupportedType
+from .errors import DomainError, NotInRootLattice, ParseError, UnsupportedType, _parse_int
 from .monomial import a_monomial
 from .roots import build_lie_type
 from .tpoly import CONVENTIONS
@@ -30,7 +30,7 @@ def _lie_type(text: str):
     m = _TYPE_RE.match(text.strip())
     if not m:
         raise DomainError(f"bad --type {text!r}; expected family+rank like A2 or D4")
-    return build_lie_type(m.group(1), int(m.group(2)))
+    return build_lie_type(m.group(1), _parse_int(m.group(2)))
 
 
 def _parse_p(frags) -> DrinfeldPoly:
@@ -39,8 +39,8 @@ def _parse_p(frags) -> DrinfeldPoly:
         m = _P_FRAG_RE.match(frag)
         if not m:
             raise DomainError(f"bad --p fragment {frag!r}; expected i:s1,s2,...")
-        i = int(m.group(1))
-        roots.extend((i, int(s)) for s in m.group(2).split(","))
+        i = _parse_int(m.group(1))
+        roots.extend((i, _parse_int(s)) for s in m.group(2).split(","))
     return DrinfeldPoly(roots)
 
 
@@ -50,7 +50,7 @@ def _parse_nu(frags) -> dict:
         m = _NU_FRAG_RE.match(frag)
         if not m:
             raise DomainError(f"bad --nu fragment {frag!r}; expected i:k=v")
-        i, k, v = (int(x) for x in m.groups())
+        i, k, v = (_parse_int(x) for x in m.groups())
         nu[(i, k)] = nu.get((i, k), 0) + v
     return nu
 

@@ -309,16 +309,6 @@ class KLResult:
         return self.z.get((0, j), TPoly.ZERO)
 
 
-def _top_normalized(terms: dict, top: YMonomial) -> dict:
-    """terms divided by their coefficient at top, which must be a single
-    power of t."""
-    lead = terms.get(top, TPoly.ZERO).terms
-    if len(lead) != 1 or 1 not in lead.values():
-        raise InternalError(f"top coefficient {terms.get(top)} at {top} is not a power of t")
-    (e,) = lead
-    return {m: p.shifted(-e) for m, p in terms.items()} if e else terms
-
-
 def _fold_order(poly: DrinfeldPoly) -> list:
     """The roots of poly in ascending spectral order, the order in which
     standard_char and _standard_dominant fold their fundamentals.  The
@@ -453,27 +443,35 @@ class Engine:
 
     def standard_char(self, poly: DrinfeldPoly) -> QtCharacter:
         """Character of the product module: the twisted product of its
-        fundamentals, folded in _fold_order from the unit (_star_fold),
-        divided by its top coefficient, a single power of t.  The empty
-        root datum gives the unit."""
+        fundamentals, folded in _fold_order and divided by their twist
+        (_star_fold), so its top coefficient is 1.  The empty root datum
+        gives the unit."""
         got = self._standard.get(poly.roots)
         if got is None:
-            factors = [self.fundamental_char(i, s) for i, s in _fold_order(poly)]
-            terms = _top_normalized(_star_fold(self.L, factors, self.table), poly.monomial())
+            terms = self._standard_fold(poly, _star_fold)
             got = self._standard[poly.roots] = QtCharacter(self.L, poly, terms)
         return got
+
+    def _standard_fold(self, poly: DrinfeldPoly, fold) -> dict:
+        """fold(L, fundamentals of poly in _fold_order, table), which must
+        be normalized: a top coefficient other than 1 means a fundamental
+        was not, and raises InternalError."""
+        factors = [self.fundamental_char(i, s) for i, s in _fold_order(poly)]
+        terms = fold(self.L, factors, self.table)
+        top = poly.monomial()
+        if terms.get(top) != TPoly.ONE:
+            raise InternalError(f"top coefficient {terms.get(top)} at {top} is not 1")
+        return terms
 
     # -- triangular decomposition ----------------------------------------------
 
     def _standard_dominant(self, poly: DrinfeldPoly) -> dict:
         """The l-dominant terms of standard_char(poly), without building
         it: the same fold of the same fundamentals through
-        dominant_product, divided by the same top coefficient."""
+        dominant_product, which divides by the same twist."""
         got = self._dominant.get(poly.roots)
         if got is None:
-            factors = [self.fundamental_char(i, s) for i, s in _fold_order(poly)]
-            raw = dominant_product(self.L, factors, self.table)
-            got = self._dominant[poly.roots] = _top_normalized(raw, poly.monomial())
+            got = self._dominant[poly.roots] = self._standard_fold(poly, dominant_product)
         return got
 
     def _triangle(self, poly: DrinfeldPoly) -> tuple:

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer reader of
+its text parsers, which raises one of them."""
+
+import sys
 
 
 class QtcharError(Exception):
@@ -35,3 +38,15 @@ class InternalError(QtcharError):
 
 class ParseError(QtcharError):
     """Malformed textual input."""
+
+
+def _parse_int(text: str) -> int:
+    """The integer a decimal numeral spells, for text a parser has matched.
+    int refuses a numeral past the interpreter's int-string limit
+    (sys.get_int_max_str_digits, 4,300 digits by default) with a bare
+    ValueError; this raises ParseError instead."""
+    try:
+        return int(text)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"{len(text.lstrip('+-'))}-digit number past the limit of {limit} digits") from None

@@ -19,7 +19,7 @@ from functools import lru_cache
 import re
 
 from . import kernels
-from .errors import NotComparable, ParseError
+from .errors import NotComparable, ParseError, _parse_int
 from .roots import LieType
 
 
@@ -126,10 +126,10 @@ def _parse_factor(tok: str) -> tuple:
     m = _FACTOR_RE.match(tok)
     if not m:
         raise ParseError(f"bad monomial factor {tok!r}")
-    i = int(m.group(1))
+    i = _parse_int(m.group(1))
     if i < 1:
         raise ParseError(f"node index must be positive in {tok!r}")
-    return (i, int(m.group(2))), int(m.group(3) or 1)
+    return (i, _parse_int(m.group(2))), _parse_int(m.group(3) or "1")
 
 
 def parse_monomial(text: str) -> YMonomial:

@@ -34,7 +34,6 @@ character is read.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 
 from .character import (
     DrinfeldPoly,
@@ -222,28 +221,18 @@ def _check_string(L: LieType, i: int, k: int) -> None:
         raise DomainError(f"node {i} out of range for {L}")
 
 
-def _twisted(product, chars: list, table, shift: int = 0) -> dict:
-    """product(chars) divided by the factors' twist and times t^shift.  The
-    twist is t to the sum of the commutation exponents of the factors'
-    highest monomials over the pairs in fold order, which is the top
-    coefficient of the twisted product of normalized characters."""
-    n = shift - sum(table.of(a.highest, b.highest) for a, b in combinations(chars, 2))
-    d = product(chars)
-    return {m: p.shifted(n) for m, p in d.items()} if n else d
-
-
 def _t_system_sides(L: LieType, i: int, k: int, engine: Engine):
     """sides(product) of the t-refined recursion at node i and length k,
     for _decide."""
     _check_engine(L, engine)
     _check_string(L, i, k)
-    kr, table = engine.kr_char_direct, engine.table
+    kr = engine.kr_char_direct
 
     def sides(product) -> tuple:
-        lhs = _twisted(product, [kr(i, k, 0), kr(i, k, 2)], table)
-        first = _twisted(product, [kr(i, k + 1, 0), kr(i, k - 1, 2)], table)
-        second = _twisted(product, [kr(j, k, 1) for j in L.neighbors(i)], table, -1)
-        return lhs, terms_add(first, second)
+        lhs = product([kr(i, k, 0), kr(i, k, 2)])
+        first = product([kr(i, k + 1, 0), kr(i, k - 1, 2)])
+        second = product([kr(j, k, 1) for j in L.neighbors(i)])
+        return lhs, terms_add(first, {m: p.shifted(-1) for m, p in second.items()})
 
     return sides
 
@@ -267,7 +256,7 @@ def verify_t_system_t1(L: LieType, i: int, k: int, engine: Engine) -> VerifyRepo
 def verify_t_system_t(L: LieType, i: int, k: int, engine: Engine) -> VerifyReport:
     """t-refined recursion: the same three products of length-k, (k+1,
     k-1) and neighbor characters, each the twisted product of normalized
-    characters divided by its factors' twist (_twisted), so that every
+    characters divided by its factors' twist (_star_fold), so that every
     top coefficient is 1; the neighbor product carries a further t^-1.
     The neighbors are multiplied in ascending node order.  Decided on
     dominant parts as the module docstring says."""
@@ -280,20 +269,20 @@ def verify_kr_tensor_split(L: LieType, i: int, k: int, engine: Engine) -> Verify
     character at shift 2k splits into the length-(k+1) character plus
     t^-1 times one non-tensor simple character, the latter computed
     through the triangular decomposition.  Each product is divided by its
-    factors' twist (_twisted).  Decided on dominant parts as the module
+    factors' twist (_star_fold).  Decided on dominant parts as the module
     docstring says."""
     _check_engine(L, engine)
     _check_string(L, i, k)
-    kr, table = engine.kr_char_direct, engine.table
+    kr = engine.kr_char_direct
     q = DrinfeldPoly.kr(i, k - 1, 0)
     for j in L.neighbors(i):
         q = q * DrinfeldPoly.fundamental(j, 2 * k - 1)
     second = engine.simple_char(q)
 
     def sides(product) -> tuple:
-        lhs = _twisted(product, [kr(i, k, 0), engine.fundamental_char(i, 2 * k)], table)
-        first = _twisted(product, [kr(i, k + 1, 0)], table)
-        return lhs, terms_add(first, _twisted(product, [second], table, -1))
+        lhs = product([kr(i, k, 0), engine.fundamental_char(i, 2 * k)])
+        first = product([kr(i, k + 1, 0)])
+        return lhs, terms_add(first, {m: p.shifted(-1) for m, p in product([second]).items()})
 
     params = {"type": str(L), "i": i, "k": k}
     return _decide("kr_tensor_split", params, engine, sides, _ser_int_terms)

@@ -9,7 +9,7 @@ from math import comb, factorial
 import re
 
 from . import kernels
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, _parse_int
 
 # The extended-binomial conventions of gen_binomial, the default first.
 CONVENTIONS = ("gamma", "lusztig")
@@ -169,10 +169,10 @@ def parse_tpoly(text: str) -> TPoly:
             tok = tok[1:]
         if "t" in tok:
             coef_s, _, exp_s = tok.partition("t")
-            coef = int(coef_s) if coef_s else 1
-            exp = int(exp_s[1:]) if exp_s else 1
+            coef = _parse_int(coef_s) if coef_s else 1
+            exp = _parse_int(exp_s[1:]) if exp_s else 1
         else:
-            coef = int(tok)
+            coef = _parse_int(tok)
             exp = 0
         terms[exp] = terms.get(exp, 0) + sign * coef
     return TPoly(terms)

@@ -282,6 +282,10 @@ def test_failing_report_exits_one(capsys, tmp_path, monkeypatch):
         ("tsys", "--type", "A2", "--node", "5", "--k", "1", "--t-analog"),
         # a rank past the bound is refused before any matrix is allocated
         ("fund", "--type", "A99999999", "--node", "1"),
+        # a number past the interpreter's 4,300-digit int-string limit
+        ("standard", "--type", "A2", "--p", "1:" + "1" * 5000),
+        ("standard", "--type", "A" + "1" * 5000, "--p", "1:0"),
+        ("fermionic", "--type", "A1", "--nu", "1:1=" + "1" * 5000, "--truncate", "2"),
     ],
 )
 def test_usage_errors_exit_two(capsys, tmp_path, argv):
@@ -291,7 +295,7 @@ def test_usage_errors_exit_two(capsys, tmp_path, argv):
     # the last --cache-dir wins, so a case's own one overrides the default
     rc, out, err = run_cli(capsys, argv[0], "--cache-dir", str(tmp_path / "cache"), *argv[1:])
     assert rc == 2
-    assert err.startswith("error:")
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_missing_required_flag_exits_two(capsys):

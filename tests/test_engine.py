@@ -21,10 +21,10 @@ from qtchar import (
     parse_monomial,
     parse_tpoly,
     read_qtc,
-    star_product,
     write_qtc,
 )
 import qtchar.engine
+from qtchar.character import _star_fold
 from qtchar.engine import _fixpoint, _l_row, _level_key
 
 
@@ -489,6 +489,26 @@ def test_kr_row_with_off_diagonal_entry_raises(A2, D4):
             Engine(L)._simple(P, row)
 
 
+class _TopTimesTEngine(Engine):
+    """Engine whose fundamentals have their top coefficient multiplied by t:
+    the fold of any of them has a top coefficient t^n, not 1."""
+
+    def fundamental_char(self, i, s=0):
+        ch = super().fundamental_char(i, s)
+        return QtCharacter(ch.L, ch.poly, {**ch.terms, ch.highest: ch.terms[ch.highest].shifted(1)})
+
+
+def test_standard_with_top_coefficient_other_than_one_raises(A2):
+    # the standards are the fold of their fundamentals divided by the
+    # factors' twist; a top coefficient left over is an error, not
+    # something to divide out
+    for P in (DrinfeldPoly.fundamental(1, 0), DrinfeldPoly(((1, 0), (2, 1))), DrinfeldPoly.kr(1, 2, 0)):
+        with pytest.raises(InternalError, match="is not 1"):
+            _TopTimesTEngine(A2).standard_char(P)
+        with pytest.raises(InternalError, match="is not 1"):
+            _TopTimesTEngine(A2).kl_decompose(P)
+
+
 def _two_class_root_data(L, sizes, levels):
     """Every root datum of the given sizes over the given levels whose roots
     fall in both bipartite classes, with its two halves."""
@@ -511,8 +531,7 @@ def test_two_class_simple_is_product_of_halves(A2, A3, D4):
     for L, sizes, levels in ((A2, (2, 3), range(4)), (A3, (2,), range(3)), (D4, (2,), range(2))):
         eng = Engine(L)
         for P, halves in _two_class_root_data(L, sizes, levels):
-            product = star_product(L, *(eng.simple_char(h) for h in halves))
-            want = qtchar.engine._top_normalized(product, P.monomial())
+            want = _star_fold(L, [eng.simple_char(h) for h in halves], eng.table)
             assert eng.simple_char(P).terms == want, P
             cases += 1
     assert cases == 132

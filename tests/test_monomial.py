@@ -39,6 +39,11 @@ def test_parse_and_str_round_trip():
         parse_monomial("Y[0,1]")
     with pytest.raises(ParseError):
         parse_monomial("Z[1,0]")
+    # int refuses a numeral past 4,300 digits with a bare ValueError
+    big = "1" * 5000
+    for text in (f"Y[{big},0]", f"Y[1,-{big}]", f"Y[1,0]^{big}"):
+        with pytest.raises(ParseError, match="^5000-digit number past the limit"):
+            parse_monomial(text)
 
 
 def test_dominance_flags(right_negative):

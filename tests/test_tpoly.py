@@ -58,6 +58,11 @@ def test_str_and_parse_round_trip():
         parse_tpoly("")
     with pytest.raises(ParseError):
         parse_tpoly("t^^2")
+    # int refuses a numeral past 4,300 digits with a bare ValueError
+    big = "1" * 5000
+    for text in (f"-{big}", f"{big}t", f"1 + t^-{big}"):
+        with pytest.raises(ParseError, match="^5000-digit number past the limit"):
+            parse_tpoly(text)
 
 
 def test_t_binomial_small_values():

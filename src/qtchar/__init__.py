@@ -21,6 +21,7 @@ from .roots import (
     LieType,
     build_lie_type,
     diagram_automorphisms,
+    dual_nodes,
     positive_roots,
     root_to_weight,
     two_rho,

@@ -495,8 +495,13 @@ def dumps_qtc(ch: QtCharacter) -> str:
         by_node.setdefault(i, []).append(s)
     for i in sorted(by_node):
         lines.append(f"P {i}: " + " ".join(str(s) for s in sorted(by_node[i])))
+    texts: dict = {}  # one text per distinct coefficient, keyed by its terms
     for m, p in ch.items():
-        lines.append(f"term {p} : {m}")
+        key = tuple(p.terms.items())
+        text = texts.get(key)
+        if text is None:
+            text = texts[key] = str(p)
+        lines.append(f"term {text} : {m}")
     return "\n".join(lines) + "\n"
 
 

@@ -34,10 +34,31 @@ node i, the coefficient is what the node-i expansions above it sent
 there, topped up by one rooted there where the monomial is i-dominant,
 so the output is a combination of node-i rows for every i.  That holds
 for runs with one pin or many alike, so every character the engine hands
-out is a member: a run, its shifts, the unit, a standard (K_t is closed
-under the twisted product), or a disk-cache entry whose digest shows it
-is a run's output as written (write_qtc).  The verifiers rely on this
-and check membership nowhere.
+out is a member: a run, a run completed by the duality D below, its
+shifts, the unit, a standard (K_t is closed under the twisted product),
+or a disk-cache entry whose digest shows it is a run's output as written
+(write_qtc).  The verifiers rely on this and check membership nowhere.
+
+The duality D: Y[i,s]^e -> Y[i*, c-s]^-e, where w0(omega_i) =
+-omega_{i*} (roots.dual_nodes), sends the character of L(P) to that of
+L(P^v), coefficients included.  Frenkel-Mukhin (arXiv math/9911112) give
+the lowest monomial of L(P) as the product of Y[i*, s+h]^-1 over P's
+roots (i, s), and D swaps it with the top of L(P^v); with c = h + lo +
+hi, lo and hi the least and greatest level of P, P^v is P with its levels
+reflected in [lo, hi] (_dual_of).  D sends A(i,a) to A(i*, c-a)^-1, so a
+term at depth d goes to depth N - d, N the depth of the lowest weight.
+Every string has P^v = P, and so do many other root data.  The engine
+runs such a root datum to depth ceil(N/2) only (_fixpoint's depth cap)
+and reflects the terms shallower than N - ceil(N/2) onto the deeper ones
+(_self_dual), and a simple whose dual's simple is built already, up to
+translation, is that simple's D-image.  Membership then rests on D as
+well, and every result of it is checked at run time.  A self-dual run's
+terms at the middle depths d, N - ceil(N/2) <= d <= ceil(N/2), must be
+the D-image of its terms at depth N - d.  A D-image of a built simple
+must have exactly the l-row it is asked for.  A failed check raises
+InternalError.  An l-dominant monomial lies at most N/2 deep (its weight
+has nonnegative height), so every pin lies within the cap and no
+reflected term is dominant.
 
 An expansion at node i depends on m only through m's node-i exponents,
 and a run meets few distinct ones (279 for D4 KR(2,4), against 8,796
@@ -60,7 +81,8 @@ visited weight lies in the convex hull of the Weyl orbit of the top
 weight, and the lowest weight w0 wt occurs in every module, so a genuine
 run reaches depth height(wt - w0 wt) exactly.  A run deeper than twice
 that (plus slack), or one that stops short of it, can only come from a
-wrong expansion, and raises InternalError.
+wrong expansion, and raises InternalError.  A run capped at a depth must
+reach the cap, or the lowest weight if that is shallower.
 
 The triangular decomposition reads standards only at their dominant
 monomials, so it never builds them: dominant_product folds the
@@ -69,7 +91,9 @@ which gives each standard's dominant part (Engine._standard_dominant),
 and from those come the closure of root data and the matrices c, z and
 l.  Each simple is then built from its l-row.  A string's is its string
 character, and its row must be the diagonal, as the paper's theorem
-says.  Any other is one run with the row as its pins.  Every term keeps
+says.  Any other is the D-image of its dual's simple when that is built,
+and otherwise one run with the row as its pins, completed by D when the
+root datum is self-dual.  Every term keeps
 its factors in the bipartite classes of the top (_colouring), so a run
 rejects a node-i level of another parity; a top of both classes keeps
 both parities.
@@ -83,7 +107,7 @@ lexicographically least p(P) (_canonical), and relabels on request, as it
 runs strings at shift 0 and translates.  A fundamental or string is run,
 read and stored once per orbit of its node (fund_1 serves D4 nodes 1, 3
 and 4), and a non-string simple is one run at its canonical image with
-its pins relabelled alike.  _fixpoint knows nothing of this.
+its pins relabelled alike.  _fixpoint knows nothing of this, nor of D.
 """
 
 from __future__ import annotations
@@ -111,7 +135,7 @@ from .errors import (
     QtcharError,
 )
 from .monomial import ONE_MONO, EpsilonTable, YMonomial, v_factorization
-from .roots import LieType, diagram_automorphisms, two_rho
+from .roots import LieType, diagram_automorphisms, dual_nodes, two_rho
 from .tpoly import TPoly
 
 
@@ -157,11 +181,21 @@ def _level_key(lo: int, hi: int, limit: int):
     return key
 
 
-def _fixpoint(L: LieType, poly: DrinfeldPoly, pins: dict | None = None) -> QtCharacter:
+def _fixpoint(
+    L: LieType, poly: DrinfeldPoly, pins: dict | None = None, depth: int | None = None
+) -> QtCharacter | list:
     """The element of K_t with highest monomial poly.monomial() whose
     l-dominant coefficients are pins ({monomial: TPoly}); by default the
     top alone, with coefficient 1.  The top's pin may be any nonzero
-    coefficient."""
+    coefficient.
+
+    With a depth, the run stops there: a pin deeper is not seeded, a push
+    deeper is dropped, and a monomial at that depth fixes its coefficient
+    but expands nothing.  Contributions only flow deeper, so every term
+    down to the depth is exact.  The run must reach min(depth, depth of
+    the lowest weight), and it returns its terms per depth, a list of
+    {monomial: TPoly} dicts from the top down, for the caller to complete
+    (_self_dual)."""
     top = poly.monomial()
     if pins is None:
         pins = {top: TPoly.ONE}
@@ -220,6 +254,8 @@ def _fixpoint(L: LieType, poly: DrinfeldPoly, pins: dict | None = None) -> QtCha
             raise InternalError(f"pin at {m}, which is not below the top {top}") from None
         if d > bound:
             raise InternalError(f"pin at {m}, at depth {d} past the bound {bound}")
+        if depth is not None and d > depth:
+            continue
         k = key(m.data)
         coeffs[k] = dict(p.terms)
         mono[k] = m
@@ -249,6 +285,8 @@ def _fixpoint(L: LieType, poly: DrinfeldPoly, pins: dict | None = None) -> QtCha
                     a = {}
             elif a:
                 coeffs[k] = a
+            if d == depth:
+                continue  # every push from here would be dropped
             for i in nodes:
                 if i in neg:
                     continue
@@ -261,6 +299,8 @@ def _fixpoint(L: LieType, poly: DrinfeldPoly, pins: dict | None = None) -> QtCha
                     dd = d + deg
                     if dd > bound:
                         raise InternalError(f"expansion reached depth {dd} past the bound {bound}")
+                    if depth is not None and dd > depth:
+                        continue
                     kk = k + kq
                     if kk not in mono:
                         mono[kk] = YMonomial._wrap(kernels.mono_mul(m.data, q))
@@ -271,11 +311,87 @@ def _fixpoint(L: LieType, poly: DrinfeldPoly, pins: dict | None = None) -> QtCha
                     kernels.poly_acc_mul(slot, combo, p.terms, 0)
     # a run that stops above the lowest weight lost a branch of expansions
     deepest = max(d for d, level in enumerate(levels) if level)
-    if deepest != lowest:
-        raise InternalError(
-            f"expansion stopped at depth {deepest}, but the lowest weight sits at depth {lowest}"
-        )
-    return QtCharacter(L, poly, {mono[k]: TPoly._wrap(a) for k, a in coeffs.items()})
+    if depth is None:
+        if deepest != lowest:
+            raise InternalError(
+                f"expansion stopped at depth {deepest}, but the lowest weight sits at depth {lowest}"
+            )
+        return QtCharacter(L, poly, {mono[k]: TPoly._wrap(a) for k, a in coeffs.items()})
+    cap = min(depth, lowest)
+    if deepest != cap:
+        raise InternalError(f"expansion stopped at depth {deepest}, short of the cap {cap}")
+    return [
+        {mono[k]: TPoly._wrap(coeffs[k]) for k in level if coeffs.get(k)} for level in levels[: cap + 1]
+    ]
+
+
+def _dual_of(L: LieType, poly: DrinfeldPoly) -> tuple:
+    """(dual, c): the root datum whose simple is the D-image of poly's, with
+    its levels reflected in [lo, hi], the least and greatest level of
+    poly, and the centre c = h + lo + hi of the duality D that maps the
+    two simples onto each other.  D sends the top of L(P) to the lowest
+    monomial of L(dual) and back, so a self-dual poly (dual == poly, every
+    string among them) is sent onto itself."""
+    levels = [s for _, s in poly.roots]
+    lo, hi = min(levels, default=0), max(levels, default=0)
+    return DrinfeldPoly((i, lo + hi - s) for i, s in poly.roots), L.coxeter_number + lo + hi
+
+
+class _DualFactors(dict):
+    """Factor triples (i, s, e) -> (i*, c - s, -e), each computed once."""
+
+    __slots__ = ("star", "c")
+
+    def __init__(self, L: LieType, c: int):
+        super().__init__()
+        self.star = dual_nodes(L)
+        self.c = c
+
+    def __missing__(self, f: tuple) -> tuple:
+        i, s, e = f
+        image = self[f] = (self.star[i - 1], self.c - s, -e)
+        return image
+
+
+def _dual(L: LieType, terms: dict, c: int) -> dict:
+    """The image of a term dict under the duality D: Y[i,s]^e -> Y[i*, c-s]^-e
+    (roots.dual_nodes), coefficients kept."""
+    image = _DualFactors(L, c)
+    wrap = YMonomial._wrap
+    return {wrap(tuple(sorted([image[f] for f in m.data]))): p for m, p in terms.items()}
+
+
+def _self_dual(L: LieType, poly: DrinfeldPoly, pins: dict | None = None) -> QtCharacter:
+    """_fixpoint(L, poly, pins) for a poly that the caller knows to be
+    self-dual (_dual_of), from a run to half the depth N of the lowest
+    weight: the terms shallower than N - ceil(N/2) are reflected by D onto
+    the terms deeper than ceil(N/2).
+
+    The duality is checked: the run's terms at every middle depth d, from
+    N - ceil(N/2) to ceil(N/2), must be the D-image of its terms at depth
+    N - d, or InternalError is raised.
+
+    The pins need no check of their own.  N is twice the height of the top
+    weight lambda, since i -> i* keeps two_rho.  A dominant weight mu has
+    height(mu) >= 0, so an l-dominant monomial lies at depth
+    height(lambda) - height(mu) <= N/2.  So every pin lies within the cap,
+    where the run keeps it, and no reflected term is l-dominant."""
+    _, c = _dual_of(L, poly)
+    depth = _form(two_rho(L), poly.monomial().data)
+    half = (depth + 1) // 2
+    levels = _fixpoint(L, poly, pins, half)
+    for d in range(depth - half, half + 1):
+        if levels[d] != _dual(L, levels[depth - d], c):
+            raise InternalError(
+                f"the terms of {poly} at the middle depth {d} are not the D-image"
+                f" of those at depth {depth - d}"
+            )
+    terms: dict = {}
+    for level in levels:
+        terms.update(level)
+    for d in range(depth - half):
+        terms.update(_dual(L, levels[d], c))
+    return QtCharacter(L, poly, terms)
 
 
 @dataclass
@@ -367,6 +483,8 @@ class Engine:
         self._dominant: dict = {}
         self._triangles: dict = {}
         self._simples: dict = {}
+        # built simples by translation class: {roots shifted to least level 0: (least level, character)}
+        self._translates: dict = {}
         self.table = EpsilonTable(L)
         if cache_dir:
             os.makedirs(cache_dir, exist_ok=True)
@@ -379,7 +497,8 @@ class Engine:
 
     def _cached(self, i: int, k: int) -> QtCharacter:
         """The string character KR(i, k) at shift 0, k >= 1 (the fundamental
-        at k = 1), from memory, the disk cache or a fixpoint run.  Only the
+        at k = 1), from memory, the disk cache or a fixpoint run to half
+        its depth completed by the duality D (_self_dual).  Only the
         canonical node of i's orbit under the diagram automorphisms is read,
         run or stored (stem fund_c or kr_c_k); any other node's character is
         the canonical one relabelled.  A disk entry counts only if it holds
@@ -405,7 +524,7 @@ class Engine:
                         return ch
                 except (OSError, UnicodeDecodeError, QtcharError):
                     pass  # unreadable cache entry: recompute and rewrite
-        ch = _fixpoint(self.L, poly)
+        ch = _self_dual(self.L, poly)
         self._base[(i, k)] = ch
         if self.cache_dir:
             path = self._cache_path(stem)
@@ -543,24 +662,43 @@ class Engine:
         """The simple character of poly from its l-row, {dominant monomial:
         l(poly, m)}; memoized.  A string takes its character from the
         engine, and its row must hold the diagonal alone (the paper's
-        theorem).  Any other root datum is one fixpoint run whose pins are
-        the row, taken at its canonical image (_canonical) with the row
+        theorem).  Any other root datum whose dual (_dual_of) has its
+        simple built, up to translation, is that simple's D-image, whose
+        l-dominant terms must be the row.  Otherwise it is one fixpoint run
+        whose pins are the row, completed by D if poly is self-dual
+        (_self_dual), taken at its canonical image (_canonical) with the row
         relabelled alike, and relabelled back."""
         got = self._simples.get(poly.roots)
         if got is not None:
             return got
         string = _string_of(poly)
+        lo = min((s for _, s in poly.roots), default=0)
         if string:
             if row != {poly.monomial(): TPoly.ONE}:
                 raise InternalError(f"the l-row of the string {poly} holds more than its diagonal")
             ch = self.kr_char_direct(*string)
         else:
-            canon, to, back = _canonical(self.L, poly)
-            if canon == poly:
-                ch = _fixpoint(self.L, poly, row)
+            dual, c = _dual_of(self.L, poly)
+            twin = self._translates.get(dual.shift(-lo).roots) if dual != poly else None
+            if twin is not None:
+                # twin holds dual's simple translated by d, its least level
+                # less lo, and D at c + d maps that onto poly's
+                twin_lo, twin_ch = twin
+                ch = QtCharacter(self.L, poly, _dual(self.L, twin_ch.terms, c + twin_lo - lo))
+                if {m: p for m, p in ch.terms.items() if m.is_l_dominant()} != row:
+                    raise InternalError(
+                        f"the D-image of the simple of {dual} does not have the l-row of {poly}"
+                    )
             else:
-                ch = self._simple(canon, {m.relabel(to): p for m, p in row.items()}).relabel(back)
+                canon, to, back = _canonical(self.L, poly)
+                if canon != poly:
+                    ch = self._simple(canon, {m.relabel(to): p for m, p in row.items()}).relabel(back)
+                elif dual == poly:
+                    ch = _self_dual(self.L, poly, row)
+                else:
+                    ch = _fixpoint(self.L, poly, row)
         self._simples[poly.roots] = ch
+        self._translates.setdefault(poly.shift(-lo).roots, (lo, ch))
         return ch
 
     def kl_decompose(self, poly: DrinfeldPoly) -> KLResult:

@@ -59,7 +59,7 @@ class YMonomial:
         """Translate every spectral exponent by d."""
         if d == 0:
             return self
-        return YMonomial._wrap(tuple((i, s + d, e) for i, s, e in self.data))
+        return YMonomial._wrap(tuple([(i, s + d, e) for i, s, e in self.data]))
 
     def relabel(self, p: tuple) -> "YMonomial":
         """Send every factor Y[i,s] to Y[p[i-1],s]; p permutes the nodes."""

@@ -225,3 +225,32 @@ def two_rho(L: LieType) -> RootVector:
     (form(m_ref) - form(m)) / 2, and for dominant w the form is
     height(w - w0 w), the depth of the lowest weight of the orbit."""
     return tuple(sum(col) for col in zip(*positive_roots(L)))
+
+
+@lru_cache(maxsize=None)
+def dual_nodes(L: LieType) -> tuple:
+    """The involution i -> i* with w0(omega_i) = -omega_{i*}, as a tuple p
+    with p[i - 1] = i*.
+
+    omega_i is reflected by s_j, for the first j where its coordinate is
+    positive, until no coordinate is.  Each step lowers the weight within
+    its finite Weyl orbit, so the walk ends at the orbit's antidominant
+    weight, w0(omega_i) = -omega_{i*}.  i* is n + 1 - i on A_n; on D_n
+    with n odd the nodes n - 1 and n swap; on E6 1 <-> 6 and 3 <-> 5; every
+    other node is fixed."""
+    out = []
+    for i in L.nodes:
+        w = [int(j == i) for j in L.nodes]
+        j = 0
+        while j < L.rank:
+            if w[j] > 0:
+                x = w[j]
+                # s_j(w) = w - w_j alpha_j, and alpha_j is row j of the Cartan matrix
+                w = [a - x * c for a, c in zip(w, L.cartan[j])]
+                j = 0
+            else:
+                j += 1
+        if sorted(w) != [-1] + [0] * (L.rank - 1):
+            raise AssertionError(f"w0(omega_{i}) of {L} came out as {w}, not a negated fundamental weight")
+        out.append(w.index(-1) + 1)
+    return tuple(out)

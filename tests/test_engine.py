@@ -18,14 +18,16 @@ from qtchar import (
     YMonomial,
     build_lie_type,
     diagram_automorphisms,
+    dual_nodes,
     parse_monomial,
     parse_tpoly,
     read_qtc,
+    two_rho,
     write_qtc,
 )
 import qtchar.engine
 from qtchar.character import _star_fold
-from qtchar.engine import _fixpoint, _l_row, _level_key
+from qtchar.engine import _fixpoint, _form, _l_row, _level_key
 
 
 def test_fundamental_a2_exact(engine_for, A2):
@@ -372,14 +374,17 @@ def test_simple_char_runs_only_its_own_fixpoint(D4, monkeypatch):
     assert simple is eng.kr_char_direct(2, 4)
 
 
-def _counting_fixpoint(monkeypatch) -> list:
-    """Patch engine._fixpoint to record the root datum of every run."""
+def _counting_fixpoint(monkeypatch, capped=None) -> list:
+    """Patch engine._fixpoint to record the root datum of every run, and in
+    capped, when given, the root datum of every run with a depth cap."""
     runs = []
     inner = qtchar.engine._fixpoint
 
-    def counting(L, poly, pins=None):
+    def counting(L, poly, pins=None, depth=None):
         runs.append(poly)
-        return inner(L, poly, pins)
+        if depth is not None and capped is not None:
+            capped.append(poly)
+        return inner(L, poly, pins, depth)
 
     monkeypatch.setattr(qtchar.engine, "_fixpoint", counting)
     return runs
@@ -389,21 +394,135 @@ def test_kr_decomposition_runs_each_orbit_once(D4, monkeypatch):
     # the 10 simples of D4 KR(2,3) and the 4 fundamentals took 14 runs;
     # triality serves fundamentals 3 and 4 from fundamental 1, and
     # P(1: 1 3; 4: 1 3), P(3: 1 3; 4: 1 3) from P(1: 1 3; 3: 1 3), and
-    # P(2: 2; 3: 1 3), P(2: 2; 4: 1 3) from P(1: 1 3; 2: 2)
-    runs = _counting_fixpoint(monkeypatch)
+    # P(2: 2; 3: 1 3), P(2: 2; 4: 1 3) from P(1: 1 3; 2: 2).  The duality
+    # D serves P(1: 3; 2: 0; 3: 3; 4: 3) from P(1: 1; 2: 4; 3: 1; 4: 1),
+    # whose levels it reflects, and every other run is self-dual, so
+    # capped at half its depth
+    capped: list = []
+    runs = _counting_fixpoint(monkeypatch, capped)
     res = Engine(D4).kl_decompose(DrinfeldPoly.kr(2, 3, 0))
     assert len(res.order) == 10
+    uncapped = DrinfeldPoly(((1, 1), (2, 4), (3, 1), (4, 1)))
     want = [
         DrinfeldPoly.fundamental(1, 0),
         DrinfeldPoly.fundamental(2, 0),
         DrinfeldPoly.kr(2, 3, 0),
-        DrinfeldPoly(((1, 1), (2, 4), (3, 1), (4, 1))),
-        DrinfeldPoly(((1, 3), (2, 0), (3, 3), (4, 3))),
         DrinfeldPoly(((1, 1), (1, 3), (3, 1), (3, 3))),
         DrinfeldPoly(((1, 1), (1, 3), (2, 2))),
         DrinfeldPoly(((2, 2), (2, 2))),
     ]
-    assert sorted(runs, key=lambda q: q.roots) == sorted(want, key=lambda q: q.roots)
+    assert sorted(capped, key=lambda q: q.roots) == sorted(want, key=lambda q: q.roots)
+    assert sorted(runs, key=lambda q: q.roots) == sorted(want + [uncapped], key=lambda q: q.roots)
+
+
+def _by_depth(L, poly, terms: dict) -> list:
+    """terms as a list of {monomial: coefficient} per depth below poly's top."""
+    rho2 = two_rho(L)
+    top = _form(rho2, poly.monomial().data)
+    out: list = []
+    for m, p in terms.items():
+        d = (top - _form(rho2, m.data)) // 2
+        out.extend({} for _ in range(d + 1 - len(out)))
+        out[d][m] = p
+    return out
+
+
+def test_capped_fixpoint_is_the_full_run_by_depth(A3, D4):
+    # a run capped at a depth returns the full run's terms down to that
+    # depth, level by level, whatever pins lie deeper; a cap past the
+    # lowest weight returns them all.  P's pins lie at depths 0 to 4
+    P = DrinfeldPoly(((1, 1), (2, 4), (3, 1), (4, 1)))
+    order, _, _, l = Engine(D4)._triangle(P)
+    for L, poly, pins, caps in (
+        (A3, DrinfeldPoly.kr(2, 3, 0), None, range(14)),
+        (D4, DrinfeldPoly.kr(2, 2, 0), None, range(0, 22, 3)),
+        (D4, P, _l_row(order, l, 0), (0, 2, 3, 4, 14, 28, 29)),
+    ):
+        levels = _by_depth(L, poly, _fixpoint(L, poly, pins).terms)
+        for cap in caps:
+            assert _fixpoint(L, poly, pins, cap) == levels[: cap + 1], (poly, cap)
+
+
+@pytest.mark.parametrize(
+    "family, rank, nodes",
+    [("A", n, range(1, n + 1)) for n in (1, 2, 3, 4, 5)]
+    + [("D", 4, range(1, 5)), ("D", 5, range(1, 6)), ("E", 6, range(1, 7))]
+    + [("E", 7, (1, 2, 6, 7)), ("E", 8, (1, 8))],
+)
+def test_fundamental_lowest_term_sits_at_the_dual_node(family, rank, nodes):
+    # Frenkel-Mukhin: the lowest monomial of L(Y[i,0]) is Y[i*, h]^-1, read
+    # here from the uncapped run; the other fundamentals of E7 and E8 have
+    # 8,645 terms or more
+    L = build_lie_type(family, rank)
+    rho2 = two_rho(L)
+    for i in nodes:
+        ch = _fixpoint(L, DrinfeldPoly.fundamental(i, 0))
+        lowest = min(ch.terms, key=lambda m: _form(rho2, m.data))
+        assert lowest == YMonomial.var(dual_nodes(L)[i - 1], L.coxeter_number, -1), i
+
+
+def test_engine_strings_match_the_full_run():
+    # the engine runs every string to half its depth and reflects the rest
+    # by the duality D; the uncapped run is the independent route
+    cases = [("A", n, range(1, n + 1), (1, 2, 3)) for n in (1, 2, 3, 4)]
+    cases += [("D", 4, range(1, 5), (1, 2, 3)), ("D", 5, range(1, 6), (1, 2))]
+    cases += [("E", 6, (1, 2, 6), (1, 2))]
+    for family, rank, nodes, ks in cases:
+        L = build_lie_type(family, rank)
+        eng = Engine(L)
+        for i in nodes:
+            for k in ks:
+                want = _fixpoint(L, DrinfeldPoly.kr(i, k, 0))
+                assert eng.kr_char_direct(i, k) == want, (family, rank, i, k)
+
+
+def test_d4_decomposition_simples_match_the_full_run(D4):
+    # six of the simples are self-dual runs completed by D, one is the
+    # D-image of another simple, and the uncapped pinned run checks each
+    res = Engine(D4).kl_decompose(DrinfeldPoly.kr(2, 3, 0))
+    for ai, q in enumerate(res.order):
+        assert res.simples[q] == _fixpoint(D4, q, _l_row(res.order, res.l, ai)), q
+
+
+def test_duality_checks_stop_a_wrong_dual(A3, monkeypatch):
+    # a wrong i -> i* or a centre c off by 2 sends the run's shallow terms
+    # onto terms the run did not compute at the middle depths
+    monkeypatch.setattr(qtchar.engine, "dual_nodes", lambda L: tuple(L.nodes))
+    with pytest.raises(InternalError, match="middle depth"):
+        Engine(A3).kr_char_direct(1, 2)
+    monkeypatch.undo()
+    inner = qtchar.engine._dual
+    monkeypatch.setattr(qtchar.engine, "_dual", lambda L, terms, c: inner(L, terms, c + 2))
+    with pytest.raises(InternalError, match="middle depth"):
+        Engine(A3).kr_char_direct(1, 2)
+
+
+def test_self_dual_simple_with_an_interior_pin(D4):
+    # P(2: 0 4) is self-dual, and its simple has a second dominant monomial
+    # at depth 5 of 20.  A dominant weight has nonnegative height, so an
+    # l-dominant monomial lies at most half the depth of the lowest weight
+    # down: no pin lies past the cap, and no reflected term is dominant
+    P = DrinfeldPoly(((2, 0), (2, 4)))
+    eng = Engine(D4)
+    order, _, _, l = eng._triangle(P)
+    row = _l_row(order, l, 0)
+    assert [len(level) for level in _by_depth(D4, P, row)] == [1, 0, 0, 0, 0, 1]
+    assert eng.simple_char(P) == _fixpoint(D4, P, row)
+
+
+def test_dual_pair_image_checks_the_row(D4):
+    # P(1: 3; 2: 0; 3: 3; 4: 3) is the D-image of a translate of
+    # P(1: 1; 2: 4; 3: 1; 4: 1); the image must have the row it is given
+    P = DrinfeldPoly(((1, 1), (2, 4), (3, 1), (4, 1)))
+    Q = DrinfeldPoly(((1, 3), (2, 0), (3, 3), (4, 3)))
+    eng = Engine(D4)
+    eng.simple_char(P)
+    order, _, _, l = eng._triangle(Q)
+    row = _l_row(order, l, 0)
+    assert list(row) == [Q.monomial()]
+    with pytest.raises(InternalError, match="l-row"):
+        eng._simple(Q, {Q.monomial(): TPoly.ONE + TPoly.ONE})
+    assert eng._simple(Q, row) == _fixpoint(D4, Q, row)
 
 
 def _keyed_triangle(triangle, p=None):

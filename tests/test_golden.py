@@ -49,6 +49,10 @@ DEEPER = [
     ("D5", 3, 2, "ea46843653f3d3212df9303049050a92da2c7ed998515ebe7f65cdadff725277"),
     ("E8", 1, 1, "8f08f3f4f8fa98033fd91f2866b9f4c18076b859ba54e40162b5846e667cbef6"),
     ("D4", 2, 5, "4ecf24620231d2a702b96cd16097b4cd3e72853442677a3167cc8ef372f6a00c"),
+    # computed before strings were completed by the duality D; on these
+    # types i* != i, so a wrong dual_nodes changes them
+    ("E6", 1, 2, "2bf7df5f04b5ce75364d7b02deceb846ae13125c10bc27fc3bbf39ec61c87a47"),
+    ("A4", 2, 3, "1abb4889b6e9f52c76ec1e0f76fdd1ab8f704a6b4268402854568f2c13a85ead"),
 ]
 
 D4_P_2_02_STANDARD = "9427def67985c424160f985853c7f2ff0eed65cac0216e69d6c83100576c651e"

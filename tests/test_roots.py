@@ -9,6 +9,7 @@ from qtchar import (
     UnsupportedType,
     build_lie_type,
     diagram_automorphisms,
+    dual_nodes,
     positive_roots,
     root_to_weight,
     two_rho,
@@ -126,3 +127,25 @@ def test_diagram_automorphisms_of_a3_d4_e6(A3, D4):
     # triality permutes the legs 1, 3, 4 of D4 and fixes the branch node 2
     assert {p[1] for p in diagram_automorphisms(D4)} == {2}
     assert diagram_automorphisms(build_lie_type("E", 6))[1] == (6, 2, 5, 4, 3, 1)
+
+
+@pytest.mark.parametrize(
+    "family,rank,star",
+    [
+        ("A", 1, (1,)),
+        ("A", 4, (4, 3, 2, 1)),
+        ("D", 4, (1, 2, 3, 4)),
+        ("D", 5, (1, 2, 3, 5, 4)),
+        ("D", 6, (1, 2, 3, 4, 5, 6)),
+        ("E", 6, (6, 2, 5, 4, 3, 1)),
+        ("E", 7, tuple(range(1, 8))),
+        ("E", 8, tuple(range(1, 9))),
+    ],
+)
+def test_dual_nodes(family, rank, star):
+    # i -> i* is -w0 on the fundamental weights: an involutive diagram
+    # automorphism, the identity exactly where w0 = -1
+    L = build_lie_type(family, rank)
+    assert dual_nodes(L) == star
+    assert star in diagram_automorphisms(L)
+    assert all(star[star[i - 1] - 1] == i for i in L.nodes)

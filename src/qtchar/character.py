@@ -111,6 +111,14 @@ class QtCharacter:
         self.terms = {m: p for m, p in dict(terms).items() if p}
         self._highest = None
 
+    @classmethod
+    def _wrap(cls, L: LieType, poly: DrinfeldPoly, terms: dict) -> "QtCharacter":
+        """A character holding terms itself: a dict of its own with no zero
+        coefficient, as a run or a map of such a dict gives."""
+        ch = object.__new__(cls)
+        ch.L, ch.poly, ch.terms, ch._highest = L, poly, terms, None
+        return ch
+
     @property
     def highest(self) -> YMonomial:
         h = self._highest
@@ -143,11 +151,8 @@ class QtCharacter:
     def shift(self, d: int) -> "QtCharacter":
         if d == 0:
             return self
-        return QtCharacter(
-            self.L,
-            self.poly.shift(d),
-            {m.shift(d): p for m, p in self.terms.items()},
-        )
+        terms = _map_factors(self.terms, lambda i, s, e: (i, s + d, e), ordered=True)
+        return QtCharacter._wrap(self.L, self.poly.shift(d), terms)
 
     def relabel(self, p: tuple) -> "QtCharacter":
         """The character with every node i renamed p[i-1], term by term.
@@ -158,7 +163,8 @@ class QtCharacter:
             raise DomainError(f"{p} is not a diagram automorphism of {self.L}")
         if p == diagram_automorphisms(self.L)[0]:
             return self
-        return QtCharacter(self.L, self.poly.relabel(p), {m.relabel(p): c for m, c in self.terms.items()})
+        terms = _map_factors(self.terms, lambda i, s, e: (p[i - 1], s, e))
+        return QtCharacter._wrap(self.L, self.poly.relabel(p), terms)
 
     def bar(self) -> "QtCharacter":
         return QtCharacter(self.L, self.poly, {m: p.bar() for m, p in self.terms.items()})
@@ -171,6 +177,33 @@ class QtCharacter:
 
 
 # -- term-dict arithmetic ----------------------------------------------------
+
+
+class _FactorImages(dict):
+    """Factor triple (i, s, e) -> image(i, s, e), each computed once."""
+
+    __slots__ = ("image",)
+
+    def __init__(self, image):
+        super().__init__()
+        self.image = image
+
+    def __missing__(self, f: tuple) -> tuple:
+        out = self[f] = self.image(*f)
+        return out
+
+
+def _map_factors(terms: dict, image, ordered: bool = False) -> dict:
+    """terms with every factor (i, s, e) of every monomial sent to
+    image(i, s, e), coefficients kept; a few hundred distinct factors make
+    up thousands of terms, so each is mapped once.  Each image tuple is
+    sorted again unless ordered: image keeps the (node, level) order, as a
+    translation does.  image must be injective on each monomial's factors."""
+    images = _FactorImages(image)
+    wrap = YMonomial._wrap
+    if ordered:
+        return {wrap(tuple([images[f] for f in m.data])): p for m, p in terms.items()}
+    return {wrap(tuple(sorted([images[f] for f in m.data]))): p for m, p in terms.items()}
 
 
 def terms_add(a: dict, b: dict) -> dict:
@@ -226,7 +259,9 @@ def _node_simple(L: LieType, i: int, ui: tuple) -> list:
     coefficient is nonnegative.  Levels of the two parities live on
     disjoint variables in rank one, where their commutation exponent
     vanishes, so a pattern that mixes them gets the product of its even
-    and odd parts' rows."""
+    and odd parts' rows.  A negative exponent in ui raises NotDominant."""
+    if any(u < 0 for _, u in ui):
+        raise NotDominant(f"node-{i} exponents {ui} are not dominant")
     mono_mul = kernels.mono_mul
     # sl2 terms by data: (raw coefficient, A(1,s) exponents as (1, s, count) data)
     acc = {(): ({0: 1}, ())}
@@ -259,27 +294,6 @@ def _node_simple(L: LieType, i: int, ui: tuple) -> list:
             q = mono_mul(q, kernels.mono_pow(a_inv[s], n))
         out.append((q, TPoly._wrap(kernels.poly_scale(c, -lead)), sum(n for _, _, n in v)))
     return out
-
-
-def _expansion_tail(L: LieType, i: int, m: YMonomial, memo: dict, rows) -> list:
-    """Rows of the node-i expansion at an i-dominant m, rows(L, i, node-i
-    exponents): a builder that wraps _node_simple's (data of term / m,
-    coefficient, step count), where step count is the total affinization
-    degree of the term below m, and may add to each row.  The leading row
-    is included.  The caller applies the rows to m.
-
-    The rows depend on m only through its node-i exponents, so they are
-    built once per (i, node-i exponents) key of memo and reused; the
-    caller owns the dict, uses it with one row builder and decides how long
-    it lives."""
-    ui = tuple((s, u) for j, s, u in m.data if j == i)
-    got = memo.get((i, ui))
-    if got is None:
-        # only i-dominant patterns are ever stored, so a memo hit is one
-        if any(u < 0 for _, u in ui):
-            raise NotDominant(f"{m} is not {i}-dominant")
-        got = memo[(i, ui)] = rows(L, i, ui)
-    return got
 
 
 # -- products -----------------------------------------------------------------

@@ -63,16 +63,19 @@ reflected term is dominant.
 An expansion at node i depends on m only through m's node-i exponents,
 and a run meets few distinct ones (279 for D4 KR(2,4), against 8,796
 expansions).  Each run therefore keeps one memo of expansion rows keyed
-by (i, node-i exponents); it lives as long as the run.  The run keys its
-monomials by one packed integer (_level_key), additive under products,
-and each memoized row carries the key of its offset, so applying a row
-costs one integer add (39,540 rows for D4 KR(2,4)).  A monomial's factor
-tuple is merged once, when it is first reached (9,885 times), for its
-negative colors, its node-i exponents and the output.  The key is exact
-because every term lies in a fixed level window, [min_s, max_s + h] of
-the top (h the Coxeter number), and its exponents are bounded by its
-depth, which the guard below bounds; a row that leaves the window raises
-InternalError.
+by (i, node-i exponents); it lives as long as the run.  Inside the run a
+monomial is one packed integer and nothing else (_LevelKey): each
+exponent is a biased digit, node i's digits form one block read by a
+shift and a mask, and each memoized row carries the unbiased key of its
+offset, so applying a row costs one integer add (30,744 rows for D4
+KR(2,4)).  The block is the memo key, and its digits' top bits say
+whether m is i-dominant, so the run builds no factor tuple while it
+expands.  Each term's tuple is decoded once, for the output, from its
+node blocks, each distinct block once.  The key is exact because every
+term lies in a fixed level window, [min_s, max_s + h] of the top (h the
+Coxeter number), and its exponents are bounded by its depth, which the
+guard below bounds, so no digit carries into the next; a row that
+leaves the window raises InternalError.
 
 A monomial's depth is half the drop of the two_rho form (roots.two_rho),
 so a row's step count is checked against its form once, when it is
@@ -120,7 +123,7 @@ from . import kernels
 from .character import (
     DrinfeldPoly,
     QtCharacter,
-    _expansion_tail,
+    _map_factors,
     _node_simple,
     _star_fold,
     dominant_product,
@@ -160,25 +163,85 @@ def _colouring(L: LieType) -> dict:
     return colour
 
 
-def _level_key(lo: int, hi: int, limit: int):
-    """Packed integer key of monomials whose levels lie in [lo, hi] and
-    whose exponents stay within +-limit: each factor Y[i,s]^e adds e in a
-    balanced base-2^w digit at slot (i-1)*W + (s-lo), W = hi - lo + 1.  The
-    key is additive, key(m*q) = key(m) + key(q), and with 2^(w-1) > limit
-    every digit is below half the base, so distinct monomials get distinct
-    keys.  A factor outside the window raises InternalError."""
-    width = hi - lo + 1
-    w = limit.bit_length() + 1
+class _LevelKey:
+    """The packed integer keys of one run (_fixpoint): monomials on nodes
+    1..rank whose levels lie in [lo, hi] and whose exponents stay within
+    +-limit.  Each factor Y[i,s]^e owns the w-bit digit at slot
+    (i-1)*W + (s-lo), W = hi - lo + 1, and 2^(w-1) > limit.
 
-    def key(data: tuple) -> int:
+    A row's offset stores each exponent e as is, so offsets add:
+    offset(q*r) = offset(q) + offset(r).  A monomial's key stores it
+    biased, as the digit e + 2^(w-1); the bias is the key of the monomial
+    1.  So key(m*q) = key(m) + offset(q), and while every exponent of m*q
+    stays within +-limit no digit carries into the next, so distinct
+    monomials get distinct keys.  Node i's W digits form one block,
+    (k >> shifts[i-1]) & mask, and the monomial is i-dominant exactly when
+    every digit of the block has its top bit set, block & high == high;
+    the node-i exponents are all 0 exactly when block == high.  decode
+    reads a key back into its factor tuple, in node order and so sorted,
+    and decodes each distinct (i, block) once.  A factor outside the
+    window raises InternalError."""
+
+    def __init__(self, rank: int, lo: int, hi: int, limit: int):
+        self.lo, self.hi = lo, hi
+        self.w = w = limit.bit_length() + 1
+        self.bits = bits = w * (hi - lo + 1)  # of one node's block
+        self.mask = (1 << bits) - 1
+        self.high = sum(1 << (j + w - 1) for j in range(0, bits, w))
+        self.shifts = [bits * i for i in range(rank)]
+        self.bias = sum(self.high << shift for shift in self.shifts)
+        # per node: (node, its block's shift, {block: its factor triples})
+        self._nodes = [(i, shift, {}) for i, shift in enumerate(self.shifts, 1)]
+
+    def offset(self, data: tuple) -> int:
+        lo, hi, w, bits = self.lo, self.hi, self.w, self.bits
         out = 0
         for i, s, e in data:
             if not lo <= s <= hi:
                 raise InternalError(f"expansion left the level window [{lo}, {hi}] at Y[{i},{s}]")
-            out += e << (w * ((i - 1) * width + s - lo))
+            out += e << ((i - 1) * bits + w * (s - lo))
         return out
 
-    return key
+    def key(self, data: tuple) -> int:
+        return self.bias + self.offset(data)
+
+    def pattern(self, block: int) -> tuple:
+        """The (level, exponent) pairs of the nonzero digits of block."""
+        w, half = self.w, 1 << (self.w - 1)
+        digit = (1 << w) - 1
+        out = []
+        for s in range(self.lo, self.hi + 1):
+            u = (block & digit) - half
+            if u:
+                out.append((s, u))
+            block >>= w
+        return tuple(out)
+
+    def decode(self, k: int) -> tuple:
+        """The factor tuple of the monomial with key k."""
+        mask, high = self.mask, self.high
+        out: tuple = ()
+        for i, shift, memo in self._nodes:
+            block = (k >> shift) & mask
+            if block != high:
+                got = memo.get(block)
+                if got is None:
+                    got = memo[block] = tuple((i, s, u) for s, u in self.pattern(block))
+                out += got
+        return out
+
+
+def _expansion_tail(L: LieType, i: int, block: int, memo: dict, rows) -> list:
+    """The node-i expansion rows at a term whose node-i block (_LevelKey)
+    is block: rows(L, i, block), built once per (i, block) key of memo and
+    then reused, since the rows depend on the term only through its node-i
+    exponents.  The caller owns memo, uses it with one row builder and
+    decides how long it lives.  The run looks this name up at each call,
+    so a profiler can wrap it."""
+    got = memo.get((i, block))
+    if got is None:
+        got = memo[(i, block)] = rows(L, i, block)
+    return got
 
 
 def _fixpoint(
@@ -201,7 +264,6 @@ def _fixpoint(
         pins = {top: TPoly.ONE}
     if not pins.get(top):
         raise InternalError(f"the top {top} needs a pin with a nonzero coefficient")
-    nodes = list(L.nodes)
     # every visited weight lies in the convex hull of the top weight's Weyl
     # orbit, so no genuine run goes deeper than height(wt - w0 wt), where the
     # lowest weight sits; twice that plus slack stops a wrong expansion
@@ -209,24 +271,27 @@ def _fixpoint(
     rho2 = two_rho(L)
     lowest = _form(rho2, top.data)
     bound = 2 * lowest + 4 * L.coxeter_number + 16
-    # Monomials are keyed by _level_key.  Every term of the module is top
+    # Monomials are keyed by _LevelKey.  Every term of the module is top
     # times A(i,a)^-1 factors with min_s < a < max_s + h, so its levels lie
     # in the window below, and a row that leaves it fails when it is built.
     # Rows are products of deg factors A^-1, each moving any exponent by at
     # most 1, so a monomial at depth d <= bound has exponents within
     # max|u_top| + bound: the key is exact as long as the depth is checked
-    # before the key is looked up.
+    # before the key is formed.
     top_levels = [s for _, s, _ in top.data] or [0]
-    key = _level_key(
+    codec = _LevelKey(
+        L.rank,
         min(top_levels),
         max(top_levels) + L.coxeter_number,
         max((abs(e) for _, _, e in top.data), default=0) + bound,
     )
+    decode = codec.decode
 
     colour = _colouring(L)
     classes = {(s + colour[i]) % 2 for i, s, _ in top.data}
 
-    def keyed_rows(L, i, ui):
+    def keyed_rows(L, i, block):
+        ui = codec.pattern(block)
         # every term keeps its factors in the top's bipartite classes, so a
         # node-i level of another parity can only come from a wrong expansion
         if any((s + colour[i]) % 2 not in classes for s, _ in ui):
@@ -237,13 +302,18 @@ def _fixpoint(
         for q, _, deg in rows:
             if _form(rho2, q) != -2 * deg:
                 raise InternalError(f"node-{i} row {q} has step count {deg}, not half its form drop")
-        return [(q, key(q), p, deg) for q, p, deg in rows]
+        # the leading row lands on the term itself, whose coefficient is fixed
+        return [(codec.offset(q), p.terms, deg) for q, p, deg in rows if deg]
 
-    mono: dict = {}
-    expected = {i: {} for i in nodes}
-    # contributions only flow to deeper monomials, so one list of keys per
-    # depth is a complete schedule; a key joins its level when first reached
-    levels = [[] for _ in range(bound + 1)]
+    # per node: (node, its block's shift, {key: what its expansions sent there})
+    slots = [(i, shift, {}) for i, shift in zip(L.nodes, codec.shifts)]
+    mask, high = codec.mask, codec.high
+    stop = bound if depth is None else depth
+    nothing: dict = {}  # read, never written
+    # contributions only flow to deeper monomials, so one ordered set of
+    # keys per depth is a complete schedule; a key joins its level when
+    # first reached
+    levels = [{} for _ in range(bound + 1)]
     coeffs: dict = {}  # each pin seeds its coefficient and waits at its depth
     for m, p in pins.items():
         if not m.is_l_dominant():
@@ -256,59 +326,67 @@ def _fixpoint(
             raise InternalError(f"pin at {m}, at depth {d} past the bound {bound}")
         if depth is not None and d > depth:
             continue
-        k = key(m.data)
+        k = codec.key(m.data)
         coeffs[k] = dict(p.terms)
-        mono[k] = m
-        levels[d].append(k)
-    memo: dict = {}  # node-i expansion rows per (i, node-i exponents), this run only
+        levels[d][k] = None
+    memo: dict = {}  # node-i expansion rows per (i, node-i block), this run only
     for d, level in enumerate(levels):
         for k in level:
-            m = mono[k]
-            # colors for which m is not dominant
-            neg = {j for j, _, e in m.data if e < 0}
             a = None
-            for i in nodes:
-                if i not in neg:
+            dominant = []
+            for i, shift, exp in slots:
+                block = (k >> shift) & mask
+                if block & high == high:
+                    dominant.append((i, block, exp))
                     continue
-                val = expected[i].pop(k, {})
+                # not i-dominant: no expansion is rooted here for i
+                val = exp.pop(k, nothing)
                 if a is None:
                     a = val
                 elif val != a:
+                    m = YMonomial._wrap(decode(k))
                     raise InconsistentExpansion(f"colors disagree at {m}: {val} vs {a}")
             if a is None:
                 # dominant for every color: the top or an interior monomial,
                 # which needs a pin once anything has reached it
                 a = coeffs.get(k)
                 if a is None:
-                    if any(expected[i].get(k) for i in nodes):
+                    if any(exp.get(k) for _, _, exp in slots):
+                        m = YMonomial._wrap(decode(k))
                         raise InconsistentExpansion(f"interior dominant monomial {m} reached")
                     a = {}
             elif a:
                 coeffs[k] = a
             if d == depth:
                 continue  # every push from here would be dropped
-            for i in nodes:
-                if i in neg:
-                    continue
-                combo = kernels.poly_sub(a, expected[i].pop(k, {}))
+            for i, block, exp in dominant:
+                combo = kernels.poly_sub(a, exp.pop(k, nothing))
                 if not combo:
                     continue
-                for q, kq, p, deg in _expansion_tail(L, i, m, memo, rows=keyed_rows):
-                    if deg == 0:
-                        continue
+                for kq, p, deg in _expansion_tail(L, i, block, memo, keyed_rows):
                     dd = d + deg
                     if dd > bound:
                         raise InternalError(f"expansion reached depth {dd} past the bound {bound}")
-                    if depth is not None and dd > depth:
+                    if dd > stop:
                         continue
                     kk = k + kq
-                    if kk not in mono:
-                        mono[kk] = YMonomial._wrap(kernels.mono_mul(m.data, q))
-                        levels[dd].append(kk)
-                    slot = expected[i].get(kk)
+                    levels[dd][kk] = None
+                    slot = exp.get(kk)
                     if slot is None:
-                        expected[i][kk] = slot = {}
-                    kernels.poly_acc_mul(slot, combo, p.terms, 0)
+                        exp[kk] = slot = {}
+                    kernels.poly_acc_mul(slot, combo, p, 0)
+
+    def terms(level):
+        # every key the run reached is decoded, once; one whose coefficient
+        # came to nothing is dropped (a run of a module reaches none)
+        out = {}
+        for k in level:
+            m = decode(k)
+            a = coeffs.get(k)
+            if a:
+                out[YMonomial._wrap(m)] = TPoly._wrap(a)
+        return out
+
     # a run that stops above the lowest weight lost a branch of expansions
     deepest = max(d for d, level in enumerate(levels) if level)
     if depth is None:
@@ -316,13 +394,14 @@ def _fixpoint(
             raise InternalError(
                 f"expansion stopped at depth {deepest}, but the lowest weight sits at depth {lowest}"
             )
-        return QtCharacter(L, poly, {mono[k]: TPoly._wrap(a) for k, a in coeffs.items()})
+        out: dict = {}
+        for level in levels:
+            out.update(terms(level))
+        return QtCharacter._wrap(L, poly, out)
     cap = min(depth, lowest)
     if deepest != cap:
         raise InternalError(f"expansion stopped at depth {deepest}, short of the cap {cap}")
-    return [
-        {mono[k]: TPoly._wrap(coeffs[k]) for k in level if coeffs.get(k)} for level in levels[: cap + 1]
-    ]
+    return [terms(level) for level in levels[: cap + 1]]
 
 
 def _dual_of(L: LieType, poly: DrinfeldPoly) -> tuple:
@@ -337,28 +416,11 @@ def _dual_of(L: LieType, poly: DrinfeldPoly) -> tuple:
     return DrinfeldPoly((i, lo + hi - s) for i, s in poly.roots), L.coxeter_number + lo + hi
 
 
-class _DualFactors(dict):
-    """Factor triples (i, s, e) -> (i*, c - s, -e), each computed once."""
-
-    __slots__ = ("star", "c")
-
-    def __init__(self, L: LieType, c: int):
-        super().__init__()
-        self.star = dual_nodes(L)
-        self.c = c
-
-    def __missing__(self, f: tuple) -> tuple:
-        i, s, e = f
-        image = self[f] = (self.star[i - 1], self.c - s, -e)
-        return image
-
-
 def _dual(L: LieType, terms: dict, c: int) -> dict:
     """The image of a term dict under the duality D: Y[i,s]^e -> Y[i*, c-s]^-e
     (roots.dual_nodes), coefficients kept."""
-    image = _DualFactors(L, c)
-    wrap = YMonomial._wrap
-    return {wrap(tuple(sorted([image[f] for f in m.data]))): p for m, p in terms.items()}
+    star = dual_nodes(L)
+    return _map_factors(terms, lambda i, s, e: (star[i - 1], c - s, -e))
 
 
 def _self_dual(L: LieType, poly: DrinfeldPoly, pins: dict | None = None) -> QtCharacter:
@@ -391,7 +453,7 @@ def _self_dual(L: LieType, poly: DrinfeldPoly, pins: dict | None = None) -> QtCh
         terms.update(level)
     for d in range(depth - half):
         terms.update(_dual(L, levels[d], c))
-    return QtCharacter(L, poly, terms)
+    return QtCharacter._wrap(L, poly, terms)
 
 
 @dataclass
@@ -662,21 +724,26 @@ class Engine:
         """The simple character of poly from its l-row, {dominant monomial:
         l(poly, m)}; memoized.  A string takes its character from the
         engine, and its row must hold the diagonal alone (the paper's
-        theorem).  Any other root datum whose dual (_dual_of) has its
-        simple built, up to translation, is that simple's D-image, whose
-        l-dominant terms must be the row.  Otherwise it is one fixpoint run
-        whose pins are the row, completed by D if poly is self-dual
-        (_self_dual), taken at its canonical image (_canonical) with the row
-        relabelled alike, and relabelled back."""
+        theorem).  Any other root datum with a translate built is that
+        simple shifted.  One whose dual (_dual_of) has its simple built, up
+        to translation, is that simple's D-image, whose l-dominant terms
+        must be the row.  Otherwise it is one fixpoint run whose pins are
+        the row, completed by D if poly is self-dual (_self_dual), taken at
+        its canonical image (_canonical) with the row relabelled alike, and
+        relabelled back."""
         got = self._simples.get(poly.roots)
         if got is not None:
             return got
         string = _string_of(poly)
         lo = min((s for _, s in poly.roots), default=0)
+        built = self._translates.get(poly.shift(-lo).roots)
         if string:
             if row != {poly.monomial(): TPoly.ONE}:
                 raise InternalError(f"the l-row of the string {poly} holds more than its diagonal")
             ch = self.kr_char_direct(*string)
+        elif built is not None:
+            built_lo, built_ch = built
+            ch = built_ch.shift(lo - built_lo)
         else:
             dual, c = _dual_of(self.L, poly)
             twin = self._translates.get(dual.shift(-lo).roots) if dual != poly else None
@@ -684,7 +751,7 @@ class Engine:
                 # twin holds dual's simple translated by d, its least level
                 # less lo, and D at c + d maps that onto poly's
                 twin_lo, twin_ch = twin
-                ch = QtCharacter(self.L, poly, _dual(self.L, twin_ch.terms, c + twin_lo - lo))
+                ch = QtCharacter._wrap(self.L, poly, _dual(self.L, twin_ch.terms, c + twin_lo - lo))
                 if {m: p for m, p in ch.terms.items() if m.is_l_dominant()} != row:
                     raise InternalError(
                         f"the D-image of the simple of {dual} does not have the l-row of {poly}"

@@ -37,8 +37,8 @@ from qtchar import (
     write_qtc,
 )
 from qtchar import character, engine, monomial
-from qtchar.character import _expansion_tail, _node_simple, _star_fold
-from qtchar.engine import _fixpoint
+from qtchar.character import _node_simple, _star_fold
+from qtchar.engine import _LevelKey, _expansion_tail, _fixpoint
 from qtchar.errors import NotDominant
 
 
@@ -110,11 +110,29 @@ def test_expand_two_levels(A1, engine_for, standard_rows):
         _assert_expansion_is_standard(A1, eng, parse_monomial(text), standard_rows)
 
 
+def _codec_for(L, monos) -> _LevelKey:
+    """A _LevelKey whose window holds every factor of monos."""
+    factors = [f for m in monos for f in m.data]
+    lo, hi = min(s for _, s, _ in factors), max(s for _, s, _ in factors)
+    return _LevelKey(L.rank, lo, hi, max(abs(e) for _, _, e in factors))
+
+
+def _block(codec, m: YMonomial, i: int) -> int:
+    return (codec.key(m.data) >> codec.shifts[i - 1]) & codec.mask
+
+
+def _block_rows(codec):
+    """A row builder for _expansion_tail: _node_simple of a block's pattern."""
+    return lambda L, i, block: _node_simple(L, i, codec.pattern(block))
+
+
 def test_expand_requires_dominance(A2):
+    monos = [parse_monomial(text) for text in ("Y[1,0]^-1", "Y[2,0]^-1")]
+    codec = _codec_for(A2, monos)
     with pytest.raises(NotDominant):
-        _expansion_tail(A2, 1, parse_monomial("Y[1,0]^-1"), {}, _node_simple)
+        _expansion_tail(A2, 1, _block(codec, monos[0], 1), {}, _block_rows(codec))
     # other-node exponents are unconstrained
-    assert _expansion_tail(A2, 1, parse_monomial("Y[2,0]^-1"), {}, _node_simple) == [((), TPoly.ONE, 0)]
+    assert _expansion_tail(A2, 1, _block(codec, monos[1], 1), {}, _block_rows(codec)) == [((), TPoly.ONE, 0)]
 
 
 # -- memoized node expansion ----------------------------------------------------
@@ -122,24 +140,24 @@ def test_expand_requires_dominance(A2):
 
 def _popped_monomials(L, poly, monkeypatch, run=None) -> list:
     """Every monomial the fixpoint pops for poly, in run() or by default a
-    run of its own: the top and every term of a tail it walks (each one is
-    pushed, so each one is popped)."""
-    seen = {poly.monomial()}
-    inner = engine._expansion_tail
+    run of its own, with repeats: the run decodes every key it reached
+    once, when it builds its output, and it pops every key it reaches."""
+    seen = []
 
-    def record(L, i, m, *args, **kw):
-        out = inner(L, i, m, *args, **kw)
-        seen.update(m * YMonomial._wrap(row[0]) for row in out)
-        return out
+    class Recording(engine._LevelKey):
+        def decode(self, k):
+            out = super().decode(k)
+            seen.append(YMonomial._wrap(out))
+            return out
 
     with monkeypatch.context() as mp:
-        mp.setattr(engine, "_expansion_tail", record)
+        mp.setattr(engine, "_LevelKey", Recording)
         (run or (lambda: _fixpoint(L, poly)))()
     return sorted(seen)
 
 
-def _memo_tail(L, i, m, memo) -> list:
-    return _expansion_tail(L, i, m, memo, _node_simple)
+def _memo_tail(L, codec, i, m, memo) -> list:
+    return _expansion_tail(L, i, _block(codec, m, i), memo, _block_rows(codec))
 
 
 def _fresh_tail(L, i, m) -> list:
@@ -154,11 +172,13 @@ def test_memoized_tail_matches_fresh_tail(D4, A1, A2, monkeypatch):
     a2 = ("Y[1,0] Y[2,3]", "Y[1,2] Y[2,3]", "Y[1,0]^2 Y[2,3]", "Y[1,0] Y[2,1]", "Y[1,0] Y[2,0]")
     for L, texts, keys in ((A1, a1, 4), (A2, a2, 6)):
         memo: dict = {}
+        monos = [parse_monomial(text) for text in texts]
+        codec = _codec_for(L, monos)
         for _ in range(2):  # the second round reads every row from the memo
-            for m in map(parse_monomial, texts):
+            for m in monos:
                 for i in L.nodes:
                     if m.is_i_dominant(i):
-                        assert _memo_tail(L, i, m, memo) == _fresh_tail(L, i, m), (i, m)
+                        assert _memo_tail(L, codec, i, m, memo) == _fresh_tail(L, i, m), (i, m)
         assert len(memo) == keys
     # every i-dominant monomial the fixpoint pops
     E6 = build_lie_type("E", 6)
@@ -166,10 +186,12 @@ def test_memoized_tail_matches_fresh_tail(D4, A1, A2, monkeypatch):
     for L, poly in cases:
         memo = {}
         checked = 0
-        for m in _popped_monomials(L, poly, monkeypatch):
+        popped = _popped_monomials(L, poly, monkeypatch)
+        codec = _codec_for(L, popped)
+        for m in popped:
             for i in L.nodes:
                 if m.is_i_dominant(i):
-                    assert _memo_tail(L, i, m, memo) == _fresh_tail(L, i, m), (i, m)
+                    assert _memo_tail(L, codec, i, m, memo) == _fresh_tail(L, i, m), (i, m)
                     checked += 1
         assert len(memo) < checked
 

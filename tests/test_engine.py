@@ -26,8 +26,9 @@ from qtchar import (
     write_qtc,
 )
 import qtchar.engine
+from qtchar import kernels
 from qtchar.character import _star_fold
-from qtchar.engine import _fixpoint, _form, _l_row, _level_key
+from qtchar.engine import _LevelKey, _fixpoint, _form, _l_row
 
 
 def test_fundamental_a2_exact(engine_for, A2):
@@ -113,14 +114,13 @@ def test_fixpoint_depth_guard_stops_wrong_expansion(D4, monkeypatch):
     shared: dict = {}
     calls = []
 
-    def nodeless_tail(L, i, m, memo=None, rows=None):
+    def nodeless_tail(L, i, block, memo=None, rows=None):
         calls.append(i)
         if len(calls) > 20_000:
             raise RuntimeError("the expansion ran past the depth guard")
-        ui = tuple((s, u) for j, s, u in m.data if j == i)
-        got = shared.get(ui)
+        got = shared.get(block)
         if got is None:
-            got = shared[ui] = rows(L, i, ui)
+            got = shared[block] = rows(L, i, block)
         return got
 
     monkeypatch.setattr(qtchar.engine, "_expansion_tail", nodeless_tail)
@@ -147,25 +147,83 @@ def test_fixpoint_stops_neighbour_rows(A2, D4, monkeypatch):
 def test_level_key_is_additive_and_injective():
     # every monomial on two nodes and two levels with exponents up to the
     # limit 3, the largest one a 3-bit digit holds: all keys distinct
-    key = _level_key(5, 6, 3)
+    codec = _LevelKey(2, 5, 6, 3)
     grid = [
         tuple((i, s, e) for (i, s), e in zip(((1, 5), (1, 6), (2, 5), (2, 6)), es) if e)
         for es in itertools.product(range(-3, 4), repeat=4)
     ]
-    assert len({key(d) for d in grid}) == len(grid) == 7**4
+    assert len({codec.key(d) for d in grid}) == len(grid) == 7**4
     # random monomials on four nodes over a wider window
     rng = random.Random(9)
     lo, hi, limit = -3, 12, 40
-    key = _level_key(lo, hi, limit)
+    codec = _LevelKey(4, lo, hi, limit)
 
     def draw():
         slots = rng.sample([(i, s) for i in range(1, 5) for s in range(lo, hi + 1)], rng.randint(0, 12))
         return YMonomial((i, s, rng.choice((-1, 1)) * rng.randint(1, limit)) for i, s in slots)
 
     monos = {draw() for _ in range(2000)}
-    assert len({key(m.data) for m in monos}) == len(monos)
+    assert len({codec.key(m.data) for m in monos}) == len(monos)
     for m1, m2 in zip(list(monos)[::2], list(monos)[1::2]):
-        assert key((m1 * m2).data) == key(m1.data) + key(m2.data)
+        assert codec.offset((m1 * m2).data) == codec.offset(m1.data) + codec.offset(m2.data)
+        assert codec.key((m1 * m2).data) == codec.key(m1.data) + codec.offset(m2.data)
+
+
+def _random_window_monos(rng, rank, lo, hi, limit, count) -> list:
+    """count random monomials on nodes 1..rank, levels [lo, hi] and
+    exponents within +-limit, the limit itself included."""
+
+    def draw():
+        cells = [(i, s) for i in range(1, rank + 1) for s in range(lo, hi + 1)]
+        slots = rng.sample(cells, rng.randint(0, min(10, len(cells))))
+        return YMonomial((i, s, rng.choice((-limit, -1, 1, limit, rng.randint(-limit, limit)))) for i, s in slots)
+
+    return [draw() for _ in range(count)] + [YMonomial(), YMonomial.var(rank, hi, -limit)]
+
+
+def test_level_key_blocks_decode_to_node_factors():
+    # each node's block holds that node's factors and nothing else, its
+    # top bits read i-dominance, and a key decodes back to its monomial
+    rng = random.Random(27)
+    for rank, lo, hi, limit in ((4, -3, 12, 40), (2, 5, 6, 3), (8, 0, 30, 7), (1, 0, 0, 1)):
+        codec = _LevelKey(rank, lo, hi, limit)
+        for m in _random_window_monos(rng, rank, lo, hi, limit, 500):
+            k = codec.key(m.data)
+            assert codec.decode(k) == m.data, m
+            for i in range(1, rank + 1):
+                block = (k >> codec.shifts[i - 1]) & codec.mask
+                assert codec.pattern(block) == tuple((s, e) for j, s, e in m.data if j == i), (m, i)
+                assert (block & codec.high == codec.high) == m.is_i_dominant(i), (m, i)
+                assert (block == codec.high) == all(j != i for j, _, _ in m.data), (m, i)
+    with pytest.raises(InternalError, match="window"):
+        codec.key(((1, 1, 1),))
+
+
+def test_fixpoint_multiplies_no_monomial_per_term(D4, monkeypatch):
+    # the run adds keys and decodes each term once: every kernels.mono_mul
+    # call comes from building one of the 117 node patterns' rows
+    outside = []
+    building = [0]
+    inner_mul = kernels.mono_mul
+    inner_rows = qtchar.engine._node_simple
+
+    def counting_mul(a, b):
+        if not building[0]:
+            outside.append((a, b))
+        return inner_mul(a, b)
+
+    def rows(L, i, ui):
+        building[0] += 1
+        try:
+            return inner_rows(L, i, ui)
+        finally:
+            building[0] -= 1
+
+    monkeypatch.setattr(kernels, "mono_mul", counting_mul)
+    monkeypatch.setattr(qtchar.engine, "_node_simple", rows)
+    ch = _fixpoint(D4, DrinfeldPoly.kr(2, 3, 0))
+    assert len(ch) == 2043
+    assert outside == []
 
 
 def test_fixpoint_rejects_rows_past_the_level_window(D4, monkeypatch):
@@ -195,6 +253,36 @@ def test_fixpoint_rejects_rows_with_wrong_step_count(A2, A3, D4, monkeypatch):
     ):
         with pytest.raises(InternalError, match="step count"):
             _fixpoint(L, poly)
+
+
+def test_fixpoint_names_the_monomial_where_colours_disagree(A2, D4, monkeypatch):
+    # node-1 rows with doubled coefficients send a term of the node-1 and
+    # the node-2 expansions two different sums; the message names the term
+    inner = qtchar.engine._node_simple
+
+    def doubled_rows(L, i, ui):
+        return [(q, p + p if deg and i == 1 else p, deg) for q, p, deg in inner(L, i, ui)]
+
+    monkeypatch.setattr(qtchar.engine, "_node_simple", doubled_rows)
+    for L, poly, m in (
+        (A2, DrinfeldPoly.kr(1, 2, 0), "Y[1,2]^-1 Y[2,1] Y[2,5]^-1"),
+        (D4, DrinfeldPoly.kr(2, 2, 0), "Y[1,3]^-1 Y[2,6]^-1 Y[3,1] Y[4,1] Y[4,3] Y[4,5]"),
+    ):
+        with pytest.raises(InconsistentExpansion) as err:
+            _fixpoint(L, poly)
+        assert str(err.value) == f"colors disagree at {m}: {{0: 2}} vs {{0: 4}}"
+
+
+def test_fixpoint_rejects_a_run_that_stops_short(D4, monkeypatch):
+    # rows that keep only their leading row expand nothing, so the run
+    # stops at the top, above the lowest weight and above any cap
+    inner = qtchar.engine._node_simple
+    monkeypatch.setattr(qtchar.engine, "_node_simple", lambda L, i, ui: inner(L, i, ui)[:1])
+    poly = DrinfeldPoly.kr(2, 2, 0)
+    with pytest.raises(InternalError, match="stopped at depth 0, but the lowest weight sits at depth 20"):
+        _fixpoint(D4, poly)
+    with pytest.raises(InternalError, match="stopped at depth 0, short of the cap 3"):
+        _fixpoint(D4, poly, None, 3)
 
 
 def test_standard_empty_and_single(engine_for, A2):
@@ -413,6 +501,19 @@ def test_kr_decomposition_runs_each_orbit_once(D4, monkeypatch):
     ]
     assert sorted(capped, key=lambda q: q.roots) == sorted(want, key=lambda q: q.roots)
     assert sorted(runs, key=lambda q: q.roots) == sorted(want + [uncapped], key=lambda q: q.roots)
+
+
+def test_kl_decompose_shifts_built_translates(D4, monkeypatch):
+    # every simple of the KR(2,3) standard at level 2 is a translate of one
+    # the decomposition at level 0 built, so it takes no run of its own
+    eng = Engine(D4)
+    first = eng.kl_decompose(DrinfeldPoly.kr(2, 3, 0))
+    runs = _counting_fixpoint(monkeypatch)
+    second = eng.kl_decompose(DrinfeldPoly.kr(2, 3, 2))
+    assert runs == []
+    assert second.order == tuple(q.shift(2) for q in first.order)
+    for q in first.order:
+        assert second.simples[q.shift(2)] == first.simples[q].shift(2), q
 
 
 def _by_depth(L, poly, terms: dict) -> list:

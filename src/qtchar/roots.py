@@ -11,16 +11,16 @@ Conventions fixed here and used everywhere else:
 * a Weight is a tuple of integers in fundamental-weight coordinates,
   a RootVector is a tuple of integers in simple-root coordinates, and
   the two are related by w = C c with C the Cartan matrix (symmetric
-  for A, D, E, so no transpose ambiguity survives).
+  for A, D, E, so no transpose ambiguity survives); both conversions are
+  integer-only and refuse a vector whose length is not the rank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from .errors import NotInRootLattice, UnsupportedType
+from .errors import DomainError, NotInRootLattice, UnsupportedType
 
 # positive-root counts, cross-checked against (dim g - rank)/2
 _POSITIVE_ROOT_COUNT = {
@@ -112,46 +112,47 @@ def build_lie_type(family: str, rank: int) -> LieType:
     return LieType(family, rank, tuple(tuple(row) for row in cartan))
 
 
+def _check_length(L: LieType, v: tuple) -> None:
+    if len(v) != L.rank:
+        raise DomainError(f"{len(v)} coordinates given, but {L} has rank {L.rank}: {v}")
+
+
 def root_to_weight(L: LieType, c: RootVector) -> Weight:
-    return tuple(
-        sum(L.cartan[k][j] * c[j] for j in range(L.rank)) for k in range(L.rank)
-    )
+    """w = C c: root coordinates to fundamental-weight coordinates."""
+    _check_length(L, c)
+    return tuple(sum(a * x for a, x in zip(row, c)) for row in L.cartan)
 
 
 @lru_cache(maxsize=None)
-def _inverse_cartan(L: LieType):
+def _cartan_adjugate(L: LieType) -> tuple:
+    """(det C, adj C = det C * C^-1) by fraction-free Gauss-Jordan
+    elimination (Bareiss) on [C | I]: step k leaves the leading (k+1)-minor
+    on every diagonal and divides exactly by the one before.  C is positive
+    definite, so no pivot vanishes."""
     n = L.rank
-    # Gauss-Jordan over exact rationals
-    aug = [
-        [Fraction(L.cartan[i][j]) for j in range(n)]
-        + [Fraction(1 if i == j else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
-def weight_to_rational_root_coords(L: LieType, w) -> tuple:
-    """Solve w = C c over the rationals; weights outside the root lattice
-    get fractional coordinates instead of an error."""
-    inv = _inverse_cartan(L)
-    return tuple(sum(f * wi for f, wi in zip(row, w)) for row in inv)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(L.cartan)]
+    prev = 1
+    for k in range(n):
+        pivot = aug[k]
+        p = pivot[k]
+        for i in range(n):
+            if i != k:
+                row = aug[i]
+                f = row[k]
+                aug[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot)]
+        prev = p
+    return prev, tuple(tuple(row[n:]) for row in aug)
 
 
 def weight_to_root_coords(L: LieType, w: Weight) -> RootVector:
-    """Solve w = C c exactly; NotInRootLattice when c is not integral."""
-    coords = weight_to_rational_root_coords(L, w)
-    if any(x.denominator != 1 for x in coords):
+    """Solve w = C c exactly, as c = adj(C) w / det C; NotInRootLattice
+    when det C does not divide every entry of adj(C) w."""
+    _check_length(L, w)
+    det, adj = _cartan_adjugate(L)
+    qr = [divmod(sum(a * x for a, x in zip(row, w)), det) for row in adj]
+    if any(r for _, r in qr):
         raise NotInRootLattice(f"weight {w} is not in the root lattice of {L}")
-    return tuple(int(x) for x in coords)
+    return tuple(q for q, _ in qr)
 
 
 @lru_cache(maxsize=None)

@@ -2,7 +2,7 @@
 KR tensor recursion at t = 1 and its t-refinement, the tensor-split
 decomposition, truncated stabilization of normalized KR characters, the
 finite-type restriction recursion, and the binomial configuration sum
-for restricted KR products.
+for restricted KR products, all in integer arithmetic.
 
 Every check is an exact symbolic comparison of the two sides' raw term
 dicts.  A VerifyReport keeps both sides together with their canonical
@@ -33,8 +33,6 @@ character is read.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .character import (
     DrinfeldPoly,
     GCharacter,
@@ -50,7 +48,8 @@ from .errors import DomainError, InternalError, NotInRootLattice
 from .roots import (
     LieType,
     positive_roots,
-    weight_to_rational_root_coords,
+    root_to_weight,
+    two_rho,
     weight_to_root_coords,
 )
 from .tpoly import CONVENTIONS, gen_binomial
@@ -476,74 +475,68 @@ def _nu_text(nu: NuConfig) -> str:
 # -- finite-type decomposition by stripping ---------------------------------------
 
 
-def _pair(L: LieType, w1, w2) -> Fraction:
-    """Invariant form on the weight lattice, long roots squared to 2; the
-    first argument in fundamental coordinates, paired through the second
-    argument's rational root coordinates."""
-    rc = weight_to_rational_root_coords(L, w2)
-    return sum((Fraction(a) * b for a, b in zip(w1, rc)), Fraction(0))
-
-
 def irreducible_g_char(L: LieType, hw) -> GCharacter:
     """Character of the irreducible finite-type module with the given
-    dominant highest weight, by the standard multiplicity recursion,
-    processed level by level until an empty level."""
+    dominant highest weight, by Freudenthal's multiplicity recursion,
+    processed level by level until an empty level.  Each weight mu carries
+    c, the root coordinates of hw - mu, so the denominator (hw + rho)^2 -
+    (mu + rho)^2 = (hw - mu, hw + mu + 2 rho) is the integer
+    sum_j c_j (hw_j + mu_j + 2); a quotient that is not a nonnegative
+    integer raises InternalError."""
     hw = tuple(int(x) for x in hw)
     if len(hw) != L.rank or any(x < 0 for x in hw):
         raise DomainError(f"not a dominant weight for {L}: {hw}")
-    rho = (1,) * L.rank
-    lam_rho = tuple(a + b for a, b in zip(hw, rho))
-    clam = _pair(L, lam_rho, lam_rho)
-    pos = positive_roots(L)
-    pos_w = {alpha: tuple(sum(L.cartan[r][j] * alpha[j] for j in range(L.rank)) for r in range(L.rank)) for alpha in pos}
+    pos_w = [(alpha, root_to_weight(L, alpha)) for alpha in positive_roots(L)]
 
     mult = {hw: 1}
-    level = [hw]
+    level = {hw: (0,) * L.rank}
     while level:
-        nxt = set()
-        for w in level:
-            for r in range(L.rank):
-                nxt.add(tuple(w[j] - L.cartan[r][j] for j in range(L.rank)))
-        fresh = []
+        nxt: dict = {}
+        for w, c in level.items():
+            for r, row in enumerate(L.cartan):
+                nxt[tuple(a - b for a, b in zip(w, row))] = c[:r] + (c[r] + 1,) + c[r + 1:]
+        fresh = {}
         for mu in sorted(nxt):
-            if mu in mult:
-                continue
-            mu_rho = tuple(a + b for a, b in zip(mu, rho))
-            den = clam - _pair(L, mu_rho, mu_rho)
+            c = nxt[mu]
+            den = sum(x * (h + m + 2) for x, h, m in zip(c, hw, mu))
             if den == 0:
                 continue
-            total = Fraction(0)
-            for alpha, alpha_w in pos_w.items():
+            total = 0
+            for alpha, alpha_w in pos_w:
+                # (mu + j alpha, alpha) = (mu, alpha) + 2 j
+                base = sum(m * a for m, a in zip(mu, alpha))
                 j = 1
                 while True:
-                    up = tuple(a + j * b for a, b in zip(mu, alpha_w))
-                    c = mult.get(up)
-                    if c is None:
+                    v = mult.get(tuple(m + j * a for m, a in zip(mu, alpha_w)))
+                    if v is None:
                         break
-                    # (up, alpha) = fundamental coords dotted with root coords
-                    total += 2 * c * sum(u * a for u, a in zip(up, alpha))
+                    total += 2 * v * (base + 2 * j)
                     j += 1
             if total == 0:
                 continue
-            val = total / den
-            if val.denominator != 1 or val < 0:
-                raise InternalError(f"multiplicity recursion produced {val} at {mu}")
-            if val:
-                mult[mu] = int(val)
-                fresh.append(mu)
+            val, rest = divmod(total, den)
+            if rest or val < 0:
+                raise InternalError(f"multiplicity recursion produced {total}/{den} at {mu}")
+            mult[mu] = val
+            fresh[mu] = c
         level = fresh
     return GCharacter(L, mult)
 
 
 def strip_to_irreducibles(L: LieType, g: GCharacter) -> dict:
     """Decompose a finite-type character as a nonnegative sum of
-    irreducibles by repeatedly removing the highest remaining weight;
-    raises InternalError when the remainder's maximal weight is not
+    irreducibles by repeatedly removing the highest remaining weight,
+    highest by the two_rho form (twice the height), ties broken by the
+    coordinates.  A character of another type raises DomainError before
+    any work; InternalError when the remainder's maximal weight is not
     dominant or carries a negative multiplicity."""
+    if g.lie_type != L:
+        raise DomainError(f"the character is of type {g.lie_type}, not {L}")
+    rho2 = two_rho(L)
     rem = dict(g.terms)
     out: dict = {}
     while rem:
-        top = max(rem, key=lambda w: (sum(weight_to_rational_root_coords(L, w)), w))
+        top = max(rem, key=lambda w: (sum(t * x for t, x in zip(rho2, w)), w))
         c = rem[top]
         if any(x < 0 for x in top):
             raise InternalError(f"maximal weight {top} is not dominant")

@@ -1,7 +1,9 @@
 """Every library module uses each name it imports, so a deletion cannot
 leave a stale import behind.  __init__.py is exempt: its imports are the
 package's exports.  Every module-level private name (_name) is read by
-some library module, so a deletion cannot leave a dead helper behind."""
+some library module, so a deletion cannot leave a dead helper behind.
+No library module imports fractions or decimal: every number the library
+computes with is an integer."""
 
 from __future__ import annotations
 
@@ -107,3 +109,25 @@ def test_checker_flags_a_dead_private_name():
 def test_library_reads_every_private_name():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert _dead_private_names(sources) == []
+
+
+def _imported_modules(source: str) -> set:
+    """The top-level name of every absolute module source imports."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_checker_lists_imported_modules():
+    src = "import os.path\nfrom fractions import Fraction\nfrom .roots import two_rho\n"
+    assert _imported_modules(src) == {"os", "fractions"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_stays_in_the_integers(path):
+    # weight arithmetic is integer-only: no rational or decimal numbers
+    assert not _imported_modules(path.read_text()) & {"fractions", "decimal"}

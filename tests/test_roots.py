@@ -1,10 +1,11 @@
 from __future__ import annotations
 
-from fractions import Fraction
+import random
 
 import pytest
 
 from qtchar import (
+    DomainError,
     NotInRootLattice,
     UnsupportedType,
     build_lie_type,
@@ -15,7 +16,7 @@ from qtchar import (
     two_rho,
     weight_to_root_coords,
 )
-from qtchar.roots import MAX_RANK, weight_to_rational_root_coords
+from qtchar.roots import MAX_RANK, _cartan_adjugate
 
 
 def test_cartan_matrices(A1, A2, D4):
@@ -90,22 +91,70 @@ def test_weight_outside_root_lattice_raises(A2):
 
 
 def test_rational_root_coords(A2):
-    assert weight_to_rational_root_coords(A2, (1, 0)) == (
-        Fraction(2, 3),
-        Fraction(1, 3),
-    )
     # integral weights stay integral
-    assert weight_to_rational_root_coords(A2, (1, 1)) == (1, 1)
+    assert weight_to_root_coords(A2, (1, 1)) == (1, 1)
+
+
+# every type of rank <= 9 the conversions are checked on: A1-A9, D4-D7, E6-E8
+_TYPES = [("A", n) for n in range(1, 10)] + [("D", n) for n in range(4, 8)] + [("E", n) for n in (6, 7, 8)]
+
+
+@pytest.mark.parametrize("family,rank", _TYPES)
+def test_cartan_adjugate(family, rank):
+    # C adj(C) = det(C) I, with det C = n + 1 on A_n, 4 on D_n, 9 - n on E_n
+    L = build_lie_type(family, rank)
+    det, adj = _cartan_adjugate(L)
+    assert det == {"A": rank + 1, "D": 4, "E": 9 - rank}[family]
+    for i in range(rank):
+        for j in range(rank):
+            assert sum(L.cartan[i][k] * adj[k][j] for k in range(rank)) == det * (i == j)
+
+
+@pytest.mark.parametrize("family,rank", _TYPES)
+def test_root_coords_round_trip_random(family, rank):
+    L = build_lie_type(family, rank)
+    rng = random.Random(rank)
+    for _ in range(50):
+        c = tuple(rng.randint(-6, 6) for _ in range(rank))
+        assert weight_to_root_coords(L, root_to_weight(L, c)) == c
+
+
+def test_fundamental_weights_and_the_root_lattice():
+    # the minuscule weight omega_1 of A2, D4 and E6 and omega_7 of E7 lies
+    # outside the root lattice; E7's omega_1 and E8's omega_8 are highest
+    # roots, and det C = 1 on E8, so its root lattice is the weight lattice
+    for family, rank, node in [("A", 2, 1), ("D", 4, 1), ("E", 6, 1), ("E", 7, 7)]:
+        L = build_lie_type(family, rank)
+        with pytest.raises(NotInRootLattice):
+            weight_to_root_coords(L, tuple(int(j == node) for j in L.nodes))
+    for family, rank, node in [("E", 7, 1), ("E", 8, 8)]:
+        L = build_lie_type(family, rank)
+        assert weight_to_root_coords(L, tuple(int(j == node) for j in L.nodes)) == positive_roots(L)[-1]
+    assert weight_to_root_coords(build_lie_type("E", 8), (1,) + (0,) * 7) == (4, 5, 7, 10, 8, 6, 4, 2)
+
+
+def test_wrong_length_vectors_raise(A2):
+    A4 = build_lie_type("A", 4)
+    for w in [(0, 0, 0, 0, 5), (2, -1), ()]:
+        with pytest.raises(DomainError, match="rank 4"):
+            weight_to_root_coords(A4, w)
+    with pytest.raises(DomainError):
+        root_to_weight(A4, (1, 0))
+    with pytest.raises(DomainError):
+        root_to_weight(A2, (1, 0, 0))
 
 
 @pytest.mark.parametrize("family,rank", [("A", 1), ("A", 3), ("D", 4), ("D", 5), ("E", 6), ("E", 8)])
 def test_two_rho_form_is_twice_the_height(family, rank):
+    # det C omega_k always lies in the root lattice, so twice its height is
+    # det C times the form at omega_k
     L = build_lie_type(family, rank)
     rho2 = two_rho(L)
+    det = _cartan_adjugate(L)[0]
     assert all(isinstance(x, int) and x > 0 for x in rho2)
     for k in range(rank):
-        omega = tuple(1 if j == k else 0 for j in range(rank))
-        assert rho2[k] == 2 * sum(weight_to_rational_root_coords(L, omega))
+        omega = tuple(det if j == k else 0 for j in range(rank))
+        assert det * rho2[k] == 2 * sum(weight_to_root_coords(L, omega))
 
 
 @pytest.mark.parametrize(

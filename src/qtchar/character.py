@@ -9,8 +9,10 @@ d(a, b) = sum of a(i,s+1) b(i,s).  The highest term has coefficient 1.
 There is one node-i expansion, and it stays in this convention: the sl2
 simple character of m's node-i roots (_node_simple), the twisted product
 of the characters of their q-strings in general position, renormalized,
-with nonnegative coefficients.  The fixpoint (engine.py) builds
-characters from it, so nothing it visits cancels.
+with nonnegative coefficients.  It is built in rank one, as A(1,s)
+steps, once per pattern up to translation, and each step stands for
+A(i,s)^-1 at whatever node i the pattern sits.  The fixpoint (engine.py)
+builds characters from it, so nothing it visits cancels.
 
 star_product twists each term pair by the commutation exponent, so the
 raw product of normalized characters has top coefficient t^tw, where tw,
@@ -25,6 +27,7 @@ since no other factor term lies under a dominant term of the product.
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 import hashlib
 from itertools import combinations
 import re
@@ -35,7 +38,6 @@ from .monomial import (
     EpsilonTable,
     ONE_MONO,
     YMonomial,
-    a_monomial,
     parse_monomial,
     v_factorization,
 )
@@ -242,58 +244,79 @@ def _q_strings(ui: tuple) -> list:
     return out
 
 
-def _node_simple(L: LieType, i: int, ui: tuple) -> list:
-    """Rows of the node-i expansion of any i-dominant monomial whose node-i
-    factors are Y[i,s]^u_s for the (s, u_s) pairs in ui (sorted by level),
-    by the sl2 simple character of its node-i roots: (data of term / m,
-    coefficient, step count), the leading row ((), 1, 0) first.  Other
-    nodes' exponents never enter, so the rows can be shared by every
-    monomial with the same node-i exponents.
+def _string_terms(a: int, k: int) -> list:
+    """The k+1 terms of the rank-one character of the q-string of k levels
+    from a, as (Y exponents, A exponents) pairs of sorted (level, exponent)
+    tuples: term j lowers the string's top j levels, by A(1, a+2k-1) down
+    to A(1, a+2k-2j+1)."""
+    out = []
+    for j in range(k + 1):
+        y = [(a + 2 * n, 1) for n in range(k - j)] + [(a + 2 * n, -1) for n in range(k - j + 1, k + 1)]
+        v = [(a + 2 * n - 1, 1) for n in range(k - j + 1, k + 1)]
+        out.append((tuple(y), tuple(v)))
+    return out
+
+
+def _add_levels(a: tuple, b: tuple) -> tuple:
+    """The sum of two sorted (level, exponent) tuples, zeros dropped."""
+    if not a:
+        return b
+    out = dict(a)
+    for s, n in b:
+        out[s] = out.get(s, 0) + n
+    return tuple(sorted(item for item in out.items() if item[1]))
+
+
+@lru_cache(maxsize=4096)
+def _node_simple(ui: tuple) -> tuple:
+    """Rows of the sl2 simple character of Y[s]^u_s over the (s, u_s)
+    pairs in ui (sorted by level), in rank one: (steps, coefficient, step
+    count), steps the sorted (level, count) pairs of the term's A(1,s)
+    exponents, so the term is the top times the product of A(1,s)^-count.
+    The leading row ((), 1, 0) comes first.  Every coefficient is
+    nonnegative, and the step count is the sum of the counts.
+
+    This is the node-i expansion of any i-dominant monomial whose node-i
+    factors are Y[i,s]^u_s, for every node i of every type: each A(1,s)
+    step becomes A(i,s)^-1 of that type, and nothing else depends on the
+    node.  The simple commutes with translation (its twists depend on
+    level differences alone), so the rows of ui moved by d are these rows
+    with their levels moved by d.  The fixpoint (engine.py) calls it with
+    ui translated to least level 0, so that one cached entry serves every
+    node, translate and run.  The rows are tuples and TPolys, never
+    changed after they are built.
 
     The roots split into q-strings in general position (_q_strings), and
-    the simple is the twisted product of their string characters,
-    normalized so that its top coefficient is 1.  A string of k levels has
-    k+1 terms, each with coefficient 1: term j lowers the string's top j
-    levels.  The product is taken in rank one, keeping each term's
-    A(1,s) exponents, which then become A(i,s) exponents of L.  Every
-    coefficient is nonnegative.  Levels of the two parities live on
-    disjoint variables in rank one, where their commutation exponent
-    vanishes, so a pattern that mixes them gets the product of its even
-    and odd parts' rows.  A negative exponent in ui raises NotDominant."""
+    the simple is the twisted product of their string characters, each
+    term with coefficient 1, folded from t^-tw, tw the twist of the
+    strings' tops in fold order, so that its top coefficient is 1.  Levels
+    of the two parities live on disjoint variables in rank one, where their
+    commutation exponent vanishes, so a pattern that mixes them gets the
+    product of its even and odd parts' rows.  A negative exponent in ui
+    raises NotDominant."""
     if any(u < 0 for _, u in ui):
-        raise NotDominant(f"node-{i} exponents {ui} are not dominant")
-    mono_mul = kernels.mono_mul
-    # sl2 terms by data: (raw coefficient, A(1,s) exponents as (1, s, count) data)
-    acc = {(): ({0: 1}, ())}
-    for a, k in _q_strings(ui):
-        data = tuple((1, a + 2 * n, 1) for n in range(k))
-        v: tuple = ()
-        string = [(YMonomial._wrap(data), v)]
-        for s in range(a + 2 * k - 1, a, -2):  # lower the highest unlowered level by A(1,s)
-            data = mono_mul(data, ((1, s - 1, -1), (1, s + 1, -1)))
-            v = mono_mul(v, ((1, s, 1),))
-            string.append((YMonomial._wrap(data), v))
+        raise NotDominant(f"exponents {ui} are not dominant")
+    gen = _SL2_TABLE.gen
+
+    def twist(y1, y2):
+        return sum(e * f * gen(1, 1, b - a) for a, e in y1 for b, f in y2)
+
+    strings = [_string_terms(a, k) for a, k in _q_strings(ui)]
+    tops = [string[0][0] for string in strings]
+    tw = sum(twist(y1, y2) for y1, y2 in combinations(tops, 2))
+    # terms by Y exponents: (coefficient, A exponents)
+    acc = {(): ({-tw: 1}, ())}
+    for string in strings:
         nxt: dict = {}
-        for d1, (c1, v1) in acc.items():
-            m1 = YMonomial._wrap(d1)
-            for m2, v2 in string:
-                d = mono_mul(d1, m2.data)
-                slot = nxt.get(d)
+        for y1, (c1, v1) in acc.items():
+            for y2, v2 in string:
+                y = _add_levels(y1, y2)
+                slot = nxt.get(y)
                 if slot is None:
-                    slot = nxt[d] = ({}, mono_mul(v1, v2))
-                kernels.poly_acc_mul(slot[0], c1, _ONE, _SL2_TABLE.of(m1, m2))
+                    slot = nxt[y] = ({}, _add_levels(v1, v2))
+                kernels.poly_acc_mul(slot[0], c1, _ONE, twist(y1, y2))
         acc = nxt
-    # the product of the tops comes first and carries a single power of t
-    (lead,) = acc[tuple((1, s, u) for s, u in ui)][0]
-    # term j of a string lowers level l by A(1, l+1)
-    a_inv = {s + 1: (a_monomial(L, i, s + 1) ** -1).data for s, _ in ui}
-    out = []
-    for c, v in acc.values():
-        q: tuple = ()
-        for _, s, n in v:
-            q = mono_mul(q, kernels.mono_pow(a_inv[s], n))
-        out.append((q, TPoly._wrap(kernels.poly_scale(c, -lead)), sum(n for _, _, n in v)))
-    return out
+    return tuple((v, TPoly._wrap(c), sum(n for _, n in v)) for c, v in acc.values())
 
 
 # -- products -----------------------------------------------------------------
@@ -400,6 +423,9 @@ class GCharacter:
     def __init__(self, lie_type: LieType, terms=()):
         self.lie_type = lie_type
         self.terms = {tuple(w): int(c) for w, c in dict(terms).items() if c}
+        for w in self.terms:
+            if len(w) != lie_type.rank:
+                raise DomainError(f"weight {w} has {len(w)} coordinates, but {lie_type} has rank {lie_type.rank}")
 
     @classmethod
     def one(cls, lie_type: LieType) -> "GCharacter":
@@ -411,19 +437,28 @@ class GCharacter:
     def dimension(self) -> int:
         return sum(self.terms.values())
 
+    def _check_type(self, other) -> None:
+        """Characters combine only within one Lie type: DomainError otherwise."""
+        if not isinstance(other, GCharacter) or other.lie_type != self.lie_type:
+            kind = other.lie_type if isinstance(other, GCharacter) else type(other).__name__
+            raise DomainError(f"{self.lie_type} character combined with {kind}")
+
     def __add__(self, other: "GCharacter") -> "GCharacter":
+        self._check_type(other)
         out = dict(self.terms)
         for w, c in other.terms.items():
             out[w] = out.get(w, 0) + c
         return GCharacter(self.lie_type, out)
 
     def __sub__(self, other: "GCharacter") -> "GCharacter":
+        self._check_type(other)
         out = dict(self.terms)
         for w, c in other.terms.items():
             out[w] = out.get(w, 0) - c
         return GCharacter(self.lie_type, out)
 
     def __mul__(self, other: "GCharacter") -> "GCharacter":
+        self._check_type(other)
         out: dict = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():

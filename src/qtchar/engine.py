@@ -61,25 +61,35 @@ has nonnegative height), so every pin lies within the cap and no
 reflected term is dominant.
 
 An expansion at node i depends on m only through m's node-i exponents,
-and a run meets few distinct ones (279 for D4 KR(2,4), against 8,796
-expansions).  Each run therefore keeps one memo of expansion rows keyed
-by (i, node-i exponents); it lives as long as the run.  Inside the run a
-monomial is one packed integer and nothing else (_LevelKey): each
+and only up to translation and the node: it is the rank-one sl2 simple
+of those exponents with each A(1,s) step read as A(i,s)^-1.  So
+_node_simple builds rank-one rows, (A-level, count) pairs with a
+coefficient, once per pattern translated to least level 0, in a bounded
+cache that every node, translate and run shares.  A run applies them
+through its own memo keyed by (i, node-i exponents), which maps each
+row to the run's packed offset, the sum of count * offset(A(i, lo+s)^-1)
+with lo the pattern's least level.  The self-dual run of D4 KR(2,4)
+makes 4,815 expansions, meets 211 node patterns and builds 77 rank-one
+tables for them, from 21 per-level A^-1 offsets; the D4 KR(2,3)
+decomposition's 7 runs meet 379 patterns in 46 tables.  Inside the run
+a monomial is one packed integer and nothing else (_LevelKey): each
 exponent is a biased digit, node i's digits form one block read by a
-shift and a mask, and each memoized row carries the unbiased key of its
-offset, so applying a row costs one integer add (30,744 rows for D4
-KR(2,4)).  The block is the memo key, and its digits' top bits say
-whether m is i-dominant, so the run builds no factor tuple while it
+shift and a mask, and applying a row costs one integer add (18,006 rows
+for D4 KR(2,4)).  The block is the memo key, and its digits' top bits
+say whether m is i-dominant, so the run builds no factor tuple while it
 expands.  Each term's tuple is decoded once, for the output, from its
 node blocks, each distinct block once.  The key is exact because every
 term lies in a fixed level window, [min_s, max_s + h] of the top (h the
 Coxeter number), and its exponents are bounded by its depth, which the
-guard below bounds, so no digit carries into the next; a row that
-leaves the window raises InternalError.
+guard below bounds, so no digit carries into the next.  The factors of
+A^-1's at one node never cancel, so a row leaves the window exactly
+when one of its A^-1 does, and that A^-1's offset raises InternalError
+when it is built.
 
-A monomial's depth is half the drop of the two_rho form (roots.two_rho),
-so a row's step count is checked against its form once, when it is
-built, and every path then reaches a monomial at one depth.  Every
+A monomial's depth is half the drop of the two_rho form (roots.two_rho).
+Each A^-1's form is checked to be -2 when its offset is built, and each
+row's step count to be its count sum when the run first maps it, so
+every path reaches a monomial at one depth.  Every
 visited weight lies in the convex hull of the Weyl orbit of the top
 weight, and the lowest weight w0 wt occurs in every module, so a genuine
 run reaches depth height(wt - w0 wt) exactly.  A run deeper than twice
@@ -137,7 +147,7 @@ from .errors import (
     NotComparable,
     QtcharError,
 )
-from .monomial import ONE_MONO, EpsilonTable, YMonomial, v_factorization
+from .monomial import ONE_MONO, EpsilonTable, YMonomial, a_monomial, v_factorization
 from .roots import LieType, diagram_automorphisms, dual_nodes, two_rho
 from .tpoly import TPoly
 
@@ -290,20 +300,38 @@ def _fixpoint(
     colour = _colouring(L)
     classes = {(s + colour[i]) % 2 for i, s, _ in top.data}
 
+    a_inv: dict = {}  # (i, s) -> offset of A(i,s)^-1, built and checked once per run
+
+    def a_inv_offset(i, s):
+        got = a_inv.get((i, s))
+        if got is None:
+            q = (a_monomial(L, i, s) ** -1).data
+            # the form falls by 2 at each step, so a row's form drop is
+            # twice its count sum, and every path reaches a monomial at one
+            # depth; A^-1 factors never cancel, so a row leaves the window
+            # exactly when one of its A^-1 does
+            if _form(rho2, q) != -2:
+                raise InternalError(f"A({i},{s})^-1 has two_rho form {_form(rho2, q)}, not -2")
+            got = a_inv[(i, s)] = codec.offset(q)
+        return got
+
     def keyed_rows(L, i, block):
         ui = codec.pattern(block)
         # every term keeps its factors in the top's bipartite classes, so a
         # node-i level of another parity can only come from a wrong expansion
         if any((s + colour[i]) % 2 not in classes for s, _ in ui):
             raise InternalError(f"node-{i} exponents {ui} leave the level parities of the top's classes")
-        rows = _node_simple(L, i, ui)
-        # the form falls by twice a row's depth, so every path reaches a
-        # monomial at one depth
-        for q, _, deg in rows:
-            if _form(rho2, q) != -2 * deg:
-                raise InternalError(f"node-{i} row {q} has step count {deg}, not half its form drop")
-        # the leading row lands on the term itself, whose coefficient is fixed
-        return [(codec.offset(q), p.terms, deg) for q, p, deg in rows if deg]
+        lo = ui[0][0] if ui else 0
+        out = []
+        for steps, p, deg in _node_simple(tuple([(s - lo, u) for s, u in ui])):
+            if sum(n for _, n in steps) != deg:
+                raise InternalError(
+                    f"node-{i} row {steps} from level {lo} has step count {deg}, not half its form drop"
+                )
+            # the leading row lands on the term itself, whose coefficient is fixed
+            if deg:
+                out.append((sum(n * a_inv_offset(i, lo + s) for s, n in steps), p.terms, deg))
+        return out
 
     # per node: (node, its block's shift, {key: what its expansions sent there})
     slots = [(i, shift, {}) for i, shift in zip(L.nodes, codec.shifts)]

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from functools import lru_cache
+import operator
 import random
 import re
 
@@ -65,6 +66,21 @@ def test_drinfeld_poly_basics():
 # -- single-node expansion -----------------------------------------------------
 
 
+def _l_rows(L, i, ui) -> list:
+    """_node_simple's rows of the node-i pattern ui as rows of L, the way
+    the fixpoint reads them: (data of term / m, coefficient, step count),
+    with ui translated to least level lo = 0 and each step (s, n) read as
+    A(i, lo+s)^-n."""
+    lo = ui[0][0] if ui else 0
+    out = []
+    for steps, p, deg in _node_simple(tuple((s - lo, u) for s, u in ui)):
+        q = YMonomial()
+        for s, n in steps:
+            q = q * monomial.a_monomial(L, i, lo + s) ** -n
+        out.append((q.data, p, deg))
+    return out
+
+
 def _expand(rows, L, m: YMonomial, i: int) -> dict:
     """The term dict of m's node-i expansion by a row builder."""
     ui = tuple((s, u) for j, s, u in m.data if j == i)
@@ -75,7 +91,7 @@ def test_expand_one_variable(A2, standard_rows):
     m = parse_monomial("Y[1,0]")
     want = _terms([("Y[1,0]", "1"), ("Y[1,2]^-1 Y[2,1]", "1")])
     assert _expand(standard_rows, A2, m, 1) == want
-    assert _expand(character._node_simple, A2, m, 1) == want
+    assert _expand(_l_rows, A2, m, 1) == want
 
 
 def _root_datum(m: YMonomial) -> DrinfeldPoly:
@@ -122,8 +138,8 @@ def _block(codec, m: YMonomial, i: int) -> int:
 
 
 def _block_rows(codec):
-    """A row builder for _expansion_tail: _node_simple of a block's pattern."""
-    return lambda L, i, block: _node_simple(L, i, codec.pattern(block))
+    """A row builder for _expansion_tail: the rows of L of a block's pattern."""
+    return lambda L, i, block: _l_rows(L, i, codec.pattern(block))
 
 
 def test_expand_requires_dominance(A2):
@@ -161,7 +177,7 @@ def _memo_tail(L, codec, i, m, memo) -> list:
 
 
 def _fresh_tail(L, i, m) -> list:
-    return _node_simple(L, i, tuple((s, u) for j, s, u in m.data if j == i))
+    return _l_rows(L, i, tuple((s, u) for j, s, u in m.data if j == i))
 
 
 def test_memoized_tail_matches_fresh_tail(D4, A1, A2, monkeypatch):
@@ -197,25 +213,49 @@ def test_memoized_tail_matches_fresh_tail(D4, A1, A2, monkeypatch):
 
 
 def test_fixpoint_builds_each_node_pattern_once(D4, monkeypatch):
-    built: Counter = Counter()
+    # a run looks up the rows of each (node, pattern) once, and the shared
+    # rank-one table serves every node and translate of a pattern: from an
+    # empty cache, each translation class is built once across runs
+    lookups = []
     tails = []
     inner_rows = engine._node_simple
     inner_tail = engine._expansion_tail
 
-    def count_rows(L, i, ui):
-        built[(i, ui)] += 1
-        return inner_rows(L, i, ui)
+    def count_rows(ui):
+        lookups.append(ui)
+        return inner_rows(ui)
 
     def count_tails(*args, **kw):
-        tails.append(args[1])
+        tails.append(args[1:3])
         return inner_tail(*args, **kw)
 
     monkeypatch.setattr(engine, "_node_simple", count_rows)
     monkeypatch.setattr(engine, "_expansion_tail", count_tails)
+    character._node_simple.cache_clear()
     ch = _fixpoint(D4, DrinfeldPoly.kr(2, 3, 0))
     assert len(ch) == 2043
-    assert max(built.values()) == 1
-    assert len(tails) > 10 * len(built)
+    assert len(lookups) == len(set(tails)) == 117
+    assert len(tails) > 10 * len(lookups)
+    assert character._node_simple.cache_info().misses == 39
+    runs = []
+    inner_fixpoint = engine._fixpoint
+
+    def count_runs(*args):
+        runs.append(args)
+        return inner_fixpoint(*args)
+
+    monkeypatch.setattr(engine, "_fixpoint", count_runs)
+    for call, run_count, patterns, tables in (
+        (lambda eng: eng.kr_char_direct(2, 4), 1, 211, 77),
+        (lambda eng: eng.kl_decompose(DrinfeldPoly.kr(2, 3, 0)), 7, 379, 46),
+    ):
+        character._node_simple.cache_clear()
+        lookups.clear()
+        runs.clear()
+        call(Engine(D4))
+        assert (len(runs), len(lookups), character._node_simple.cache_info().misses) == (run_count, patterns, tables)
+        assert len(set(lookups)) == tables
+        assert all(ui[0][0] == 0 for ui in lookups if ui)
 
 
 def test_fixpoint_pops_only_terms(D4, D5, monkeypatch):
@@ -270,6 +310,11 @@ def _rows_by_data(rows) -> dict:
     return {q: (p, deg) for q, p, deg in rows}
 
 
+def _moved(rows, d: int) -> list:
+    """Rank-one rows with every step's level moved by d."""
+    return [(tuple((s + d, n) for s, n in steps), p, deg) for steps, p, deg in rows]
+
+
 def test_node_simple_matches_rank_one_simple(A1, D4, subtraction_simples):
     rng = random.Random(20)
     eng = Engine(A1)
@@ -281,10 +326,20 @@ def test_node_simple_matches_rank_one_simple(A1, D4, subtraction_simples):
             levels = rng.sample(range(0, 12, 2), rng.randint(1, 2)) + rng.sample(range(1, 13, 2), rng.randint(1, 2))
         ui = tuple(sorted((s, rng.randint(1, 3)) for s in levels))
         i = rng.choice(D4.nodes)
-        rows = character._node_simple(D4, i, ui)
+        rows = character._node_simple(ui)
         assert rows[0] == ((), TPoly.ONE, 0)
         assert all(p.has_nonneg_coeffs() for _, p, _ in rows)
-        assert _rows_by_data(rows) == _rank_one_rows(D4, i, eng, ui, subtraction_simples), ui
+        assert all(deg == sum(c for _, c in steps) for steps, _, deg in rows)
+        l_rows = _rows_by_data(_l_rows(D4, i, ui))
+        assert l_rows == _rank_one_rows(D4, i, eng, ui, subtraction_simples), ui
+        # the cache rests on translation: moved by an even and by an odd d,
+        # the pattern's rank-one rows move by d and are otherwise unchanged,
+        # and its rows of L move alike
+        for d in (rng.randrange(-20, 21, 2), rng.randrange(-19, 20, 2)):
+            moved = tuple((s + d, u) for s, u in ui)
+            assert _rows_by_data(_moved(character._node_simple(moved), -d)) == _rows_by_data(rows), (ui, d)
+            shifted = {YMonomial._wrap(q).shift(d).data: v for q, v in l_rows.items()}
+            assert _rows_by_data(_l_rows(D4, i, moved)) == shifted, (ui, d)
 
 
 def test_node_simple_is_standard_in_general_position(A2, D4, standard_rows):
@@ -296,18 +351,18 @@ def test_node_simple_is_standard_in_general_position(A2, D4, standard_rows):
         (D4, 3, ((1, 1), (5, 2), (9, 3))),
         (D4, 2, ((-4, 1), (0, 1), (6, 2))),
     ):
-        simple = character._node_simple(L, i, ui)
+        simple = _l_rows(L, i, ui)
         assert _rows_by_data(simple) == _rows_by_data(standard_rows(L, i, ui)), ui
 
 
 def test_node_simple_strings_and_parity(D4):
     assert character._q_strings(((0, 2), (2, 1), (4, 2), (8, 1))) == [(0, 3), (8, 1), (0, 1), (4, 1)]
     # the string P(0 2 4) at one node: four rows with coefficient 1
-    rows = character._node_simple(D4, 2, ((0, 1), (2, 1), (4, 1)))
+    rows = character._node_simple(((0, 1), (2, 1), (4, 1)))
     assert [(p, deg) for _, p, deg in rows] == [(TPoly.ONE, j) for j in range(4)]
     # levels of both parities: the product of the even and odd parts' rows
     assert character._q_strings(((0, 1), (1, 2), (2, 1), (3, 1))) == [(0, 2), (1, 2), (1, 1)]
-    rows = character._node_simple(D4, 2, ((0, 1), (1, 1)))
+    rows = _l_rows(D4, 2, ((0, 1), (1, 1)))
     assert rows[0] == ((), TPoly.ONE, 0)
     a1, a2 = (monomial.a_monomial(D4, 2, s) ** -1 for s in (1, 2))
     product = ((YMonomial(), 0), (a1, 1), (a2, 1), (a1 * a2, 2))
@@ -622,7 +677,7 @@ def test_gate_refuses_member_lacking_a_reached_dominant_term(A1, standard_strip,
     # the node-1 simple of Y[1,0]^2 Y[1,2] holds the dominant Y[1,0]; less
     # c times the simple of Y[1,0], it is a member of K_t without Y[1,0]
     def simple(m):
-        rows = _node_simple(A1, 1, tuple((s, u) for _, s, u in m.data))
+        rows = _l_rows(A1, 1, tuple((s, u) for _, s, u in m.data))
         return {m * YMonomial._wrap(q): p for q, p, _ in rows}
 
     top, low = parse_monomial("Y[1,0]^2 Y[1,2]"), parse_monomial("Y[1,0]")
@@ -713,6 +768,25 @@ def test_gcharacter_ring(A2, engine_for):
     assert GCharacter.one(A2).dimension() == 1
     assert (g - g) == GCharacter(A2)
     assert not (g - g)
+
+
+def test_gcharacter_refuses_another_type_and_bad_weights(A2):
+    # an A2 character plus an A3 one used to hold the weight (0, 0, 1), and
+    # their product was cut short by zip
+    A3 = build_lie_type("A", 3)
+    g = GCharacter(A2, {(1, 0): 1})
+    h = GCharacter(A3, {(0, 0, 1): 2})
+    for a, b in ((g, h), (h, g)):
+        for combine in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(DomainError, match="character combined with"):
+                combine(a, b)
+    with pytest.raises(DomainError, match="combined with int"):
+        g + 1
+    for w in ((0, 0, 1), (1,), ()):
+        with pytest.raises(DomainError, match="coordinates, but A2 has rank 2"):
+            GCharacter(A2, {(1, 0): 1, w: 1})
+    assert GCharacter(A2, {(0, 0, 1): 0}) == GCharacter(A2)  # zero terms are dropped first
+    assert g + g == g.scaled(2) and (g * g).terms == {(2, 0): 1}
 
 
 def test_restriction_is_shift_blind(A2, engine_for):

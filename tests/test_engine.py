@@ -131,12 +131,13 @@ def test_fixpoint_depth_guard_stops_wrong_expansion(D4, monkeypatch):
 
 
 def test_fixpoint_stops_neighbour_rows(A2, D4, monkeypatch):
-    # rows of a neighbour node shift node i's levels by one, so the next
-    # node-i pattern mixes level parities and the run stops at once
+    # rows whose steps sit one level off, as a neighbour node's rows would,
+    # shift node i's levels by one, so the next node-i pattern mixes level
+    # parities and the run stops at once
     inner = qtchar.engine._node_simple
 
-    def neighbour_rows(L, i, ui):
-        return inner(L, L.neighbors(i)[0], ui)
+    def neighbour_rows(ui):
+        return [(tuple((s + 1, n) for s, n in steps), p, deg) for steps, p, deg in inner(ui)]
 
     monkeypatch.setattr(qtchar.engine, "_node_simple", neighbour_rows)
     for L, poly in ((A2, DrinfeldPoly.kr(1, 2, 0)), (D4, DrinfeldPoly.kr(2, 2, 0))):
@@ -200,37 +201,29 @@ def test_level_key_blocks_decode_to_node_factors():
 
 
 def test_fixpoint_multiplies_no_monomial_per_term(D4, monkeypatch):
-    # the run adds keys and decodes each term once: every kernels.mono_mul
-    # call comes from building one of the 117 node patterns' rows
-    outside = []
-    building = [0]
+    # the run adds keys and decodes each term once, and its rows are built
+    # from rank-one level lists: no kernels.mono_mul call anywhere in the
+    # run, with the row cache empty so that all 39 tables are built in it
+    calls = []
     inner_mul = kernels.mono_mul
-    inner_rows = qtchar.engine._node_simple
 
     def counting_mul(a, b):
-        if not building[0]:
-            outside.append((a, b))
+        calls.append((a, b))
         return inner_mul(a, b)
 
-    def rows(L, i, ui):
-        building[0] += 1
-        try:
-            return inner_rows(L, i, ui)
-        finally:
-            building[0] -= 1
-
     monkeypatch.setattr(kernels, "mono_mul", counting_mul)
-    monkeypatch.setattr(qtchar.engine, "_node_simple", rows)
+    qtchar.character._node_simple.cache_clear()
     ch = _fixpoint(D4, DrinfeldPoly.kr(2, 3, 0))
     assert len(ch) == 2043
-    assert outside == []
+    assert qtchar.character._node_simple.cache_info().misses == 39
+    assert calls == []
 
 
 def test_fixpoint_rejects_rows_past_the_level_window(D4, monkeypatch):
     inner = qtchar.engine._node_simple
 
-    def shifted_rows(L, i, ui):
-        return [(tuple((j, s + 40, e) for j, s, e in q), p, deg) for q, p, deg in inner(L, i, ui)]
+    def shifted_rows(ui):
+        return [(tuple((s + 40, n) for s, n in steps), p, deg) for steps, p, deg in inner(ui)]
 
     monkeypatch.setattr(qtchar.engine, "_node_simple", shifted_rows)
     with pytest.raises(InternalError, match="window"):
@@ -242,8 +235,8 @@ def test_fixpoint_rejects_rows_with_wrong_step_count(A2, A3, D4, monkeypatch):
     # one monomial at two depths; the run stops at the first such row
     inner = qtchar.engine._node_simple
 
-    def miscounted_rows(L, i, ui):
-        return [(q, p, deg + 1 if deg >= 2 else deg) for q, p, deg in inner(L, i, ui)]
+    def miscounted_rows(ui):
+        return [(steps, p, deg + 1 if deg >= 2 else deg) for steps, p, deg in inner(ui)]
 
     monkeypatch.setattr(qtchar.engine, "_node_simple", miscounted_rows)
     for L, poly in (
@@ -257,13 +250,16 @@ def test_fixpoint_rejects_rows_with_wrong_step_count(A2, A3, D4, monkeypatch):
 
 def test_fixpoint_names_the_monomial_where_colours_disagree(A2, D4, monkeypatch):
     # node-1 rows with doubled coefficients send a term of the node-1 and
-    # the node-2 expansions two different sums; the message names the term
-    inner = qtchar.engine._node_simple
+    # the node-2 expansions two different sums; the message names the term.
+    # The rank-one rows serve every node, so the node-1 rows are doubled as
+    # the run reads them
+    inner = qtchar.engine._expansion_tail
 
-    def doubled_rows(L, i, ui):
-        return [(q, p + p if deg and i == 1 else p, deg) for q, p, deg in inner(L, i, ui)]
+    def doubled_rows(L, i, block, memo, rows):
+        got = inner(L, i, block, memo, rows)
+        return [(kq, kernels.poly_add(p, p), deg) for kq, p, deg in got] if i == 1 else got
 
-    monkeypatch.setattr(qtchar.engine, "_node_simple", doubled_rows)
+    monkeypatch.setattr(qtchar.engine, "_expansion_tail", doubled_rows)
     for L, poly, m in (
         (A2, DrinfeldPoly.kr(1, 2, 0), "Y[1,2]^-1 Y[2,1] Y[2,5]^-1"),
         (D4, DrinfeldPoly.kr(2, 2, 0), "Y[1,3]^-1 Y[2,6]^-1 Y[3,1] Y[4,1] Y[4,3] Y[4,5]"),
@@ -277,7 +273,7 @@ def test_fixpoint_rejects_a_run_that_stops_short(D4, monkeypatch):
     # rows that keep only their leading row expand nothing, so the run
     # stops at the top, above the lowest weight and above any cap
     inner = qtchar.engine._node_simple
-    monkeypatch.setattr(qtchar.engine, "_node_simple", lambda L, i, ui: inner(L, i, ui)[:1])
+    monkeypatch.setattr(qtchar.engine, "_node_simple", lambda ui: inner(ui)[:1])
     poly = DrinfeldPoly.kr(2, 2, 0)
     with pytest.raises(InternalError, match="stopped at depth 0, but the lowest weight sits at depth 20"):
         _fixpoint(D4, poly)

@@ -13,6 +13,7 @@ import hashlib
 import pytest
 
 from qtchar import DrinfeldPoly, Engine, build_lie_type, dumps_qtc
+from qtchar.character import _node_simple
 
 # (type, kind, node, digest); kind "kr" is the length-2 string at shift 0
 # (length 1 is the fundamental itself)
@@ -127,11 +128,37 @@ def test_simple_text_digest(type_name, roots, digest):
     assert _digest(_engine(type_name).simple_char(DrinfeldPoly(roots))) == digest
 
 
-def test_d4_decomposition_digest():
-    res = _engine("D4").kl_decompose(DrinfeldPoly.kr(2, 3, 0))
+def _decomposition_digest(res) -> str:
     h = hashlib.sha256()
     for q in res.order:
         h.update(dumps_qtc(res.simples[q]).encode("ascii"))
     for q, z in res.factors:
         h.update(f"factor {q} {z}\n".encode("ascii"))
-    assert h.hexdigest() == D4_KR_2_3_DECOMPOSITION
+    return h.hexdigest()
+
+
+def test_d4_decomposition_digest():
+    res = _engine("D4").kl_decompose(DrinfeldPoly.kr(2, 3, 0))
+    assert _decomposition_digest(res) == D4_KR_2_3_DECOMPOSITION
+
+
+def test_cold_and_warm_row_cache_agree():
+    # every run shares the rank-one row cache, whose rows are tuples and
+    # TPolys that no run changes: runs from an empty cache and runs on a
+    # fresh engine that read the warm cache give the same characters
+    string_digest = next(d for t, i, k, d in DEEPER if (t, i, k) == ("D4", 2, 3))
+    got = []
+    _node_simple.cache_clear()
+    for _ in range(2):
+        built = _node_simple.cache_info().misses
+        eng = _engine("D4")
+        ch = eng.kr_char_direct(2, 3)
+        res = eng.kl_decompose(DrinfeldPoly.kr(2, 3, 0))
+        assert _digest(ch) == string_digest
+        assert _decomposition_digest(res) == D4_KR_2_3_DECOMPOSITION
+        got.append((built, ch, res))
+    (cold, ch0, res0), (warm, ch1, res1) = got
+    # the cold pass built its tables, the warm pass built none
+    assert cold == 0 < warm == _node_simple.cache_info().misses
+    assert ch0 == ch1
+    assert (res0.order, res0.simples, res0.factors) == (res1.order, res1.simples, res1.factors)

@@ -27,13 +27,12 @@ from .roots import (
     two_rho,
     weight_to_root_coords,
 )
-from .tpoly import TPoly, gen_binomial, parse_tpoly, t_binomial
+from .tpoly import TPoly, gen_binomial, parse_tpoly
 from .monomial import (
     EpsilonTable,
     YMonomial,
     a_monomial,
     parse_monomial,
-    tilde_u,
     v_factorization,
 )
 from .character import (

@@ -26,14 +26,13 @@ since no other factor term lies under a dominant term of the product.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 import hashlib
 from itertools import combinations
 import re
 
 from . import kernels
-from .errors import DomainError, NotDominant, ParseError, _parse_int
+from .errors import DomainError, NotDominant, ParseError, _integer, _parse_int
 from .monomial import (
     EpsilonTable,
     ONE_MONO,
@@ -55,7 +54,9 @@ class DrinfeldPoly:
     __slots__ = ("roots",)
 
     def __init__(self, roots=()):
-        self.roots = tuple(sorted((int(i), int(s)) for i, s in roots))
+        """The multiset of the (i, s) pairs in roots; an entry that is not
+        an integer raises DomainError."""
+        self.roots = tuple(sorted((_integer(i), _integer(s)) for i, s in roots))
 
     @classmethod
     def fundamental(cls, i: int, s: int) -> "DrinfeldPoly":
@@ -67,8 +68,7 @@ class DrinfeldPoly:
         return cls((i, s + 2 * j) for j in range(k))
 
     def monomial(self) -> YMonomial:
-        c = Counter(self.roots)
-        return YMonomial((i, s, e) for (i, s), e in c.items())
+        return YMonomial((i, s, 1) for i, s in self.roots)
 
     def shift(self, d: int) -> "DrinfeldPoly":
         return DrinfeldPoly((i, s + d) for i, s in self.roots)
@@ -167,9 +167,6 @@ class QtCharacter:
             return self
         terms = _map_factors(self.terms, lambda i, s, e: (p[i - 1], s, e))
         return QtCharacter._wrap(self.L, self.poly.relabel(p), terms)
-
-    def bar(self) -> "QtCharacter":
-        return QtCharacter(self.L, self.poly, {m: p.bar() for m, p in self.terms.items()})
 
     def __str__(self):
         lines = [f"{self.L.family}{self.L.rank} character, highest {self.poly}"]
@@ -465,9 +462,6 @@ class GCharacter:
                 key = tuple(x + y for x, y in zip(w1, w2))
                 out[key] = out.get(key, 0) + c1 * c2
         return GCharacter(self.lie_type, out)
-
-    def scaled(self, c: int) -> "GCharacter":
-        return GCharacter(self.lie_type, {w: c * v for w, v in self.terms.items()})
 
     def __eq__(self, other):
         return (

@@ -553,6 +553,25 @@ def _l_row(order: tuple, l: dict, ai: int) -> dict:
     return {order[ci].monomial(): p for (a, ci), p in l.items() if a == ai}
 
 
+def _remove_stale_tmp(path: str) -> None:
+    """Remove the files path.tmp.<pid> that a writer killed before its
+    rename left behind: those whose pid is no live process.  A live
+    process's file may be a write in progress, so it stays."""
+    head, name = os.path.split(path)
+    prefix = f"{name}.tmp."
+    for entry in os.listdir(head):
+        pid = entry[len(prefix):]
+        if not (entry.startswith(prefix) and pid.isdecimal()):
+            continue
+        try:
+            os.kill(int(pid), 0)
+        except ProcessLookupError:
+            with contextlib.suppress(OSError):
+                os.remove(os.path.join(head, entry))
+        except (OverflowError, OSError):
+            pass  # not a pid, or a live process of another user
+
+
 class Engine:
     """Computes and caches characters for one type.
 
@@ -627,6 +646,7 @@ class Engine:
                 with contextlib.suppress(OSError):
                     os.remove(tmp)
                 raise
+            _remove_stale_tmp(path)
         return ch
 
     # -- module characters ----------------------------------------------------

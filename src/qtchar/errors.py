@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the integer reader of
-its text parsers, which raises one of them."""
+"""Exception types shared across the package, and the integer readers of
+its text parsers and constructors, which raise them."""
 
+import operator
 import sys
 
 
@@ -50,3 +51,14 @@ def _parse_int(text: str) -> int:
     except ValueError:
         limit = sys.get_int_max_str_digits()
         raise ParseError(f"{len(text.lstrip('+-'))}-digit number past the limit of {limit} digits") from None
+
+
+def _integer(x) -> int:
+    """x as an int, for an entry of a monomial or root datum: an int, or
+    an object operator.index accepts; anything else, a float with an
+    integral value included, raises DomainError rather than being
+    truncated."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise DomainError(f"{x!r} is not an integer") from None

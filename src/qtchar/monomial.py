@@ -19,7 +19,7 @@ from functools import lru_cache
 import re
 
 from . import kernels
-from .errors import NotComparable, ParseError, _parse_int
+from .errors import NotComparable, ParseError, _integer, _parse_int
 from .roots import LieType
 
 
@@ -29,7 +29,15 @@ class YMonomial:
     __slots__ = ("data", "_hash")
 
     def __init__(self, data=()):
-        self.data = tuple(sorted((int(i), int(s), int(e)) for i, s, e in data if e))
+        """The product of the factors Y[i,s]^e over the (i, s, e) in data:
+        repeated (i, s) pairs add their exponents, and a zero exponent
+        drops the factor.  An entry that is not an integer raises
+        DomainError."""
+        exps: dict = {}
+        for i, s, e in data:
+            key = (_integer(i), _integer(s))
+            exps[key] = exps.get(key, 0) + _integer(e)
+        self.data = tuple(sorted([(i, s, e) for (i, s), e in exps.items() if e]))
         self._hash = hash(self.data)
 
     @classmethod
@@ -41,11 +49,7 @@ class YMonomial:
 
     @classmethod
     def var(cls, i: int, s: int, e: int = 1) -> "YMonomial":
-        return cls._wrap(((i, s, e),)) if e else ONE_MONO
-
-    @classmethod
-    def one(cls) -> "YMonomial":
-        return ONE_MONO
+        return cls(((i, s, e),))
 
     # -- group operations --------------------------------------------------
 
@@ -67,17 +71,8 @@ class YMonomial:
 
     # -- queries -----------------------------------------------------------
 
-    def u(self, i: int, s: int) -> int:
-        return self.u_map().get((i, s), 0)
-
     def u_map(self) -> dict:
         return {(i, s): e for i, s, e in self.data}
-
-    def is_one(self) -> bool:
-        return not self.data
-
-    def is_i_dominant(self, i: int) -> bool:
-        return all(e >= 0 for j, _, e in self.data if j == i)
 
     def is_l_dominant(self) -> bool:
         return all(e >= 0 for _, _, e in self.data)

@@ -1,10 +1,8 @@
-"""Laurent polynomials in t over the integers, plus the binomial coefficients
-used by character expansions (balanced Gaussian) and fermionic sums (ordinary,
-in two inequivalent extended conventions)."""
+"""Laurent polynomials in t over the integers, plus the ordinary binomial
+coefficients of fermionic sums, in two inequivalent extended conventions."""
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb, factorial
 import re
 
@@ -26,10 +24,6 @@ class TPoly:
         self.terms = {n: c for n, c in terms.items() if c}
 
     # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def const(cls, c: int) -> "TPoly":
-        return cls({0: c}) if c else cls()
 
     @classmethod
     def t_power(cls, n: int, c: int = 1) -> "TPoly":
@@ -88,10 +82,6 @@ class TPoly:
             return self
         return TPoly._wrap(kernels.poly_scale(self.terms, n))
 
-    def bar(self) -> "TPoly":
-        """The involution t -> t^-1."""
-        return TPoly._wrap({-n: c for n, c in self.terms.items()})
-
     # -- queries ----------------------------------------------------------
 
     def __eq__(self, other):
@@ -109,17 +99,8 @@ class TPoly:
     def at_one(self) -> int:
         return sum(self.terms.values())
 
-    def is_bar_symmetric(self) -> bool:
-        return all(self.terms.get(-n) == c for n, c in self.terms.items())
-
     def has_nonneg_coeffs(self) -> bool:
         return all(c >= 0 for c in self.terms.values())
-
-    def only_negative_powers(self) -> bool:
-        return all(n < 0 for n in self.terms)
-
-    def coeff(self, n: int) -> int:
-        return self.terms.get(n, 0)
 
     # -- text form ---------------------------------------------------------
 
@@ -143,7 +124,7 @@ class TPoly:
 
 
 ZERO = TPoly.ZERO = TPoly()
-ONE = TPoly.ONE = TPoly({0: 1})
+TPoly.ONE = TPoly({0: 1})
 
 _TPOLY_TOKEN = re.compile(r"[+-]?(?:\d+t(?:\^-?\d+)?|t(?:\^-?\d+)?|\d+)")
 
@@ -176,34 +157,6 @@ def parse_tpoly(text: str) -> TPoly:
             exp = 0
         terms[exp] = terms.get(exp, 0) + sign * coef
     return TPoly(terms)
-
-
-@lru_cache(maxsize=None)
-def _gauss_binomial(n: int, r: int) -> tuple:
-    """Coefficients of the q-binomial [n r] as a tuple indexed by q-degree."""
-    if r in (0, n):
-        return (1,)
-    prev = _gauss_binomial(n - 1, r - 1)
-    shifted = _gauss_binomial(n - 1, r)
-    out = [0] * (r * (n - r) + 1)
-    for d, c in enumerate(prev):
-        out[d] += c
-    for d, c in enumerate(shifted):
-        out[d + r] += c
-    return tuple(out)
-
-
-def t_binomial(n: int, r: int) -> TPoly:
-    """Balanced Gaussian binomial, invariant under t -> t^-1.
-
-    Equal to t^(-r(n-r)) times the ordinary q-binomial evaluated at q = t^2,
-    so its exponents run over -r(n-r), -r(n-r)+2, ..., r(n-r).
-    """
-    if not (0 <= r <= n):
-        raise DomainError(f"t_binomial({n}, {r}) undefined")
-    center = r * (n - r)
-    coeffs = _gauss_binomial(n, r)
-    return TPoly._wrap({2 * d - center: c for d, c in enumerate(coeffs) if c})
 
 
 def gen_binomial(a: int, b: int, convention: str = "gamma") -> int:

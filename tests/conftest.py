@@ -15,14 +15,13 @@ from qtchar import (
     a_monomial,
     build_lie_type,
     positive_roots,
-    t_binomial,
     two_rho,
-    tilde_u,
     v_factorization,
 )
 from qtchar import kernels, monomial
 from qtchar.engine import _fixpoint
-from qtchar.errors import InconsistentExpansion, InternalError, NotComparable
+from qtchar.errors import DomainError, InconsistentExpansion, InternalError, NotComparable
+from qtchar.monomial import tilde_u
 
 
 @pytest.fixture(scope="session")
@@ -70,6 +69,75 @@ def engine_for(engines):
         return engines[(L.family, L.rank)]
 
     return get
+
+
+# Predicates that only the tests' assertions read.
+
+
+def _is_bar_symmetric(p: TPoly) -> bool:
+    """p is fixed by the involution t -> t^-1."""
+    return all(p.terms.get(-n) == c for n, c in p.terms.items())
+
+
+def _only_negative_powers(p: TPoly) -> bool:
+    """Every power of t in p is negative, so p lies in t^-1 Z[t^-1]."""
+    return all(n < 0 for n in p.terms)
+
+
+def _is_i_dominant(m: YMonomial, i: int) -> bool:
+    """No factor of m at node i has a negative exponent."""
+    return all(e >= 0 for j, _, e in m.data if j == i)
+
+
+@pytest.fixture(scope="session")
+def is_bar_symmetric():
+    """The TPoly predicate _is_bar_symmetric."""
+    return _is_bar_symmetric
+
+
+@pytest.fixture(scope="session")
+def only_negative_powers():
+    """The TPoly predicate _only_negative_powers."""
+    return _only_negative_powers
+
+
+@pytest.fixture(scope="session")
+def is_i_dominant():
+    """The monomial predicate _is_i_dominant."""
+    return _is_i_dominant
+
+
+@lru_cache(maxsize=None)
+def _gauss_binomial(n: int, r: int) -> tuple:
+    """Coefficients of the q-binomial [n r] as a tuple indexed by q-degree."""
+    if r in (0, n):
+        return (1,)
+    prev = _gauss_binomial(n - 1, r - 1)
+    shifted = _gauss_binomial(n - 1, r)
+    out = [0] * (r * (n - r) + 1)
+    for d, c in enumerate(prev):
+        out[d] += c
+    for d, c in enumerate(shifted):
+        out[d + r] += c
+    return tuple(out)
+
+
+def _t_binomial(n: int, r: int) -> TPoly:
+    """Balanced Gaussian binomial, invariant under t -> t^-1.
+
+    Equal to t^(-r(n-r)) times the ordinary q-binomial evaluated at q = t^2,
+    so its exponents run over -r(n-r), -r(n-r)+2, ..., r(n-r).  The
+    coefficients of the sl2 standard rows (_standard_rows)."""
+    if not (0 <= r <= n):
+        raise DomainError(f"t_binomial({n}, {r}) undefined")
+    center = r * (n - r)
+    return TPoly({2 * d - center: c for d, c in enumerate(_gauss_binomial(n, r))})
+
+
+@pytest.fixture(scope="session")
+def t_binomial():
+    """The balanced Gaussian binomial _t_binomial."""
+    return _t_binomial
 
 
 def _terms_scale(a: dict, c: TPoly) -> dict:
@@ -332,7 +400,7 @@ def reference_standard():
         key = (eng.L.family, eng.L.rank, poly.roots)
         got = memo.get(key)
         if got is None:
-            got = QtCharacter(eng.L, DrinfeldPoly(), {YMonomial.one(): TPoly.ONE})
+            got = QtCharacter(eng.L, DrinfeldPoly(), {YMonomial(): TPoly.ONE})
             for i, s in sorted(poly.roots, key=lambda r: (r[1], r[0])):
                 p = DrinfeldPoly.fundamental(i, s)
                 got = _multiply_standard(got, got.poly, eng.fundamental_char(i, s), p)
@@ -387,16 +455,16 @@ def _standard_rows(L, i: int, ui: tuple) -> tuple:
     # rows: (term / m, coefficient, step count, r at the last level).
     # Levels are visited by parity, then ascending, so when s-2 is a level
     # it is the one visited just before s; other parities never couple.
-    out = [(YMonomial.one(), TPoly.ONE, 0, 0)]
+    out = [(YMonomial(), TPoly.ONE, 0, 0)]
     for s in sorted(u_at, key=lambda s: (s % 2, s)):
         u = u_at[s]
         above = u_at.get(s + 2, 0)
         linked = 1 if s - 2 in u_at else 0
         a_inv = a_monomial(L, i, s + 1) ** -1
         options = []
-        step = YMonomial.one()
+        step = YMonomial()
         for r in range(u + 1):
-            options.append((step, t_binomial(u, r).shifted(-r * above), r))
+            options.append((step, _t_binomial(u, r).shifted(-r * above), r))
             step = step * a_inv
         out = [
             (mono * am, (poly * c).shifted(linked * r * prev), deg + r, r)
@@ -436,7 +504,7 @@ def _standard_strip(ch: QtCharacter, i: int) -> bool:
         if not raw:
             continue
         assert d <= guard, "reference strip exceeded its depth bound"
-        if not m.is_i_dominant(i):
+        if not _is_i_dominant(m, i):
             return False
         ui = tuple((s, u) for j, s, u in m.data if j == i)
         neg = {e: -c for e, c in raw.items()}

@@ -3,6 +3,8 @@ from __future__ import annotations
 import itertools
 import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -61,7 +63,7 @@ def test_kr_string_a1(engine_for, A1):
 def test_kr_degenerate_lengths(engine_for, A2):
     eng = engine_for(A2)
     empty = eng.kr_char_direct(1, 0)
-    assert len(empty) == 1 and empty.highest.is_one()
+    assert len(empty) == 1 and empty.highest == YMonomial()
     assert eng.kr_char_direct(1, 1, 2) == eng.fundamental_char(1, 2)
 
 
@@ -182,7 +184,7 @@ def _random_window_monos(rng, rank, lo, hi, limit, count) -> list:
     return [draw() for _ in range(count)] + [YMonomial(), YMonomial.var(rank, hi, -limit)]
 
 
-def test_level_key_blocks_decode_to_node_factors():
+def test_level_key_blocks_decode_to_node_factors(is_i_dominant):
     # each node's block holds that node's factors and nothing else, its
     # top bits read i-dominance, and a key decodes back to its monomial
     rng = random.Random(27)
@@ -194,7 +196,7 @@ def test_level_key_blocks_decode_to_node_factors():
             for i in range(1, rank + 1):
                 block = (k >> codec.shifts[i - 1]) & codec.mask
                 assert codec.pattern(block) == tuple((s, e) for j, s, e in m.data if j == i), (m, i)
-                assert (block & codec.high == codec.high) == m.is_i_dominant(i), (m, i)
+                assert (block & codec.high == codec.high) == is_i_dominant(m, i), (m, i)
                 assert (block == codec.high) == all(j != i for j, _, _ in m.data), (m, i)
     with pytest.raises(InternalError, match="window"):
         codec.key(((1, 1, 1),))
@@ -892,6 +894,21 @@ def test_disk_cache_failed_write_leaves_no_temp_file(A2, tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         Engine(A2, str(cache)).kr_char_direct(1, 2)
     assert [p.name for p in cache.iterdir()] == []
+
+
+def test_disk_cache_write_removes_a_dead_writers_temp_file(A2, tmp_path):
+    # a finished child's pid is no live process; the parent's pid is
+    cache = tmp_path / "qc"
+    cache.mkdir()
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    dead = cache / f"A2_kr_1_2.qtc.tmp.{child.pid}"
+    live = cache / f"A2_kr_1_2.qtc.tmp.{os.getppid()}"
+    other = cache / f"A2_fund_1.qtc.tmp.{child.pid}"
+    for path in (dead, live, other):
+        path.write_text("# qtc v1\n")
+    Engine(A2, str(cache)).kr_char_direct(1, 2)
+    assert sorted(p.name for p in cache.iterdir()) == sorted(["A2_kr_1_2.qtc", live.name, other.name])
 
 
 def test_memory_cache_reuses_objects(A2):

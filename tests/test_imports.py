@@ -2,17 +2,22 @@
 leave a stale import behind.  __init__.py is exempt: its imports are the
 package's exports.  Every module-level private name (_name) is read by
 some library module, so a deletion cannot leave a dead helper behind.
-No library module imports fractions or decimal: every number the library
-computes with is an integer."""
+Every public name, module-level or a method of a public class, is read
+by a library module or shown in README as user API, so the library keeps
+no code that only its tests call.  No library module imports fractions
+or decimal: every number the library computes with is an integer."""
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
+import re
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "qtchar"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "qtchar"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -30,7 +35,7 @@ def _unused_imports(source: str) -> list:
 
 
 def test_checker_flags_an_unused_import():
-    src = "from .monomial import EpsilonTable, YMonomial\nimport os.path\n\nYMonomial.one()\n"
+    src = "from .monomial import EpsilonTable, YMonomial\nimport os.path\n\nYMonomial()\n"
     assert _unused_imports(src) == [(1, "EpsilonTable"), (2, "os")]
 
 
@@ -109,6 +114,119 @@ def test_checker_flags_a_dead_private_name():
 def test_library_reads_every_private_name():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert _dead_private_names(sources) == []
+
+
+# Public names no library module reads, kept as the user API README shows.
+# A name matches as Class.method or name, or prefixed with its module.
+README_API = {
+    "QtCharacter.coeff",
+    "QtCharacter.dimension",
+    "GCharacter.coeff",
+    "GCharacter.dimension",
+    "KLResult.multiplicity",
+    "Engine.kl_decompose",
+    "verify_kr_tensor_split",
+    "strip_to_irreducibles",
+    "kernels.BACKEND",
+}
+
+
+def _public_defs(tree: ast.Module) -> list:
+    """(qualified name, node, is a method) of every public module-level
+    definition or assignment of tree, and of every public method or
+    property of its public classes."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        out += [(n, node, False) for n in names if not n.startswith("_")]
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            out += [
+                (f"{node.name}.{d.name}", d, True)
+                for d in node.body
+                if isinstance(d, ast.FunctionDef) and not d.name.startswith("_")
+            ]
+    return out
+
+
+def _attribute_reads(tree: ast.AST) -> Counter:
+    """How often tree reads an attribute of each name."""
+    return Counter(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+
+
+def _dead_public_names(sources: dict, api: set) -> list:
+    """(module, qualified name) of every public name of sources ({module:
+    source text}) that no module reads outside its definition and that
+    api does not list.  A method counts as read where any module reads an
+    attribute of its name, so the check can miss a dead method but never
+    flags a live one."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    reads = {mod: _reads(tree) for mod, tree in trees.items()}
+    attrs = sum((_attribute_reads(tree) for tree in trees.values()), Counter())
+    dead = []
+    for mod, tree in trees.items():
+        for qual, node, method in _public_defs(tree):
+            if qual in api or f"{mod}.{qual}" in api:
+                continue
+            if method:
+                attr = qual.rpartition(".")[2]
+                if attrs[attr] > _attribute_reads(node)[attr]:
+                    continue
+            elif (None, qual) in _reads(tree, skip=node) or any(
+                (mod, qual) in reads[m] for m in trees if m != mod
+            ):
+                continue
+            dead.append((mod, qual))
+    return sorted(dead)
+
+
+def test_checker_flags_a_dead_public_name():
+    sources = {
+        "a": (
+            "class C:\n    def used(self):\n        pass\n\n"
+            "    def rec(self):\n        return self.rec()\n\n"
+            "    def shown(self):\n        pass\n\n"
+            "def live(c):\n    return c.used()\n\n"
+            "def dead():\n    return live(C())\n\nDEAD = 1\n"
+        ),
+        "b": "from .a import live\n\nlive(None)\n",
+    }
+    # rec reads only itself; a read from dead still counts, so C stays
+    assert _dead_public_names(sources, {"C.shown"}) == [("a", "C.rec"), ("a", "DEAD"), ("a", "dead")]
+    assert _dead_public_names(sources, {"a.dead", "DEAD", "C.shown", "a.C.rec"}) == []
+
+
+def test_library_reads_every_public_name():
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert _dead_public_names(sources, README_API) == []
+
+
+def _code_spans(markdown: str) -> list:
+    """The fenced code blocks and inline code spans of markdown."""
+    fence = re.compile(r"^```[^\n]*\n(.*?)^```", re.M | re.S)
+    return fence.findall(markdown) + re.findall(r"`([^`\n]+)`", fence.sub("", markdown))
+
+
+def _not_in_code_font(names, markdown: str) -> list:
+    """The names of names that no code span of markdown shows."""
+    spans = _code_spans(markdown)
+    return sorted(n for n in names if not any(re.search(rf"\b{re.escape(n)}\b", s) for s in spans))
+
+
+def test_checker_flags_api_missing_from_readme():
+    readme = "Use `Engine.kl_decompose(p)`.\n\n```python\n>>> kernels.BACKEND\n```\n\nEngine.table is plain text.\n"
+    api = {"Engine.kl_decompose", "kernels.BACKEND", "Engine.table", "Engine.kl"}
+    assert _not_in_code_font(api, readme) == ["Engine.kl", "Engine.table"]
+
+
+def test_readme_shows_every_api_name():
+    assert _not_in_code_font(README_API, (ROOT / "README.md").read_text()) == []
 
 
 def _imported_modules(source: str) -> set:

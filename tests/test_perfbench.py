@@ -14,7 +14,7 @@ import pytest
 SAMPLE = Path(__file__).resolve().parent.parent / "perfbench" / "sample.py"
 
 # Bindings the tracer wraps that the library no longer has.  The next
-# change to the benchmark (ROADMAP item 6) retraces or drops them, which
+# change to the benchmark (ROADMAP item 2) retraces or drops them, which
 # shrinks this set.
 KNOWN_UNTRACED = {
     "qtchar.engine.multiply_standard",

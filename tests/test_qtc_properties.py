@@ -1,4 +1,6 @@
-"""Round trips of the qtc text format on random monomials and characters."""
+"""Properties on random draws: round trips of the qtc text format on
+monomials and characters, and the group laws of YMonomial and the ring
+laws of TPoly."""
 
 from __future__ import annotations
 
@@ -72,3 +74,34 @@ def test_character_text_round_trips(terms, roots, tmp_path):
     write_qtc(path, ch)
     assert read_qtc(path) == ch
     assert path.read_text().startswith(text)
+
+
+# few nodes and levels, so that a list repeats and cancels factors
+_dense_factors = st.lists(st.tuples(st.integers(1, 2), st.integers(0, 2), st.integers(-2, 2)), max_size=8)
+
+
+@_examples
+@given(factors=_dense_factors)
+def test_monomial_is_the_product_of_its_factors(factors):
+    prod = YMonomial()
+    for i, s, e in factors:
+        prod = prod * YMonomial.var(i, s, e)
+    assert YMonomial(factors) == prod == _merged(factors)
+
+
+@_examples
+@given(a=_monomials, b=_monomials, c=_monomials)
+def test_monomial_group_laws(a, b, c):
+    assert (a * b) * c == a * (b * c)
+    assert a * b == b * a
+    assert a * a**-1 == YMonomial() and a * YMonomial() == a
+
+
+@_examples
+@given(p=_tpolys, q=_tpolys, r=_tpolys)
+def test_tpoly_ring_laws(p, q, r):
+    assert (p + q) + r == p + (q + r)
+    assert p + q == q + p
+    assert (p * q) * r == p * (q * r)
+    assert p * q == q * p
+    assert p * (q + r) == p * q + p * r

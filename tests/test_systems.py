@@ -529,7 +529,7 @@ def test_kr_formula_passes(engines, family, rank, nu, D):
 
 
 def test_right_negative_flag(right_negative):
-    assert not right_negative(YMonomial.one())
+    assert not right_negative(YMonomial())
     assert not right_negative(parse_monomial("Y[1,0]"))
     assert right_negative(parse_monomial("Y[2,1] Y[1,2]^-1"))
     assert not right_negative(parse_monomial("Y[1,2]^-1 Y[2,2]"))
@@ -627,7 +627,8 @@ def test_irreducible_g_char_rejects_bad_weights(A2):
 
 
 def test_strip_to_irreducibles_round_trip(A2):
-    g = irreducible_g_char(A2, (1, 0)).scaled(2) + irreducible_g_char(A2, (1, 1))
+    a = irreducible_g_char(A2, (1, 0))
+    g = a + a + irreducible_g_char(A2, (1, 1))
     assert strip_to_irreducibles(A2, g) == {(1, 0): 2, (1, 1): 1}
     assert strip_to_irreducibles(A2, GCharacter(A2)) == {}
 

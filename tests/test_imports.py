@@ -44,9 +44,9 @@ def test_module_uses_every_import(path):
     assert _unused_imports(path.read_text()) == []
 
 
-def _private_defs(tree: ast.Module) -> list:
-    """(name, node) of every module-level _name (not __dunder__) a
-    definition or assignment binds."""
+def _module_defs(tree: ast.Module) -> list:
+    """(name, node) of every module-level name a definition or assignment
+    binds."""
     out = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -57,8 +57,13 @@ def _private_defs(tree: ast.Module) -> list:
             names = [node.target.id]
         else:
             continue
-        out += [(n, node) for n in names if n.startswith("_") and not n.startswith("__")]
+        out += [(n, node) for n in names]
     return out
+
+
+def _private_defs(tree: ast.Module) -> list:
+    """(name, node) of every module-level _name (not __dunder__)."""
+    return [(n, node) for n, node in _module_defs(tree) if n.startswith("_") and not n.startswith("__")]
 
 
 def _reads(tree: ast.Module, skip: ast.AST | None = None) -> set:
@@ -136,19 +141,13 @@ def _public_defs(tree: ast.Module) -> list:
     definition or assignment of tree, and of every public method or
     property of its public classes."""
     out = []
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names = [node.name]
-        elif isinstance(node, ast.Assign):
-            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            names = [node.target.id]
-        else:
+    for name, node in _module_defs(tree):
+        if name.startswith("_"):
             continue
-        out += [(n, node, False) for n in names if not n.startswith("_")]
-        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+        out.append((name, node, False))
+        if isinstance(node, ast.ClassDef):
             out += [
-                (f"{node.name}.{d.name}", d, True)
+                (f"{name}.{d.name}", d, True)
                 for d in node.body
                 if isinstance(d, ast.FunctionDef) and not d.name.startswith("_")
             ]

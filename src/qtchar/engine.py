@@ -553,12 +553,25 @@ def _l_row(order: tuple, l: dict, ai: int) -> dict:
     return {order[ci].monomial(): p for (a, ci), p in l.items() if a == ai}
 
 
+def _tmp_prefix(path: str) -> str:
+    """The name, less the pid, of a write in progress to path:
+    path.tmp.<host>.<pid>.  A pid means something only on its own host,
+    so the host part marks which temporary files this host may judge.
+    Off POSIX none is judged (_remove_stale_tmp), and the part is empty."""
+    host = os.uname().nodename if os.name == "posix" else ""
+    return f"{path}.tmp.{host}."
+
+
 def _remove_stale_tmp(path: str) -> None:
-    """Remove the files path.tmp.<pid> that a writer killed before its
-    rename left behind: those whose pid is no live process.  A live
-    process's file may be a write in progress, so it stays."""
-    head, name = os.path.split(path)
-    prefix = f"{name}.tmp."
+    """Remove the files path.tmp.<host>.<pid> of this host that a writer
+    killed before its rename left behind: those whose pid is no live
+    process.  A live process's file may be a write in progress, so it
+    stays, as does every file of another host.  Only POSIX has a pure
+    liveness probe (signal 0; elsewhere os.kill ends the process), so on
+    other platforms nothing is removed."""
+    if os.name != "posix":
+        return
+    head, prefix = os.path.split(_tmp_prefix(path))
     for entry in os.listdir(head):
         pid = entry[len(prefix):]
         if not (entry.startswith(prefix) and pid.isdecimal()):
@@ -637,7 +650,7 @@ class Engine:
         self._base[(i, k)] = ch
         if self.cache_dir:
             path = self._cache_path(stem)
-            tmp = f"{path}.tmp.{os.getpid()}"
+            tmp = f"{_tmp_prefix(path)}{os.getpid()}"
             try:
                 write_qtc(tmp, ch)
                 os.replace(tmp, path)

@@ -23,6 +23,15 @@ from .errors import NotComparable, ParseError, _integer, _parse_int
 from .roots import LieType
 
 
+def _merged(factors) -> tuple:
+    """Monomial data from ((i, s), e) pairs: the exponents of a repeated
+    (i, s) add, zero exponents drop, and the factors sort by (i, s)."""
+    exps: dict = {}
+    for key, e in factors:
+        exps[key] = exps.get(key, 0) + e
+    return tuple(sorted([(i, s, e) for (i, s), e in exps.items() if e]))
+
+
 class YMonomial:
     """Immutable sparse monomial; factors sorted by (node, shift)."""
 
@@ -33,11 +42,7 @@ class YMonomial:
         repeated (i, s) pairs add their exponents, and a zero exponent
         drops the factor.  An entry that is not an integer raises
         DomainError."""
-        exps: dict = {}
-        for i, s, e in data:
-            key = (_integer(i), _integer(s))
-            exps[key] = exps.get(key, 0) + _integer(e)
-        self.data = tuple(sorted([(i, s, e) for (i, s), e in exps.items() if e]))
+        self.data = _merged(((_integer(i), _integer(s)), _integer(e)) for i, s, e in data)
         self._hash = hash(self.data)
 
     @classmethod
@@ -131,11 +136,7 @@ def parse_monomial(text: str) -> YMonomial:
     s = text.strip()
     if s == "1":
         return ONE_MONO
-    exps: dict = {}
-    for tok in s.split():
-        key, e = _parse_factor(tok)
-        exps[key] = exps.get(key, 0) + e
-    return YMonomial._wrap(tuple(sorted([(i, sh, e) for (i, sh), e in exps.items() if e])))
+    return YMonomial._wrap(_merged(map(_parse_factor, s.split())))
 
 
 def a_monomial(L: LieType, i: int, s: int) -> YMonomial:

@@ -896,19 +896,43 @@ def test_disk_cache_failed_write_leaves_no_temp_file(A2, tmp_path, monkeypatch):
     assert [p.name for p in cache.iterdir()] == []
 
 
+@pytest.mark.skipif(os.name != "posix", reason="the liveness probe is POSIX-only")
 def test_disk_cache_write_removes_a_dead_writers_temp_file(A2, tmp_path):
-    # a finished child's pid is no live process; the parent's pid is
+    # a finished child's pid is no live process; the parent's pid is; a
+    # pid of another host says nothing about this one's processes
     cache = tmp_path / "qc"
     cache.mkdir()
     child = subprocess.Popen([sys.executable, "-c", "pass"])
     child.wait()
-    dead = cache / f"A2_kr_1_2.qtc.tmp.{child.pid}"
-    live = cache / f"A2_kr_1_2.qtc.tmp.{os.getppid()}"
-    other = cache / f"A2_fund_1.qtc.tmp.{child.pid}"
-    for path in (dead, live, other):
+    host = os.uname().nodename
+    dead = cache / f"A2_kr_1_2.qtc.tmp.{host}.{child.pid}"
+    live = cache / f"A2_kr_1_2.qtc.tmp.{host}.{os.getppid()}"
+    foreign = cache / f"A2_kr_1_2.qtc.tmp.other-{host}.{child.pid}"
+    other = cache / f"A2_fund_1.qtc.tmp.{host}.{child.pid}"
+    for path in (dead, live, foreign, other):
         path.write_text("# qtc v1\n")
     Engine(A2, str(cache)).kr_char_direct(1, 2)
-    assert sorted(p.name for p in cache.iterdir()) == sorted(["A2_kr_1_2.qtc", live.name, other.name])
+    kept = ["A2_kr_1_2.qtc", live.name, foreign.name, other.name]
+    assert sorted(p.name for p in cache.iterdir()) == sorted(kept)
+
+
+def test_disk_cache_write_probes_no_pid_off_posix(A2, tmp_path, monkeypatch):
+    # off POSIX os.kill terminates the process it names, so it must not run
+    cache = tmp_path / "qc"
+    cache.mkdir()
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    dead = cache / f"A2_kr_1_2.qtc.tmp..{child.pid}"
+    dead.write_text("# qtc v1\n")
+
+    def kill(pid, sig):
+        raise AssertionError(f"os.kill({pid}, {sig}) called")
+
+    with monkeypatch.context() as m:
+        m.setattr(qtchar.engine.os, "name", "nt")
+        m.setattr(qtchar.engine.os, "kill", kill)
+        Engine(A2, str(cache)).kr_char_direct(1, 2)
+    assert sorted(p.name for p in cache.iterdir()) == sorted(["A2_kr_1_2.qtc", dead.name])
 
 
 def test_memory_cache_reuses_objects(A2):

@@ -5,9 +5,9 @@ finite-type restriction recursion, and the binomial configuration sum
 for restricted KR products, all in integer arithmetic.
 
 Every check is an exact symbolic comparison of the two sides' raw term
-dicts.  A VerifyReport keeps both sides together with their canonical
-serializer and turns them into text only when they are read, so a failure
-can print the mismatching terms while a pass never pays for the strings.
+dicts.  A VerifyReport holds both sides as dicts of canonical text,
+serialized once when the report is made, so a failing report can print
+the terms where they differ.
 
 The T-system checks and the tensor split compare sums of twisted
 products of characters, each divided by its factors' twist.  The t = 1
@@ -18,12 +18,12 @@ approach to q,t-characters").  Every factor comes from the engine, which
 builds only members of K_t (engine.py): a KR module has a single
 dominant monomial, so its character is the fixpoint output, and the
 tensor split's simple is one pinned run.  K_t is closed under the
-twisted product, so both sides lie in it, and those checks pass on
-equal dominant parts, building their full sides only if a report's sides
-are read.  A product's dominant part (dominant_product) is the fold of
-its factors' terms with no level above the highest level of its top.
-Dominant parts that differ send the check through the full products, so
-every failing report is the one the full comparison gives.
+twisted product, so both sides lie in it, and they are equal exactly
+when their l-dominant parts are.  Those checks therefore build, compare
+and report the dominant parts alone: a product's dominant part
+(dominant_product) is the fold of its factors' terms with no level above
+the highest level of its top, and a failing report lists the dominant
+monomials whose coefficients differ.
 
 Every verifier reads its characters and commutation table (Engine.table)
 from the engine it is handed, a required argument; there is no default
@@ -33,10 +33,11 @@ character is read.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .character import (
     DrinfeldPoly,
     GCharacter,
-    _star_fold,
     dominant_product,
     normalized_in_A,
     restrict_to_g,
@@ -79,64 +80,21 @@ def _check_engine(L: LieType, engine: Engine) -> None:
         raise DomainError(f"engine computes {engine.L} characters, not {L}")
 
 
+@dataclass
 class VerifyReport:
-    """Outcome of one check.  lhs and rhs are the two sides as dicts from
-    canonical text keys to canonical text values; a verifier may hand over
-    its raw term dicts plus the function that serializes them, and the text
-    forms are then built only when lhs, rhs or a failing text() is read.
-    A report made by deferred() holds a function that computes the raw
-    sides, and calls it only then too."""
+    """Outcome of one check: lhs and rhs are the two sides as dicts from
+    canonical text keys to canonical text values, so that equal dicts are
+    equal sides, and a failing text() lists the keys where they differ."""
 
-    __slots__ = ("claim", "params", "status", "_sides", "_ser")
-
-    def __init__(self, claim: str, params: dict, status: str, lhs: dict, rhs: dict, ser=None):
-        self.claim = claim
-        self.params = params
-        self.status = status
-        self._sides = (lhs, rhs)
-        self._ser = ser
-
-    @classmethod
-    def deferred(cls, claim: str, params: dict, status: str, sides, ser) -> "VerifyReport":
-        """Report whose raw sides are sides(), computed on first read."""
-        rep = cls(claim, params, status, None, None, ser)
-        rep._sides = sides
-        return rep
-
-    def _serialized(self) -> tuple:
-        sides = self._sides
-        if callable(sides):
-            sides = sides()
-        if self._ser is not None:
-            sides = tuple(self._ser(d) for d in sides)
-            self._ser = None
-        self._sides = sides
-        return sides
-
-    @property
-    def lhs(self) -> dict:
-        return self._serialized()[0]
-
-    @property
-    def rhs(self) -> dict:
-        return self._serialized()[1]
+    claim: str
+    params: dict
+    status: str
+    lhs: dict
+    rhs: dict
 
     @property
     def ok(self) -> bool:
         return self.status == "pass"
-
-    def __eq__(self, other):
-        if not isinstance(other, VerifyReport):
-            return NotImplemented
-        return (self.claim, self.params, self.status, self.lhs, self.rhs) == (
-            other.claim, other.params, other.status, other.lhs, other.rhs
-        )
-
-    def __repr__(self):
-        return (
-            f"VerifyReport(claim={self.claim!r}, params={self.params!r}, "
-            f"status={self.status!r}, lhs={self.lhs!r}, rhs={self.rhs!r})"
-        )
 
     def text(self) -> str:
         ptxt = " ".join(f"{k}={v}" for k, v in self.params.items())
@@ -155,31 +113,7 @@ class VerifyReport:
 def _report(claim: str, params: dict, lhs: dict, rhs: dict, ser) -> VerifyReport:
     """Report comparing two raw dicts; ser maps each to its text form and
     is injective, so raw equality is equality of the serialized sides."""
-    return VerifyReport(claim, params, "pass" if lhs == rhs else "fail", lhs, rhs, ser)
-
-
-def _decide(claim: str, params: dict, engine: Engine, sides, ser) -> VerifyReport:
-    """Report on an identity whose sides are sums of twisted products of
-    engine-built characters.  sides(product) builds both sides, given
-    product(list of characters) -> raw term dict: dominant_product first,
-    which folds only the factor terms with no level above the product's
-    top, and the full fold (_star_fold) only when it is needed.
-
-    Every such character lies in K_t, and so do both sides, which are
-    therefore fixed by their l-dominant terms: equal sides under the
-    dominant product pass, and the full sides are built only if the
-    report's sides are read.  Any other case, each failure included, is
-    decided on the full sides.  Both folds read the engine's commutation
-    table."""
-    L, table = engine.L, engine.table
-    lhs, rhs = sides(lambda chars: dominant_product(L, chars, table))
-
-    def full() -> tuple:
-        return sides(lambda chars: _star_fold(L, chars, table))
-
-    if lhs == rhs:
-        return VerifyReport.deferred(claim, params, "pass", full, ser)
-    return _report(claim, params, *full(), ser)
+    return VerifyReport(claim, params, "pass" if lhs == rhs else "fail", ser(lhs), ser(rhs))
 
 
 # -- serialization: canonical text keys so dict equality is symbolic equality
@@ -220,20 +154,30 @@ def _check_string(L: LieType, i: int, k: int) -> None:
         raise DomainError(f"node {i} out of range for {L}")
 
 
-def _t_system_sides(L: LieType, i: int, k: int, engine: Engine):
-    """sides(product) of the t-refined recursion at node i and length k,
-    for _decide."""
+def _dominant_sides(L: LieType, engine: Engine, lhs: list, first: list, second: list) -> tuple:
+    """The l-dominant parts of the twisted product of the characters lhs
+    and of the sum of first's product and t^-1 times second's, each
+    product divided by its factors' twist (dominant_product, over the
+    engine's commutation table)."""
+
+    def part(chars: list) -> dict:
+        return dominant_product(L, chars, engine.table)
+
+    return part(lhs), terms_add(part(first), {m: p.shifted(-1) for m, p in part(second).items()})
+
+
+def _t_system_sides(L: LieType, i: int, k: int, engine: Engine) -> tuple:
+    """The dominant parts of both sides of the t-refined recursion at node
+    i and length k."""
     _check_engine(L, engine)
     _check_string(L, i, k)
     kr = engine.kr_char_direct
-
-    def sides(product) -> tuple:
-        lhs = product([kr(i, k, 0), kr(i, k, 2)])
-        first = product([kr(i, k + 1, 0), kr(i, k - 1, 2)])
-        second = product([kr(j, k, 1) for j in L.neighbors(i)])
-        return lhs, terms_add(first, {m: p.shifted(-1) for m, p in second.items()})
-
-    return sides
+    return _dominant_sides(
+        L, engine,
+        [kr(i, k, 0), kr(i, k, 2)],
+        [kr(i, k + 1, 0), kr(i, k - 1, 2)],
+        [kr(j, k, 1) for j in L.neighbors(i)],
+    )
 
 
 def verify_t_system_t1(L: LieType, i: int, k: int, engine: Engine) -> VerifyReport:
@@ -241,26 +185,23 @@ def verify_t_system_t1(L: LieType, i: int, k: int, engine: Engine) -> VerifyRepo
     shifts 0 and 2 equals the (k+1, k-1) product plus the product of the
     neighbors' length-k characters at shift 1.  Length 0 means the unit
     character.  Both sides are verify_t_system_t's at t = 1, where the
-    twisted product is the commutative one and the twists vanish; decided
-    on dominant parts as the module docstring says."""
-    sides = _t_system_sides(L, i, k, engine)
+    twisted product is the commutative one and the twists vanish; shown on
+    dominant parts as the module docstring says."""
+    lhs, rhs = _t_system_sides(L, i, k, engine)
     params = {"type": str(L), "i": i, "k": k}
-    return _decide(
-        "t_system_t1", params, engine,
-        lambda product: tuple(specialize_t1(d) for d in sides(product)),
-        _ser_int_terms,
-    )
+    return _report("t_system_t1", params, specialize_t1(lhs), specialize_t1(rhs), _ser_int_terms)
 
 
 def verify_t_system_t(L: LieType, i: int, k: int, engine: Engine) -> VerifyReport:
     """t-refined recursion: the same three products of length-k, (k+1,
     k-1) and neighbor characters, each the twisted product of normalized
-    characters divided by its factors' twist (_star_fold), so that every
-    top coefficient is 1; the neighbor product carries a further t^-1.
-    The neighbors are multiplied in ascending node order.  Decided on
-    dominant parts as the module docstring says."""
+    characters divided by its factors' twist, so that every top
+    coefficient is 1; the neighbor product carries a further t^-1.  The
+    neighbors are multiplied in ascending node order.  Shown on dominant
+    parts as the module docstring says."""
+    lhs, rhs = _t_system_sides(L, i, k, engine)
     params = {"type": str(L), "i": i, "k": k}
-    return _decide("t_system_t", params, engine, _t_system_sides(L, i, k, engine), _ser_int_terms)
+    return _report("t_system_t", params, lhs, rhs, _ser_int_terms)
 
 
 def verify_kr_tensor_split(L: LieType, i: int, k: int, engine: Engine) -> VerifyReport:
@@ -268,23 +209,19 @@ def verify_kr_tensor_split(L: LieType, i: int, k: int, engine: Engine) -> Verify
     character at shift 2k splits into the length-(k+1) character plus
     t^-1 times one non-tensor simple character, the latter computed
     through the triangular decomposition.  Each product is divided by its
-    factors' twist (_star_fold).  Decided on dominant parts as the module
-    docstring says."""
+    factors' twist.  Shown on dominant parts as the module docstring
+    says."""
     _check_engine(L, engine)
     _check_string(L, i, k)
     kr = engine.kr_char_direct
     q = DrinfeldPoly.kr(i, k - 1, 0)
     for j in L.neighbors(i):
         q = q * DrinfeldPoly.fundamental(j, 2 * k - 1)
-    second = engine.simple_char(q)
-
-    def sides(product) -> tuple:
-        lhs = product([kr(i, k, 0), engine.fundamental_char(i, 2 * k)])
-        first = product([kr(i, k + 1, 0)])
-        return lhs, terms_add(first, {m: p.shifted(-1) for m, p in product([second]).items()})
-
+    lhs, rhs = _dominant_sides(
+        L, engine, [kr(i, k, 0), engine.fundamental_char(i, 2 * k)], [kr(i, k + 1, 0)], [engine.simple_char(q)]
+    )
     params = {"type": str(L), "i": i, "k": k}
-    return _decide("kr_tensor_split", params, engine, sides, _ser_int_terms)
+    return _report("kr_tensor_split", params, lhs, rhs, _ser_int_terms)
 
 
 # -- convergence ---------------------------------------------------------------
@@ -311,8 +248,8 @@ def verify_convergence(L: LieType, i: int, k_max: int, D: int, engine: Engine) -
     for k in range(D, k_max):
         if sides[k] != sides[k + 1]:
             params["first_mismatch"] = f"{k}~{k + 1}"
-            return VerifyReport("convergence", params, "fail", sides[k], sides[k + 1], _ser_vkeys)
-    return VerifyReport("convergence", params, "pass", sides[D], sides[k_max], _ser_vkeys)
+            return _report("convergence", params, sides[k], sides[k + 1], _ser_vkeys)
+    return _report("convergence", params, sides[D], sides[k_max], _ser_vkeys)
 
 
 # -- restriction and the finite-type recursion ---------------------------------

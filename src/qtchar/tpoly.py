@@ -7,27 +7,28 @@ from math import comb, factorial
 import re
 
 from . import kernels
-from .errors import DomainError, ParseError, _parse_int
+from .errors import DomainError, ParseError, _integer, _parse_int
 
 # The extended-binomial conventions of gen_binomial, the default first.
 CONVENTIONS = ("gamma", "lusztig")
 
 
 class TPoly:
-    """Immutable sparse Laurent polynomial in t with integer coefficients."""
+    """Immutable sparse Laurent polynomial in t with integer coefficients.
+    An exponent or coefficient that is not an integer raises DomainError
+    (errors._integer)."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        if terms is None:
-            terms = {}
-        self.terms = {n: c for n, c in terms.items() if c}
+        pairs = ((_integer(n), _integer(c)) for n, c in (terms or {}).items())
+        self.terms = {n: c for n, c in pairs if c}
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def t_power(cls, n: int, c: int = 1) -> "TPoly":
-        return cls({n: c}) if c else cls()
+        return cls({n: c})
 
     @classmethod
     def _wrap(cls, terms: dict) -> "TPoly":

@@ -3,9 +3,10 @@ leave a stale import behind.  __init__.py is exempt: its imports are the
 package's exports.  Every module-level private name (_name) is read by
 some library module, so a deletion cannot leave a dead helper behind.
 Every public name, module-level or a method of a public class, is read
-by a library module or shown in README as user API, so the library keeps
-no code that only its tests call.  No library module imports fractions
-or decimal: every number the library computes with is an integer."""
+by a library module, and not only by unread names, or shown in README as
+user API, so the library keeps no code that only its tests call.  No
+library module imports fractions or decimal: every number the library
+computes with is an integer."""
 
 from __future__ import annotations
 
@@ -66,11 +67,16 @@ def _private_defs(tree: ast.Module) -> list:
     return [(n, node) for n, node in _module_defs(tree) if n.startswith("_") and not n.startswith("__")]
 
 
-def _reads(tree: ast.Module, skip: ast.AST | None = None) -> set:
-    """The (module, name) pairs tree reads outside skip: its own names as
-    (None, name), names it imports from a sibling module under their
-    source, and attributes of sibling modules it imports whole."""
-    inner = {id(n) for n in ast.walk(skip)} if skip is not None else set()
+def _inside(nodes) -> set:
+    """The ids of every node within nodes."""
+    return {id(n) for node in nodes for n in ast.walk(node)}
+
+
+def _reads(tree: ast.Module, skip=()) -> set:
+    """The (module, name) pairs tree reads outside the nodes skip: its own
+    names as (None, name), names it imports from a sibling module under
+    their source, and attributes of sibling modules it imports whole."""
+    inner = _inside(skip)
     source: dict = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level == 1:
@@ -98,7 +104,7 @@ def _dead_private_names(sources: dict) -> list:
     dead = []
     for mod, tree in trees.items():
         for name, node in _private_defs(tree):
-            if (None, name) in _reads(tree, skip=node):
+            if (None, name) in _reads(tree, skip=(node,)):
                 continue
             if any((mod, name) in _reads(other) for m, other in trees.items() if m != mod):
                 continue
@@ -154,35 +160,57 @@ def _public_defs(tree: ast.Module) -> list:
     return out
 
 
-def _attribute_reads(tree: ast.AST) -> Counter:
-    """How often tree reads an attribute of each name."""
-    return Counter(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+def _attribute_reads(tree: ast.AST, skip=()) -> Counter:
+    """How often tree reads an attribute of each name outside the nodes
+    skip."""
+    inner = _inside(skip)
+    return Counter(
+        n.attr
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load) and id(n) not in inner
+    )
 
 
 def _dead_public_names(sources: dict, api: set) -> list:
     """(module, qualified name) of every public name of sources ({module:
-    source text}) that no module reads outside its definition and that
-    api does not list.  A method counts as read where any module reads an
-    attribute of its name, so the check can miss a dead method but never
-    flags a live one."""
+    source text}) that api does not list and that no module reads outside
+    its definition and the definitions of dead names.  Dead names are
+    dropped and the rest checked again until no name is newly dead, so a
+    name read only by a dead one is dead too.  A method counts as read
+    where any module reads an attribute of its name, so the check can
+    miss a dead method but never flags a live one."""
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
-    reads = {mod: _reads(tree) for mod, tree in trees.items()}
-    attrs = sum((_attribute_reads(tree) for tree in trees.values()), Counter())
-    dead = []
-    for mod, tree in trees.items():
-        for qual, node, method in _public_defs(tree):
-            if qual in api or f"{mod}.{qual}" in api:
-                continue
-            if method:
-                attr = qual.rpartition(".")[2]
-                if attrs[attr] > _attribute_reads(node)[attr]:
+    defs = {
+        mod: [(qual, node, method) for qual, node, method in _public_defs(tree)
+              if qual not in api and f"{mod}.{qual}" not in api]
+        for mod, tree in trees.items()
+    }
+    dropped: dict = {mod: [] for mod in trees}
+    dead: set = set()
+    while True:
+        reads = {mod: _reads(tree, skip=dropped[mod]) for mod, tree in trees.items()}
+        attrs = sum((_attribute_reads(tree, skip=dropped[mod]) for mod, tree in trees.items()), Counter())
+        gone = {mod: _inside(dropped[mod]) for mod in trees}
+        fresh = []
+        for mod, tree in trees.items():
+            for qual, node, method in defs[mod]:
+                if (mod, qual) in dead:
                     continue
-            elif (None, qual) in _reads(tree, skip=node) or any(
-                (mod, qual) in reads[m] for m in trees if m != mod
-            ):
-                continue
-            dead.append((mod, qual))
-    return sorted(dead)
+                if method:
+                    attr = qual.rpartition(".")[2]
+                    own = 0 if id(node) in gone[mod] else _attribute_reads(node)[attr]
+                    if attrs[attr] > own:
+                        continue
+                elif (None, qual) in _reads(tree, skip=[node, *dropped[mod]]) or any(
+                    (mod, qual) in reads[m] for m in trees if m != mod
+                ):
+                    continue
+                fresh.append((mod, qual, node))
+        if not fresh:
+            return sorted(dead)
+        for mod, qual, node in fresh:
+            dead.add((mod, qual))
+            dropped[mod].append(node)
 
 
 def test_checker_flags_a_dead_public_name():
@@ -196,9 +224,29 @@ def test_checker_flags_a_dead_public_name():
         ),
         "b": "from .a import live\n\nlive(None)\n",
     }
-    # rec reads only itself; a read from dead still counts, so C stays
-    assert _dead_public_names(sources, {"C.shown"}) == [("a", "C.rec"), ("a", "DEAD"), ("a", "dead")]
+    # rec reads only itself, and C is read only by dead
+    assert _dead_public_names(sources, {"C.shown"}) == [("a", "C"), ("a", "C.rec"), ("a", "DEAD"), ("a", "dead")]
     assert _dead_public_names(sources, {"a.dead", "DEAD", "C.shown", "a.C.rec"}) == []
+
+
+def test_checker_flags_a_chain_of_dead_public_names():
+    # TPoly.bar is read only by QtCharacter.bar, which nothing reads, and
+    # helper only by the dead function dead
+    sources = {
+        "tpoly": "class TPoly:\n    def bar(self):\n        return self\n",
+        "character": (
+            "class QtCharacter:\n    def __init__(self, terms):\n        self.terms = terms\n\n"
+            "    def bar(self):\n        return {m: p.bar() for m, p in self.terms.items()}\n\n"
+            "def helper():\n    pass\n\ndef dead():\n    return helper()\n"
+        ),
+        "user": "from .character import QtCharacter\nfrom .tpoly import TPoly\n\nQtCharacter({1: TPoly()})\n",
+    }
+    assert _dead_public_names(sources, set()) == [
+        ("character", "QtCharacter.bar"),
+        ("character", "dead"),
+        ("character", "helper"),
+        ("tpoly", "TPoly.bar"),
+    ]
 
 
 def test_library_reads_every_public_name():

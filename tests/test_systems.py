@@ -1,7 +1,10 @@
 from __future__ import annotations
 
-import random
 from collections import Counter
+import hashlib
+import json
+from pathlib import Path
+import random
 
 import pytest
 
@@ -33,7 +36,7 @@ from qtchar import (
     verify_t_system_t1,
 )
 from qtchar import systems
-from qtchar.character import _star_fold
+from qtchar.character import _star_fold, terms_add
 from qtchar.monomial import v_factorization
 from qtchar.systems import check_nu
 from qtchar.tpoly import CONVENTIONS
@@ -62,67 +65,88 @@ def test_report_text_formats():
     assert not any("x:" in ln for ln in lines)
 
 
-def test_failing_report_text_matches_eager_serialization(engines, monkeypatch):
-    import qtchar.systems as sy
+def _stray_term_add(a: dict, b: dict) -> dict:
+    """terms_add with one term too many: the unit monomial, which is
+    l-dominant and on no side of a T-system or tensor split, with
+    coefficient 1."""
+    out = terms_add(a, b)
+    out[YMonomial()] = TPoly.ONE
+    return out
 
-    seen = []
-    real_report, real_add = sy._report, sy.terms_add
 
-    def recording_report(claim, params, lhs, rhs, ser):
-        seen.append((claim, params, lhs, rhs))
-        return real_report(claim, params, lhs, rhs, ser)
+def _full_route(monkeypatch) -> None:
+    """Build the T-system and tensor-split sides from the full products
+    instead of their dominant parts."""
+    monkeypatch.setattr(systems, "dominant_product", _star_fold)
 
-    def perturbed_add(a, b):
-        out = real_add(a, b)
-        m = min(out, key=lambda m: m.data)
-        out[m] = out[m] + TPoly.t_power(7)
-        return out
 
-    monkeypatch.setattr(sy, "_report", recording_report)
-    monkeypatch.setattr(sy, "terms_add", perturbed_add)
+def _dominant_keys(side: dict) -> dict:
+    """The entries of a report side whose key is an l-dominant monomial."""
+    return {key: v for key, v in side.items() if parse_monomial(key).is_l_dominant()}
+
+
+def _assert_dominant_part_of(rep: VerifyReport, full: VerifyReport) -> None:
+    """rep is the full route's report full shown on l-dominant keys: the
+    same status, each side full's side at those keys, and a text whose
+    lines are full's lines at those keys."""
+    assert rep.status == full.status
+    assert rep.lhs == _dominant_keys(full.lhs)
+    assert rep.rhs == _dominant_keys(full.rhs)
+    head, *lines = full.text().split("\n")
+    kept = [ln for ln in lines if parse_monomial(ln[2:].partition(": ")[0]).is_l_dominant()]
+    assert rep.text().split("\n") == [head, *kept]
+
+
+def test_failing_report_lists_the_full_routes_dominant_lines(engines, monkeypatch):
     eng = engines[("A", 2)]
-    rep = verify_t_system_t(eng.L, 1, 2, eng)
-    assert not rep.ok
-    claim, params, lhs, rhs = seen[-1]
-    eager = VerifyReport(claim, params, "fail", sy._ser_int_terms(lhs), sy._ser_int_terms(rhs))
-    assert rep.text() == eager.text()
-    assert len(rep.text().split("\n")) == 2
-    assert rep.lhs == eager.lhs and rep.rhs == eager.rhs
+    monkeypatch.setattr(systems, "terms_add", _stray_term_add)
+    for verify in (verify_t_system_t, verify_t_system_t1, verify_kr_tensor_split):
+        rep = verify(eng.L, 1, 2, eng)
+        assert rep.text().split("\n")[1:] == ["  1: lhs=0 rhs=1"]
+        with monkeypatch.context() as m:
+            _full_route(m)
+            full = verify(eng.L, 1, 2, eng)
+        assert full.status == "fail"
+        _assert_dominant_part_of(rep, full)
 
 
-def test_lazy_report_sides_are_text_dicts(engines):
+def test_report_sides_are_text_dicts(engines, monkeypatch):
     eng = engines[("A", 2)]
-    for rep in (
+    reports = [
         verify_t_system_t(eng.L, 1, 1, eng),
         verify_q_system(eng.L, 1, 2, eng),
         verify_convergence(eng.L, 1, 3, 1, eng),
-    ):
+    ]
+    for rep in reports:
         assert rep.ok, rep.text()
         for side in (rep.lhs, rep.rhs):
             assert side and all(isinstance(k, str) and isinstance(v, str) for k, v in side.items())
         assert rep.lhs == rep.rhs
+    # the T-system's sides are the full products' dominant parts; the
+    # other two read no dominant product, so the full route leaves them be
+    _full_route(monkeypatch)
+    _assert_dominant_part_of(reports[0], verify_t_system_t(eng.L, 1, 1, eng))
+    assert reports[1:] == [verify_q_system(eng.L, 1, 2, eng), verify_convergence(eng.L, 1, 3, 1, eng)]
 
 
-# -- dominant-part decisions against the full route ------------------------------
+# -- dominant sides against the full route ---------------------------------------
 
 # (verifier, [(family, rank, nodes, max k)]): the ranges of acceptance
-# criteria 4, 5 and 6
-DECISION_RANGES = [
-    (verify_t_system_t1, [("A", 1, (1,), 6), ("A", 2, (1, 2), 4), ("A", 3, (1, 2, 3), 3), ("D", 4, (1, 2, 3, 4), 2)]),
-    (verify_t_system_t, [("A", 1, (1,), 4), ("A", 2, (1, 2), 3), ("A", 3, (1, 2, 3), 2), ("D", 4, (1, 2, 3, 4), 2)]),
-    (verify_kr_tensor_split, [("A", 1, (1,), 4), ("A", 2, (1, 2), 3), ("D", 4, (1, 2, 3, 4), 2)]),
+# criteria 4, 5, 6 and 10
+CRITERIA_RANGES = [
+    (verify_t_system_t1, [("A", 1, (1,), 6), ("A", 2, (1, 2), 4), ("A", 3, (1, 2, 3), 3),
+                          ("D", 4, (1, 2, 3, 4), 2), ("D", 5, (1, 2, 3, 4, 5), 2)]),
+    (verify_t_system_t, [("A", 1, (1,), 4), ("A", 2, (1, 2), 3), ("A", 3, (1, 2, 3), 2),
+                         ("D", 4, (1, 2, 3, 4), 2), ("D", 5, (1, 2, 3, 4, 5), 2)]),
+    (verify_kr_tensor_split, [("A", 1, (1,), 4), ("A", 2, (1, 2), 3), ("A", 3, (1, 2, 3), 2),
+                              ("D", 4, (1, 2, 3, 4), 2), ("D", 5, (1, 2, 3, 4, 5), 1)]),
+    (verify_q_system, [("A", 1, (1,), 6), ("A", 2, (1, 2), 4), ("A", 3, (1, 2, 3), 3),
+                       ("D", 4, (1, 2, 3, 4), 2), ("D", 5, (1, 2, 3, 4, 5), 1), ("E", 6, (1, 2, 6), 1)]),
 ]
 
-
-def _full_route(monkeypatch) -> None:
-    """Decide every verifier on its full sides, as it did before the
-    dominant route existed."""
-
-    def full_decide(claim, params, engine, sides, ser):
-        lhs, rhs = sides(lambda chars: _star_fold(engine.L, chars, engine.table))
-        return systems._report(claim, params, lhs, rhs, ser)
-
-    monkeypatch.setattr(systems, "_decide", full_decide)
+# the dominant-part checks over criteria 4-6 without D5, whose full
+# products are too large for the full route
+DECISION_RANGES = [(verify, [r for r in ranges if r[:2] != ("D", 5)]) for verify, ranges in CRITERIA_RANGES[:3]]
 
 
 def _decision_cases(engines) -> list:
@@ -137,17 +161,12 @@ def _decision_cases(engines) -> list:
 
 def test_dominant_decisions_match_full_route(engines, monkeypatch):
     cases = _decision_cases(engines)
-    eager = []
-    monkeypatch.setattr(systems, "_report", lambda *args: eager.append(args))
     fast = [verify(eng.L, i, k, eng) for verify, eng, i, k in cases]
-    assert not eager  # every case passed without building its full sides
-    monkeypatch.undo()
     _full_route(monkeypatch)
     for rep, (verify, eng, i, k) in zip(fast, cases):
         full = verify(eng.L, i, k, eng)
-        assert rep.status == full.status == "pass", (verify.__name__, eng.L, i, k)
-        assert rep == full  # the lazily built sides are the eager ones
-        assert rep.text() == full.text()
+        assert full.status == "pass", (verify.__name__, eng.L, i, k)
+        _assert_dominant_part_of(rep, full)
 
 
 # characters up to this many terms are run through the oracle below: every
@@ -212,10 +231,7 @@ def test_perturbed_dominant_coefficient_fails_like_full_route(A2, verify, i, k, 
     rep = verify(A2, i, k, eng)
     assert rep.status == "fail"
     _full_route(monkeypatch)
-    full = verify(A2, i, k, eng)
-    assert full.status == "fail"
-    assert rep.text() == full.text()
-    assert rep == full
+    _assert_dominant_part_of(rep, verify(A2, i, k, eng))
 
 
 class _TSquaredEngine(Engine):
@@ -250,6 +266,87 @@ def test_t1_check_specializes_the_refined_sides(rank, k):
 
     assert rep.lhs == at_one(refined.lhs)
     assert rep.rhs == at_one(refined.rhs)
+
+
+# -- the report half of the behaviour contract ---------------------------------------
+
+# report_contract.json holds, for every case below, its report's status and
+# a digest of its claim, params, status, text() and both sides.  Update an
+# entry only for a deliberate change of a report, and say so in CHANGES.md.
+REPORT_CONTRACT = Path(__file__).resolve().parent / "report_contract.json"
+
+# (verifier, args after the type) of the A2 cases each fault is run on
+FAULT_CALLS = (
+    [(verify, (i, k)) for verify in (verify_t_system_t1, verify_t_system_t, verify_kr_tensor_split, verify_q_system)
+     for i in (1, 2) for k in (1, 2)]
+    + [(verify_convergence, (i, 4, 2)) for i in (1, 2)]
+    + [(verify_kr_formula, (nu, 4)) for nu in ({(1, 1): 1}, {(2, 1): 1}, {(2, 2): 1})]
+)
+
+
+def _criteria_calls() -> list:
+    """(family, rank, verifier, args after the type) of acceptance criteria
+    4-6 and 9-11 over their ranges."""
+    calls = [
+        (family, rank, verify, (i, k))
+        for verify, ranges in CRITERIA_RANGES
+        for family, rank, nodes, kmax in ranges
+        for i in nodes
+        for k in range(1, kmax + 1)
+    ]
+    calls += [("A", rank, verify_convergence, (i, 4, 2)) for rank in (1, 2, 3) for i in range(1, rank + 1)]
+    for a in range(3):
+        for b in range(3):
+            for c in range(3):
+                if a + 2 * b + 3 * c <= 6:
+                    nu = {(1, k): v for k, v in ((1, a), (2, b), (3, c)) if v}
+                    calls.append(("A", 1, verify_kr_formula, (nu, 6)))
+    calls += [("A", 2, verify_kr_formula, ({(i, k): 1}, 4)) for i in (1, 2) for k in (1, 2)]
+    calls.append(("A", 3, verify_kr_formula, ({(1, 1): 1}, 3)))
+    return calls
+
+
+def _contract_reports(engines, monkeypatch):
+    """(case, report) of every contract case: the criteria's ranges on
+    engines (E6 on an engine of its own), then FAULT_CALLS on the A2
+    engines that scale node 2 and put t^2 on node 1, and with terms_add
+    adding a stray term."""
+    e6 = Engine(build_lie_type("E", 6))
+    for family, rank, verify, args in _criteria_calls():
+        eng = engines.get((family, rank), e6)
+        yield f"{verify.__name__} {eng.L} {args}", verify(eng.L, *args, eng)
+    A2 = build_lie_type("A", 2)
+    faults = {"scaled": _ScaledEngine(A2), "t_squared": _TSquaredEngine(A2), "stray_term": engines[("A", 2)]}
+    for fault, eng in faults.items():
+        with monkeypatch.context() as m:
+            if fault == "stray_term":
+                m.setattr(systems, "terms_add", _stray_term_add)
+            for verify, args in FAULT_CALLS:
+                yield f"{fault}: {verify.__name__} {eng.L} {args}", verify(eng.L, *args, eng)
+
+
+def _report_digest(rep: VerifyReport) -> str:
+    """sha256 of the report's claim, params, status, text() and sides."""
+    h = hashlib.sha256()
+    parts = (
+        rep.claim,
+        json.dumps(rep.params),
+        rep.status,
+        rep.text(),
+        json.dumps(rep.lhs, sort_keys=True),
+        json.dumps(rep.rhs, sort_keys=True),
+    )
+    for part in parts:
+        data = part.encode("utf-8")
+        h.update(f"{len(data)}\n".encode() + data)
+    return h.hexdigest()
+
+
+def test_reports_match_contract(engines, monkeypatch):
+    want = {e["case"]: (e["status"], e["sha256"]) for e in json.loads(REPORT_CONTRACT.read_text())}
+    got = {case: (rep.status, _report_digest(rep)) for case, rep in _contract_reports(engines, monkeypatch)}
+    assert sorted(got) == sorted(want)
+    assert {case: got[case] for case in want if got[case] != want[case]} == {}
 
 
 @pytest.mark.parametrize("edit", ["count_only", "edited_coefficient", "stray_term"])

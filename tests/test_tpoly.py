@@ -24,6 +24,16 @@ def test_zero_coefficients_dropped():
     assert (TPoly({1: 1}) - TPoly({1: 1})) == 0
 
 
+def test_constructor_refuses_non_integers():
+    # t^0.5 would print a coefficient that parse_tpoly refuses
+    for terms in ({0.5: 1}, {1: 0.5}, {1: 2.0}, {"1": 1}, {1: 0.0}):
+        with pytest.raises(DomainError, match="is not an integer"):
+            TPoly(terms)
+    for n, c in ((0.5, 1), (0.5, 0), (1, 1.0)):
+        with pytest.raises(DomainError, match="is not an integer"):
+            TPoly.t_power(n, c)
+
+
 def test_shift_bar_at_one():
     p = TPoly({0: 1, -2: 2})
     assert p.shifted(3).terms == {3: 1, 1: 2}
